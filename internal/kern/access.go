@@ -35,58 +35,84 @@ const (
 // number of pages that required service.
 func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
 	k := t.Proc.K
-	sp := t.Proc.Space
+	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
+	spans := rectSpans{lo: first, hi: last}
 	serviced := 0
 	for round := 0; round < 16; round++ {
-		var segvAt vm.Addr
-		haveSegv := false
+		n, segvAt, segv := t.faultRound(spans, write)
+		serviced += n
+		if !segv {
+			return serviced, nil
+		}
+		k.Stats.Faults++
+		if k.bus.Active(telemetry.TopicPageFault) {
+			k.bus.Publish(telemetry.Event{
+				Topic: telemetry.TopicPageFault,
+				Node:  t.Node(), Dst: telemetry.NoNode,
+				Task: t.P.ID(), Pages: 1,
+			})
+		}
+		t.P.Sleep(k.P.FaultBase)
+		if err := t.raiseSegv(segvAt, write); err != nil {
+			return serviced, err
+		}
+		serviced++
+	}
+	return serviced, fmt.Errorf("kern: FaultIn at %#x did not settle", addr)
+}
 
-		t.Proc.MmapSem.RLock(t.P)
-		first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-		// Walk the VMA list once per round instead of binary-searching it
-		// for every 4 KiB page: vmas is address-sorted, and pages are
-		// visited in ascending order, so a single cursor (vi) suffices.
-		// The cursor starts at the first covering VMA by binary search —
-		// an address space with thousands of live mappings must not pay
-		// a linear scan per fault.
-		vmas := sp.VMAs()
-		vi := sort.Search(len(vmas), func(i int) bool { return vmas[i].End > first.Base() })
-		for cstart := first; cstart < last && !haveSegv; {
-			ci := vm.ChunkIndex(cstart)
-			cend := vm.VPN((ci + 1) * model.PTEChunkPages)
-			if cend > last {
-				cend = last
-			}
-			// Classify pages of this chunk.
-			ntPages := t.scratch.nt[:0]
-			numaPages := t.scratch.numa[:0]
-			absent := t.scratch.absent[:0]
-			stale := t.scratch.stale[:0]
-			for p := cstart; p < cend; {
+// faultRound is one classify-and-service pass of the bulk fault paths
+// over ascending page spans, under mmap_sem shared. Chunk by chunk it
+// classifies the spans' pages extent-at-a-time (absent, stale,
+// next-touch, NUMA-hint) and services them with aggregate costs. It
+// stops at the first page outside a VMA or without the access
+// permission, leaving that chunk unserviced, and reports the page's
+// address for the caller's SIGSEGV fallback. It returns the number of
+// pages serviced.
+func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool) {
+	sp := t.Proc.Space
+	t.Proc.MmapSem.RLock(t.P)
+	defer t.Proc.MmapSem.RUnlock()
+	lo, hi, ok := spans.next()
+	if !ok {
+		return 0, 0, false
+	}
+	// Walk the VMA list once per round instead of binary-searching it
+	// for every 4 KiB page: vmas is address-sorted, and pages are
+	// visited in ascending order, so a single cursor (vi) suffices.
+	// The cursor starts at the first covering VMA by binary search —
+	// an address space with thousands of live mappings must not pay
+	// a linear scan per fault.
+	vmas := sp.VMAs()
+	vi := sort.Search(len(vmas), func(i int) bool { return vmas[i].End > lo.Base() })
+	for ok {
+		ci := vm.ChunkIndex(lo)
+		cend := vm.VPN((ci + 1) * model.PTEChunkPages)
+		// Classify the pages of this chunk. The page-table cursor is
+		// fresh per chunk: servicing the previous chunk slept, and other
+		// tasks may have changed the table meanwhile.
+		ntPages := t.scratch.nt[:0]
+		numaPages := t.scratch.numa[:0]
+		absent := t.scratch.absent[:0]
+		stale := t.scratch.stale[:0]
+		cur := sp.PT.Cursor()
+		for ok && lo < cend {
+			end := min(hi, cend)
+			for p := lo; p < end; {
 				for vi < len(vmas) && vmas[vi].End <= p.Base() {
 					vi++
 				}
-				if vi >= len(vmas) || vmas[vi].Start > p.Base() {
-					segvAt = p.Base()
-					haveSegv = true
+				if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
+					segvAt, segv = p.Base(), true
 					break
 				}
-				v := vmas[vi]
-				if !v.Prot.Allows(write) {
-					segvAt = p.Base()
-					haveSegv = true
-					break
-				}
-				// Classify this VMA's span of the chunk extent-at-a-time:
-				// unmapped spans (including whole missing chunks and huge
-				// chunks, whose 4 KiB lookups resolve to nil) arrive as
-				// gaps, everything else as maximal same-flag runs — no
-				// per-page work and no materialization.
-				vEnd := vm.PageOf(v.End-1) + 1
-				if vEnd > cend {
-					vEnd = cend
-				}
-				sp.PT.Extents(p, vEnd, true, func(e vm.Ext) bool {
+				// Classify this VMA's span extent-at-a-time: unmapped
+				// spans (including whole missing chunks and huge chunks,
+				// whose 4 KiB lookups resolve to nil) arrive as gaps,
+				// everything else as maximal same-flag runs — no per-page
+				// work and no materialization.
+				vEnd := min(vm.PageOf(vmas[vi].End-1)+1, end)
+				cur.Extents(p, vEnd, true, func(e vm.Ext) bool {
 					pEnd := e.Start + vm.VPN(e.N)
 					switch {
 					case vm.FlagsAllow(e.Flags, write):
@@ -111,45 +137,34 @@ func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
 				})
 				p = vEnd
 			}
-			t.scratch.nt, t.scratch.numa = ntPages, numaPages
-			t.scratch.absent, t.scratch.stale = absent, stale
-			if haveSegv {
+			if segv {
 				break
 			}
-			if len(absent)+len(stale) > 0 {
-				serviced += len(absent) + len(stale)
-				t.serviceChunk(ci, absent, stale)
+			if end < hi {
+				lo = end
+			} else {
+				lo, hi, ok = spans.next()
 			}
-			if len(ntPages) > 0 {
-				serviced += len(ntPages)
-				t.ntServiceFaults(ntPages)
-			}
-			if len(numaPages) > 0 {
-				serviced += len(numaPages)
-				t.numaServiceFaults(numaPages)
-			}
-			cstart = cend
 		}
-		t.Proc.MmapSem.RUnlock()
-
-		if !haveSegv {
-			return serviced, nil
+		t.scratch.nt, t.scratch.numa = ntPages, numaPages
+		t.scratch.absent, t.scratch.stale = absent, stale
+		if segv {
+			return serviced, segvAt, true
 		}
-		k.Stats.Faults++
-		if k.bus.Active(telemetry.TopicPageFault) {
-			k.bus.Publish(telemetry.Event{
-				Topic: telemetry.TopicPageFault,
-				Node:  t.Node(), Dst: telemetry.NoNode,
-				Task: t.P.ID(), Pages: 1,
-			})
+		if len(absent)+len(stale) > 0 {
+			serviced += len(absent) + len(stale)
+			t.serviceChunk(ci, absent, stale)
 		}
-		t.P.Sleep(k.P.FaultBase)
-		if err := t.raiseSegv(segvAt, write); err != nil {
-			return serviced, err
+		if len(ntPages) > 0 {
+			serviced += len(ntPages)
+			t.ntServiceFaults(ntPages)
 		}
-		serviced++
+		if len(numaPages) > 0 {
+			serviced += len(numaPages)
+			t.numaServiceFaults(numaPages)
+		}
 	}
-	return serviced, fmt.Errorf("kern: FaultIn at %#x did not settle", addr)
+	return serviced, 0, false
 }
 
 // serviceChunk handles the classified stale and absent pages of one PTE

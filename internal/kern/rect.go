@@ -1,7 +1,7 @@
 package kern
 
 import (
-	"sort"
+	"fmt"
 
 	"numamig/internal/model"
 	"numamig/internal/topology"
@@ -10,9 +10,12 @@ import (
 
 // Rect describes a strided 2D region of the address space, e.g. one
 // matrix block inside a row-major matrix: Rows row segments of RowBytes
-// bytes, consecutive segments Stride bytes apart. The blocked-application
-// drivers use Rect to fault and access whole blocks with aggregate DES
-// costs (equivalent per-page charges, far fewer events).
+// bytes, consecutive segments Stride bytes apart. Stride may be zero
+// (every row the same) or negative (rows descending from Base); the
+// pages covered are the same as those of the ascending twin
+// {Base + (Rows-1)*Stride, RowBytes, -Stride, Rows}. The blocked-
+// application drivers use Rect to fault and access whole blocks with
+// aggregate DES costs (equivalent per-page charges, far fewer events).
 type Rect struct {
 	Base     vm.Addr
 	RowBytes int64
@@ -23,106 +26,84 @@ type Rect struct {
 // Bytes returns the total payload bytes of the rectangle.
 func (r Rect) Bytes() int64 { return r.RowBytes * int64(r.Rows) }
 
-// pages returns the ascending, deduplicated page list covered by the
-// rectangle.
-func (r Rect) pages() []vm.VPN {
-	if r.RowBytes <= 0 || r.Rows <= 0 {
-		return nil
+// empty reports whether the rectangle covers no page.
+func (r Rect) empty() bool { return r.RowBytes <= 0 || r.Rows <= 0 }
+
+// spans returns an iterator over the rectangle's pages as ascending,
+// disjoint, maximal spans: rows that overlap or abut merge into one
+// span, so a contiguous rectangle is a single span and an LU block is
+// one span per row.
+func (r Rect) spans() rectSpans {
+	if r.empty() {
+		return rectSpans{}
 	}
-	out := make([]vm.VPN, 0, r.Rows*2)
-	var last vm.VPN
-	haveLast := false
-	for row := 0; row < r.Rows; row++ {
-		start := r.Base + vm.Addr(int64(row)*r.Stride)
-		first, lastP := vm.PageOf(start), vm.PageOf(start+vm.Addr(r.RowBytes)-1)
-		for p := first; p <= lastP; p++ {
-			if haveLast && p <= last {
-				continue
-			}
-			out = append(out, p)
-			last = p
-			haveLast = true
+	if r.Stride < 0 {
+		r.Base += vm.Addr(int64(r.Rows-1) * r.Stride)
+		r.Stride = -r.Stride
+	}
+	return rectSpans{r: r}
+}
+
+// rectSpans iterates a rectangle's page spans without building a page
+// list. The pending span [lo, hi) is held back until a later row fails
+// to extend it; an iterator with no rows and a pending span yields just
+// that span (FaultIn's single range).
+type rectSpans struct {
+	r      Rect // Stride >= 0
+	row    int
+	lo, hi vm.VPN
+}
+
+// next returns the next span, or ok == false once the rectangle is
+// exhausted.
+func (s *rectSpans) next() (lo, hi vm.VPN, ok bool) {
+	for s.row < s.r.Rows {
+		start := s.r.Base + vm.Addr(int64(s.row)*s.r.Stride)
+		a, b := vm.PageOf(start), vm.PageOf(start+vm.Addr(s.r.RowBytes)-1)+1
+		s.row++
+		if s.hi > s.lo && a <= s.hi {
+			// Rows ascend, so a row starting inside or right after the
+			// pending span can only extend it.
+			s.hi = max(s.hi, b)
+			continue
+		}
+		lo, hi, ok = s.lo, s.hi, s.hi > s.lo
+		s.lo, s.hi = a, b
+		if ok {
+			return lo, hi, true
 		}
 	}
-	// Strides are normally positive and rows ascending, but guard
-	// against exotic rects.
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
+	lo, hi, ok = s.lo, s.hi, s.hi > s.lo
+	s.lo, s.hi = 0, 0
+	return lo, hi, ok
 }
 
 // FaultInRect resolves all faulting pages of the rectangle (demand
-// allocation, kernel next-touch migration, stale-PTE fixups) with the
-// same batched cost model as FaultIn. Protection violations fall back to
-// the single-address fault path so user next-touch handlers run.
+// allocation, kernel next-touch migration, NUMA hinting, stale-PTE
+// fixups) with the same extent-at-a-time classify-and-service rounds
+// as FaultIn, walking the rectangle's row spans instead of one range.
+// A protection violation falls back to the single-address Touch path,
+// so user next-touch handlers run, and the scan repeats; a rectangle
+// that still faults after 16 such rounds is an error, as for FaultIn.
 // Returns the number of serviced pages.
 func (t *Task) FaultInRect(r Rect, write bool) (int, error) {
-	sp := t.Proc.Space
-	pages := r.pages()
-	if len(pages) == 0 {
+	if r.empty() {
 		return 0, nil
 	}
+	spans := r.spans()
 	serviced := 0
 	for round := 0; round < 16; round++ {
-		var segvAt vm.Addr
-		haveSegv := false
-		t.Proc.MmapSem.RLock(t.P)
-		i := 0
-		for i < len(pages) && !haveSegv {
-			ci := vm.ChunkIndex(pages[i])
-			j := i
-			var nt, numa, absent, stale []vm.VPN
-			for ; j < len(pages) && vm.ChunkIndex(pages[j]) == ci; j++ {
-				p := pages[j]
-				v := sp.Find(p.Base())
-				if v == nil || !v.Prot.Allows(write) {
-					segvAt = p.Base()
-					haveSegv = true
-					break
-				}
-				pte := sp.PT.Lookup(p)
-				switch {
-				case pte.Allows(write):
-				case !pte.Present():
-					absent = append(absent, p)
-				case pte.Flags&vm.PTENextTouch != 0:
-					nt = append(nt, p)
-				case pte.Flags&vm.PTENumaHint != 0:
-					numa = append(numa, p)
-				default:
-					stale = append(stale, p)
-				}
-			}
-			if haveSegv {
-				break
-			}
-			if len(absent)+len(stale) > 0 {
-				serviced += len(absent) + len(stale)
-				t.serviceChunk(ci, absent, stale)
-			}
-			if len(nt) > 0 {
-				serviced += len(nt)
-				t.ntServiceFaults(nt)
-			}
-			if len(numa) > 0 {
-				serviced += len(numa)
-				t.numaServiceFaults(numa)
-			}
-			i = j
-		}
-		t.Proc.MmapSem.RUnlock()
-		if !haveSegv {
+		n, segvAt, segv := t.faultRound(spans, write)
+		serviced += n
+		if !segv {
 			return serviced, nil
 		}
-		// Protection violation: run the full single-address fault path
-		// (SIGSEGV delivery) and rescan.
 		if err := t.Touch(segvAt, write); err != nil {
 			return serviced, err
 		}
 		serviced++
 	}
-	return serviced, nil
+	return serviced, fmt.Errorf("kern: FaultInRect at %#x did not settle", r.Base)
 }
 
 // TrafficRect charges the memory traffic of reading/writing the
@@ -138,17 +119,7 @@ func (t *Task) TrafficRect(r Rect, kind AccessKind, write bool) {
 // cache-thrashing kernels whose memory volume exceeds the data footprint
 // (e.g. column-strided DGEMM re-reading its B operand).
 func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write bool) {
-	k := t.Proc.K
-	sp := t.Proc.Space
-	pages := r.pages()
-	if len(pages) == 0 {
-		return
-	}
-	// Count resident pages per home node extent-run-at-a-time: the page
-	// list is ascending and deduplicated, so maximal contiguous runs of
-	// it walk through Extents without materializing chunks, and the
-	// first-appearance node order matches the per-page walk's.
-	nn := k.M.NumNodes()
+	nn := t.Proc.K.M.NumNodes()
 	counts := t.scratch.nodeCount
 	if cap(counts) < nn {
 		counts = make([]int, nn)
@@ -159,12 +130,13 @@ func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write 
 	}
 	order := t.scratch.nodeOrder[:0]
 	resident := 0
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		sp.PT.Extents(pages[i], pages[j-1]+1, false, func(e vm.Ext) bool {
+	// Count resident pages per home node extent-at-a-time along the
+	// ascending row spans, so the first-appearance node order matches a
+	// per-page walk's.
+	cur := t.Proc.Space.PT.Cursor()
+	spans := r.spans()
+	for lo, hi, ok := spans.next(); ok; lo, hi, ok = spans.next() {
+		cur.Extents(lo, hi, false, func(e vm.Ext) bool {
 			if counts[e.Node] == 0 {
 				order = append(order, e.Node)
 			}
@@ -172,7 +144,6 @@ func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write 
 			resident += e.N
 			return true
 		})
-		i = j
 	}
 	t.scratch.nodeCount, t.scratch.nodeOrder = counts, order
 	if resident == 0 || volume <= 0 {
@@ -197,19 +168,14 @@ func (t *Task) AccessRect(r Rect, kind AccessKind, write bool) error {
 // plus the number of absent pages; drivers use it to cache block
 // placement summaries.
 func (t *Task) NodesOfRect(r Rect) (map[topology.NodeID]int, int) {
-	sp := t.Proc.Space
 	counts := map[topology.NodeID]int{}
 	absent := 0
-	pages := r.pages()
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
+	cur := t.Proc.Space.PT.Cursor()
+	spans := r.spans()
+	for lo, hi, ok := spans.next(); ok; lo, hi, ok = spans.next() {
 		// Gaps (withGaps) arrive with Node == -1 and cover both unmapped
-		// spans and installed-but-absent PTEs — the per-page walk's
-		// !Present() bucket.
-		sp.PT.Extents(pages[i], pages[j-1]+1, true, func(e vm.Ext) bool {
+		// spans and installed-but-absent PTEs.
+		cur.Extents(lo, hi, true, func(e vm.Ext) bool {
 			if e.Flags&vm.PTEPresent == 0 {
 				absent += e.N
 			} else {
@@ -217,7 +183,6 @@ func (t *Task) NodesOfRect(r Rect) (map[topology.NodeID]int, int) {
 			}
 			return true
 		})
-		i = j
 	}
 	return counts, absent
 }

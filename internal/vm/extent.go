@@ -282,92 +282,148 @@ type Ext struct {
 // of the compact representation. With withGaps set, unmapped spans are
 // reported too (Flags == 0); gaps are maximal within a chunk but not
 // coalesced across chunk boundaries. Returning false from fn stops the
-// walk.
+// walk. It is a single-span walk of a fresh Cursor.
 func (t *PageTable) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) {
-	emitGap := func(s VPN, n int) bool {
-		if !withGaps || n <= 0 {
-			return true
-		}
-		return fn(Ext{Start: s, N: n, Node: -1})
-	}
+	cur := t.Cursor()
+	cur.Extents(start, end, withGaps, fn)
+}
+
+// Cursor walks a sequence of ascending, disjoint spans of a page table
+// through Extents — the strided-rectangle read path, where a 2 MiB
+// chunk holds dozens of one-page spans. It resolves each chunk once
+// (one chunk-map probe per chunk, not per span) and, within a compact
+// chunk, advances its run index linearly from where the previous span
+// ended instead of binary-searching again. It never materializes or
+// creates chunks. A cursor caches table structure, so it is valid only
+// until the table is next mutated; a span that starts before the
+// previous one ended falls back to a fresh search.
+type Cursor struct {
+	t  *PageTable
+	ci uint64 // index of the resolved chunk c (valid when resolved)
+	c  *Chunk // nil for a missing chunk
+	// run is a compact-chunk hint: every run before it ends at or before
+	// offset next, where the previous span in the chunk ended. run < 0
+	// means no span has been walked in the chunk yet.
+	run      int
+	next     uint16
+	resolved bool
+}
+
+// Cursor returns a cursor over the table positioned before any span.
+func (t *PageTable) Cursor() Cursor { return Cursor{t: t} }
+
+// Extents walks [start, end) exactly like PageTable.Extents. Successive
+// calls should pass ascending, disjoint spans to benefit from the
+// cursor's cached chunk and run position.
+func (cur *Cursor) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) {
 	for v := start; v < end; {
 		ci := ChunkIndex(v)
-		chunkEnd := VPN((ci + 1) * model.PTEChunkPages)
-		stop := end
-		if chunkEnd < stop {
-			stop = chunkEnd
+		stop := min(end, VPN((ci+1)*model.PTEChunkPages))
+		if !cur.resolved || cur.ci != ci {
+			cur.ci, cur.c, cur.run, cur.resolved = ci, cur.t.chunks[ci], -1, true
 		}
-		c := t.chunks[ci]
-		if c == nil || c.Huge {
-			if !emitGap(v, int(stop-v)) {
-				return
-			}
-			v = stop
-			continue
+		var more bool
+		switch c := cur.c; {
+		case c == nil || c.Huge:
+			more = emitGap(withGaps, v, int(stop-v), fn)
+		case c.dense == nil:
+			more = cur.walkRuns(v, stop, withGaps, fn)
+		default:
+			more = walkDense(c.dense, v, stop, withGaps, fn)
 		}
-		base := VPN(ci * model.PTEChunkPages)
-		if c.dense == nil {
-			lo, hi := uint16(v-base), uint16(stop-base)
-			i := c.findRun(lo)
-			at := lo
-			for ; i < len(c.runs) && c.runs[i].off < hi; i++ {
-				r := &c.runs[i]
-				s, e := r.off, r.end()
-				if s < lo {
-					s = lo
-				}
-				if e > hi {
-					e = hi
-				}
-				if s > at && !emitGap(base+VPN(at), int(s-at)) {
-					return
-				}
-				ext := Ext{Start: base + VPN(s), N: int(e - s), Node: topology.NodeID(r.node)}
-				if r.flags&PTEPresent != 0 {
-					ext.Flags, ext.Age, ext.PromoGen = r.flags, r.age, r.promoGen
-					if !fn(ext) {
-						return
-					}
-				} else if !emitGap(ext.Start, ext.N) {
-					return
-				}
-				at = e
-			}
-			if at < hi && !emitGap(base+VPN(at), int(hi-at)) {
-				return
-			}
-			v = stop
-			continue
+		if !more {
+			return
 		}
-		// Dense chunk: group by full attr tuple like the compact walk.
-		for v < stop {
-			off := int(uint64(v) % model.PTEChunkPages)
-			pte := &c.dense[off]
-			if pte.Flags&PTEPresent == 0 {
-				gs := v
-				for v < stop && c.dense[uint64(v)%model.PTEChunkPages].Flags&PTEPresent == 0 {
-					v++
-				}
-				if !emitGap(gs, int(v-gs)) {
-					return
-				}
-				continue
+		v = stop
+	}
+}
+
+// emitGap reports an unmapped span to fn when gaps were requested; it
+// returns false if fn stopped the walk.
+func emitGap(withGaps bool, s VPN, n int, fn func(e Ext) bool) bool {
+	return !withGaps || n <= 0 || fn(Ext{Start: s, N: n, Node: -1})
+}
+
+// walkRuns walks [v, stop) inside the cursor's compact chunk, starting
+// from the run hint when the span lies past the previous one, and
+// leaves the hint at the run covering stop.
+func (cur *Cursor) walkRuns(v, stop VPN, withGaps bool, fn func(e Ext) bool) bool {
+	c := cur.c
+	base := VPN(cur.ci * model.PTEChunkPages)
+	lo, hi := uint16(v-base), uint16(stop-base)
+	var i int
+	if cur.run >= 0 && lo >= cur.next {
+		i = cur.run
+		// Run offsets grow by at least one page per index, so a run
+		// starting exactly at lo sits d places past the hint at the
+		// latest; check that slot first, which finds the run in O(1)
+		// when the chunk holds single-page runs (interleaved memory).
+		if i < len(c.runs) {
+			if d := int(lo) - int(c.runs[i].off); d > 0 && i+d < len(c.runs) && c.runs[i+d].off == lo {
+				i += d
 			}
-			rs := v
-			flags, age, gen, node := pte.Flags, pte.Age, pte.PromoGen, frameNode(pte)
-			v++
-			for v < stop {
-				q := &c.dense[uint64(v)%model.PTEChunkPages]
-				if q.Flags != flags || q.Age != age || q.PromoGen != gen || frameNode(q) != node {
-					break
-				}
+		}
+		for ; i < len(c.runs) && c.runs[i].end() <= lo; i++ {
+		}
+	} else {
+		i = c.findRun(lo)
+	}
+	at := lo
+	for ; i < len(c.runs) && c.runs[i].off < hi; i++ {
+		r := &c.runs[i]
+		s, e := max(r.off, lo), min(r.end(), hi)
+		if s > at && !emitGap(withGaps, base+VPN(at), int(s-at), fn) {
+			return false
+		}
+		ext := Ext{Start: base + VPN(s), N: int(e - s), Node: topology.NodeID(r.node)}
+		if r.flags&PTEPresent != 0 {
+			ext.Flags, ext.Age, ext.PromoGen = r.flags, r.age, r.promoGen
+			if !fn(ext) {
+				return false
+			}
+		} else if !emitGap(withGaps, ext.Start, ext.N, fn) {
+			return false
+		}
+		at = e
+	}
+	// Every run before i ends by hi, except possibly run i-1.
+	cur.run, cur.next = i, hi
+	if i > 0 && c.runs[i-1].end() > hi {
+		cur.run = i - 1
+	}
+	return emitGap(withGaps, base+VPN(at), int(hi-at), fn)
+}
+
+// walkDense walks [v, stop) inside a materialized chunk, grouping pages
+// by the full attribute tuple like the compact walk.
+func walkDense(d *[model.PTEChunkPages]PTE, v, stop VPN, withGaps bool, fn func(e Ext) bool) bool {
+	for v < stop {
+		pte := &d[uint64(v)%model.PTEChunkPages]
+		if pte.Flags&PTEPresent == 0 {
+			gs := v
+			for v < stop && d[uint64(v)%model.PTEChunkPages].Flags&PTEPresent == 0 {
 				v++
 			}
-			if !fn(Ext{Start: rs, N: int(v - rs), Flags: flags, Age: age, PromoGen: gen, Node: node}) {
-				return
+			if !emitGap(withGaps, gs, int(v-gs), fn) {
+				return false
 			}
+			continue
+		}
+		rs := v
+		flags, age, gen, node := pte.Flags, pte.Age, pte.PromoGen, frameNode(pte)
+		v++
+		for v < stop {
+			q := &d[uint64(v)%model.PTEChunkPages]
+			if q.Flags != flags || q.Age != age || q.PromoGen != gen || frameNode(q) != node {
+				break
+			}
+			v++
+		}
+		if !fn(Ext{Start: rs, N: int(v - rs), Flags: flags, Age: age, PromoGen: gen, Node: node}) {
+			return false
 		}
 	}
+	return true
 }
 
 // Get returns the value of the PTE covering v (zero PTE when unmapped

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -344,4 +345,100 @@ func TestExtentSparseFootprint(t *testing.T) {
 		t.Fatalf("resident pages = %d, want %d", n, chunks)
 	}
 	runtime.KeepAlive(pt)
+}
+
+// TestCursorMatchesExtents pins multi-span cursor walks to one fresh
+// Extents call per span, with and without gaps, over a table mixing
+// compact, dense, missing and huge chunks: ascending span lists (the
+// rect walk's shape, adjacent and chunk-crossing spans included), spans
+// in random order (the fresh-search fallback) and walks that fn stops
+// early. Neither walk may materialize or create a chunk.
+func TestCursorMatchesExtents(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	frames := make([]*mem.Frame, 4)
+	for i := range frames {
+		frames[i] = &mem.Frame{Node: topology.NodeID(i), PFN: uint64(i)}
+	}
+	const chunks = 6
+	const span = chunks * model.PTEChunkPages
+	pt := NewPageTable()
+	for i := 0; i < 3000; i++ {
+		v := VPN(rng.Intn(span))
+		e := PTE{Flags: PTEPresent | PTERead | uint8(rng.Intn(2))*PTEWrite}
+		if rng.Intn(4) > 0 {
+			e.Frame = frames[rng.Intn(len(frames))]
+		}
+		for n := rng.Intn(24); n >= 0 && v < span; n-- {
+			if ci := ChunkIndex(v); ci != 1 && ci != 5 { // 1 stays missing, 5 becomes huge
+				pt.Install(v, e)
+			}
+			v++
+		}
+		if rng.Intn(6) == 0 {
+			pt.Install(VPN(rng.Intn(span)), PTE{}) // punch a gap
+		}
+	}
+	pt.Lookup(3 * model.PTEChunkPages) // chunk 3 dense
+	pt.ChunkOrCreate(5 * model.PTEChunkPages).Huge = true
+	nChunks, nDense := pt.NumChunks(), pt.DenseChunks()
+	if nDense != 1 {
+		t.Fatalf("DenseChunks = %d, want 1", nDense)
+	}
+
+	type walk struct{ lo, hi VPN }
+	collect := func(spans []walk, withGaps bool, limit int, cursor bool) []Ext {
+		var out []Ext
+		cur := pt.Cursor()
+		for _, s := range spans {
+			n := 0
+			fn := func(e Ext) bool {
+				out = append(out, e)
+				n++
+				return n != limit
+			}
+			if cursor {
+				cur.Extents(s.lo, s.hi, withGaps, fn)
+			} else {
+				pt.Extents(s.lo, s.hi, withGaps, fn)
+			}
+		}
+		return out
+	}
+	for iter := 0; iter < 3000; iter++ {
+		var spans []walk
+		for v := VPN(rng.Intn(400)); v < span && len(spans) < 80; {
+			n := VPN(1 + rng.Intn([]int{3, 40, 700}[rng.Intn(3)]))
+			hi := min(v+n, span)
+			spans = append(spans, walk{v, hi})
+			v = hi + VPN(rng.Intn(3)*rng.Intn(200)) // adjacent a third of the time
+		}
+		if iter%4 == 3 {
+			rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+		}
+		limit := -1
+		if iter%5 == 4 {
+			limit = 1 + rng.Intn(3)
+		}
+		for _, withGaps := range []bool{false, true} {
+			got, want := collect(spans, withGaps, limit, true), collect(spans, withGaps, limit, false)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d withGaps=%v limit=%d: cursor walk differs from per-span Extents\ncursor:  %v\nextents: %v",
+					iter, withGaps, limit, got, want)
+			}
+		}
+	}
+	// Pin Extents itself page-for-page against Get once.
+	pt.Extents(0, span, true, func(e Ext) bool {
+		for v := e.Start; v < e.Start+VPN(e.N); v++ {
+			p := pt.Get(v)
+			if p.Flags != e.Flags || (p.Frame != nil && p.Frame.Node != e.Node) {
+				t.Fatalf("Get(%d) = %+v disagrees with extent %+v", v, p, e)
+			}
+		}
+		return true
+	})
+	if pt.NumChunks() != nChunks || pt.DenseChunks() != nDense {
+		t.Fatalf("walks changed the table: %d chunks (%d dense), was %d (%d)",
+			pt.NumChunks(), pt.DenseChunks(), nChunks, nDense)
+	}
 }

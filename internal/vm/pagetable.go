@@ -196,6 +196,18 @@ func (t *PageTable) Entry(v VPN) *PTE {
 // NumChunks returns the number of allocated page-table pages.
 func (t *PageTable) NumChunks() int { return len(t.chunks) }
 
+// DenseChunks returns the number of chunks materialized to dense form —
+// the count a path that should stay extent-native must not raise.
+func (t *PageTable) DenseChunks() int {
+	n := 0
+	for _, c := range t.chunks {
+		if c.dense != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // ForEach visits every present 4 KiB PTE in [start, end) VPNs, in
 // ascending order, without creating chunks (existing compact chunks do
 // materialize — the callback may mutate through the pointer). Huge
