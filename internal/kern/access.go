@@ -108,9 +108,9 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 				}
 				// Classify this VMA's span extent-at-a-time: unmapped
 				// spans (including whole missing chunks and huge chunks,
-				// whose 4 KiB lookups resolve to nil) arrive as gaps,
+				// which the 4 KiB walk treats as unmapped) arrive as gaps,
 				// everything else as maximal same-flag runs — no per-page
-				// work and no materialization.
+				// work.
 				vEnd := min(vm.PageOf(vmas[vi].End-1)+1, end)
 				cur.Extents(p, vEnd, true, func(e vm.Ext) bool {
 					pEnd := e.Start + vm.VPN(e.N)
@@ -198,7 +198,7 @@ func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 			for j < len(stale) && stale[j] == stale[j-1]+1 && v.Contains(stale[j].Base()) {
 				j++
 			}
-			sp.PT.SetProtRange(stale[i], stale[j-1]+1, v.Prot)
+			sp.PT.SetFlagsRange(stale[i], stale[j-1]+1, v.Prot.Flags(), vm.PTERead|vm.PTEWrite)
 			i = j
 		}
 	}
@@ -217,9 +217,7 @@ func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 		for _, p := range absent {
 			v := vmaOf(p)
 			f := t.allocFrame(t.capTarget(t.placeTarget(v, p)))
-			e := vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed}
-			e.SetProt(v.Prot)
-			sp.PT.Install(p, e)
+			sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
 			t.chargeTenant(f)
 		}
 	}
@@ -260,7 +258,7 @@ func (t *Task) AccessRange(addr vm.Addr, length int64, kind AccessKind, write bo
 	// extent walk. Per-page byte overlaps are whole numbers, so summing
 	// them per extent yields the identical float64 total, and the
 	// first-appearance node order of an ascending walk is unchanged.
-	sp.PT.OrFlagsRange(first, last, mark)
+	sp.PT.SetFlagsRange(first, last, mark, 0)
 	sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
 		lo, hi := e.Start.Base(), (e.Start + vm.VPN(e.N)).Base()
 		if lo < addr {
@@ -361,8 +359,8 @@ func (t *Task) dominantNode(addr vm.Addr, length int64) topology.NodeID {
 // copyBytes copies real backing bytes between two resident ranges.
 func (t *Task) copyBytes(dst, src vm.Addr, length int64) {
 	for off := int64(0); off < length; {
-		sPte := t.Proc.Space.PT.Lookup(vm.PageOf(src + vm.Addr(off)))
-		dPte := t.Proc.Space.PT.Lookup(vm.PageOf(dst + vm.Addr(off)))
+		sPte := t.Proc.Space.PT.Get(vm.PageOf(src + vm.Addr(off)))
+		dPte := t.Proc.Space.PT.Get(vm.PageOf(dst + vm.Addr(off)))
 		sOff := int64((src + vm.Addr(off)) % model.PageSize)
 		dOff := int64((dst + vm.Addr(off)) % model.PageSize)
 		n := model.PageSize - sOff
@@ -388,7 +386,8 @@ func (t *Task) WriteData(addr vm.Addr, data []byte) error {
 	}
 	sp := t.Proc.Space
 	for off := 0; off < len(data); {
-		pte := sp.PT.Lookup(vm.PageOf(addr + vm.Addr(off)))
+		p := vm.PageOf(addr + vm.Addr(off))
+		pte := sp.PT.Get(p)
 		pgOff := int((addr + vm.Addr(off)) % model.PageSize)
 		n := model.PageSize - pgOff
 		if rem := len(data) - off; rem < n {
@@ -399,6 +398,7 @@ func (t *Task) WriteData(addr vm.Addr, data []byte) error {
 		}
 		copy(pte.Frame.Data[pgOff:pgOff+n], data[off:off+n])
 		pte.Flags |= vm.PTEDirty
+		sp.PT.Install(p, pte)
 		off += n
 	}
 	return nil
@@ -415,7 +415,7 @@ func (t *Task) ReadData(addr vm.Addr, length int) ([]byte, error) {
 	sp := t.Proc.Space
 	out := make([]byte, length)
 	for off := 0; off < length; {
-		pte := sp.PT.Lookup(vm.PageOf(addr + vm.Addr(off)))
+		pte := sp.PT.Get(vm.PageOf(addr + vm.Addr(off)))
 		pgOff := int((addr + vm.Addr(off)) % model.PageSize)
 		n := model.PageSize - pgOff
 		if rem := length - off; rem < n {

@@ -11,7 +11,7 @@ import (
 // Differential tests for the extent-based bulk access paths: AccessRange,
 // TrafficRectVolume, ReadReplicated and NodesOfRect accumulate per-node
 // traffic extent-run-at-a-time, and every path must charge byte totals
-// identical to a per-page Lookup walk — on a tiered machine, with pages
+// identical to a per-page Get walk — on a tiered machine, with pages
 // deliberately interleaved across DRAM and CXL nodes. Page byte counts
 // are whole numbers, so the totals must match exactly, not approximately.
 
@@ -36,14 +36,14 @@ func newTieredChargeHarness(t *testing.T, pages int64, run func(h *harness, tk *
 }
 
 // refBytesByNode is the per-page reference: walk [addr, addr+length)
-// page by page through PT.Lookup and clip each page's overlap, exactly
+// page by page through PT.Get and clip each page's overlap, exactly
 // what AccessRange did before the extent walk.
 func refBytesByNode(tk *Task, addr vm.Addr, length int64) map[topology.NodeID]float64 {
 	sp := tk.Proc.Space
 	end := addr + vm.Addr(length)
 	out := map[topology.NodeID]float64{}
 	for p := vm.PageOf(addr); p < vm.PageOf(end-1)+1; p++ {
-		pte := sp.PT.Lookup(p)
+		pte := sp.PT.Get(p)
 		if !pte.Present() {
 			continue
 		}
@@ -101,7 +101,7 @@ func TestTrafficRectMatchesPerPageReference(t *testing.T) {
 		counts := map[topology.NodeID]int{}
 		resident := 0
 		for _, p := range r.pages() {
-			pte := sp.PT.Lookup(p)
+			pte := sp.PT.Get(p)
 			if !pte.Present() {
 				continue
 			}

@@ -218,6 +218,40 @@ func TestReplicationCollapseOnWrite(t *testing.T) {
 	})
 }
 
+// TestMunmapFreesReplicas: unmapping a replicated range frees the
+// replica copies along with the mapped frames and forgets the sets,
+// while replica sets outside the range survive.
+func TestMunmapFreesReplicas(t *testing.T) {
+	h := newHarness(false)
+	h.run(t, 0, func(tk *Task) {
+		keep, _ := tk.Mmap(2*pg, vm.ProtRW, vm.Bind(0), 0, "keep")
+		a, _ := tk.Mmap(8*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+		for _, m := range []struct {
+			addr  vm.Addr
+			pages int64
+		}{{keep, 2}, {a, 8}} {
+			if _, err := tk.FaultIn(m.addr, m.pages*pg, true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tk.ReplicateRange(m.addr, m.pages*pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := h.k.Phys.TotalAllocated(); got != 10*4 {
+			t.Fatalf("allocated %d frames for 10 pages replicated on 4 nodes, want 40", got)
+		}
+		if err := tk.Munmap(a, 8*pg); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.k.Phys.TotalAllocated(); got != 2*4 {
+			t.Fatalf("%d frames allocated after unmapping 8 replicated pages, want the 8 of the kept pages", got)
+		}
+		if got := len(tk.Proc.replicas); got != 2 {
+			t.Fatalf("%d replica sets after the unmap, want the kept range's 2", got)
+		}
+	})
+}
+
 func TestReplicatedReadContentionAdvantage(t *testing.T) {
 	// 16 threads reading one hot buffer: replication removes the node-0
 	// bottleneck.

@@ -31,8 +31,8 @@ func (e ErrSegv) Error() string {
 // AccessRange/FaultIn.
 func (t *Task) Touch(addr vm.Addr, write bool) error {
 	for attempt := 0; attempt < 16; attempt++ {
-		// Hardware fast path: sets accessed/dirty without materializing
-		// the chunk (a compact run only splits when it gains a new bit).
+		// Hardware fast path: sets accessed/dirty (a compact run only
+		// splits when it gains a new bit).
 		if t.Proc.Space.PT.Touch(vm.PageOf(addr), write) {
 			return nil
 		}
@@ -93,7 +93,7 @@ func (t *Task) fault(addr vm.Addr, write bool) error {
 		// Present but stale permissions (e.g. after mprotect restore):
 		// minor fault, install VMA protection.
 		k.Stats.MinorFaults++
-		sp.PT.SetProtRange(vpn, vpn+1, v.Prot)
+		sp.PT.SetFlagsRange(vpn, vpn+1, v.Prot.Flags(), vm.PTERead|vm.PTEWrite)
 	}
 	cl.Release()
 	if nextTouch {
@@ -114,9 +114,7 @@ func (t *Task) demandAlloc(v *vm.VMA, vpn vm.VPN) {
 	k.Stats.DemandAllocs++
 	f := t.allocFrame(t.capTarget(t.placeTarget(v, vpn)))
 	t.P.Sleep(k.P.DemandZero)
-	e := vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed}
-	e.SetProt(v.Prot)
-	t.Proc.Space.PT.Install(vpn, e)
+	t.Proc.Space.PT.Install(vpn, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
 	t.chargeTenant(f)
 	// Pages populated after a next-touch mark need no mark themselves:
 	// first-touch already places them locally.

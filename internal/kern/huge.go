@@ -125,10 +125,8 @@ func (t *Task) hugeFallback(v *vm.VMA, base vm.VPN) {
 	k.Stats.DemandAllocs += model.PTEChunkPages
 	sp := t.Proc.Space
 	for p := base; p < base+model.PTEChunkPages; p++ {
-		pte := sp.PT.Entry(p)
-		pte.Frame = t.allocFrame(t.placeTarget(v, p))
-		pte.Flags = vm.PTEPresent | vm.PTEAccessed
-		pte.SetProt(v.Prot)
+		f := t.allocFrame(t.placeTarget(v, p))
+		sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
 	}
 	sp.PT.Chunk(base).HugeFallback = true
 	t.P.Sleep(sim.Time(model.PTEChunkPages) * k.P.DemandZero)

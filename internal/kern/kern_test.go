@@ -562,6 +562,46 @@ func TestThreadedLazyMigrationScales(t *testing.T) {
 	}
 }
 
+// TestMoveKeepsBitsSetDuringControl: move_pages classifies a page under
+// the chunk lock and then waits for the global LRU lock; a write the
+// hardware records and a pin taken meanwhile, both without the chunk
+// lock, must survive the rewrite, so the engine re-reads each page
+// before installing its moved copy.
+func TestMoveKeepsBitsSetDuringControl(t *testing.T) {
+	h := newHarness(false)
+	var a vm.Addr
+	h.proc.Spawn("holder", 0, func(tk *Task) {
+		a, _ = tk.Mmap(pg, vm.ProtRW, vm.Bind(0), 0, "buf")
+		if _, err := tk.FaultIn(a, pg, false); err != nil {
+			t.Error(err)
+		}
+		lru := h.k.LRULock()
+		lru.Acquire(tk.P)
+		h.proc.Spawn("mover", 1, func(tm *Task) {
+			if st, err := tm.MovePages([]vm.Addr{a}, []topology.NodeID{2}, true); err != nil || st[0] != 2 {
+				t.Errorf("move_pages = %v, %v; want the page moved to node 2", st, err)
+			}
+		})
+		// Past the mover's setup cost: it has classified the page and
+		// queues on the LRU lock.
+		tk.P.Sleep(2 * h.k.P.MovePagesBase)
+		if err := tk.Touch(a, true); err != nil {
+			t.Error(err)
+		}
+		if _, err := tk.PinRange(a, pg); err != nil {
+			t.Error(err)
+		}
+		lru.Release()
+	})
+	if err := h.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const want = vm.PTEDirty | vm.PTEPinned
+	if pte := h.proc.Space.PT.Get(vm.PageOf(a)); pte.Frame.Node != 2 || pte.Flags&want != want {
+		t.Fatalf("moved page on node %d with flags %#x; want node 2 keeping dirty and pinned (%#x)", pte.Frame.Node, pte.Flags, want)
+	}
+}
+
 func TestStatsLocalRemoteBytes(t *testing.T) {
 	h := newHarness(false)
 	h.run(t, 0, func(tk *Task) {

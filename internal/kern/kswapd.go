@@ -59,6 +59,7 @@ type kswapd struct {
 	// Scan scratch, reused across shrink passes (one pass runs at a
 	// time per daemon; the engine serializes all simulated code).
 	cands  []candidate
+	aged   []vm.VPN
 	ops    []migrate.Op
 	status []int
 }
@@ -416,58 +417,64 @@ func (d *kswapd) shrink(p *sim.Proc, pr *Process, near, far topology.NodeID, bat
 			cl := pr.chunkLock(ci)
 			cl.Acquire(p)
 			n := 0
-			// Extent-run scan: runs off this node are rejected without
-			// touching their pages, and the run's shared flags hoist the
-			// pinned/next-touch and accessed tests out of the page loop.
-			pr.Space.PT.ForEachRun(cstart, cend, func(r vm.Run) {
-				if r.Node != d.node {
-					return
+			aged := d.aged[:0]
+			// Extent scan: extents off this node are rejected without
+			// touching their pages, and the extent's shared state hoists
+			// the pinned/next-touch, accessed, hysteresis and temperature
+			// tests out of the page loop. The clock hand's aging writes
+			// are collected and applied after the walk, still under the
+			// chunk lock.
+			pr.Space.PT.Extents(cstart, cend, false, func(e vm.Ext) bool {
+				if e.Node != d.node {
+					return true
 				}
 				// NUMA-hint-armed pages stay demotable (the mark rides
 				// along with the frame swap, like PROT_NONE pages staying
 				// on the LRU); pinned and next-touch-marked pages do not —
 				// the next-touch contract promises migration toward the
 				// toucher, not away. They still count as scanned.
-				pinnedNT := r.Flags&(vm.PTEPinned|vm.PTENextTouch) != 0
-				accessed := r.Flags&vm.PTEAccessed != 0
-				for i := range r.PTEs {
+				pinnedNT := e.Flags&(vm.PTEPinned|vm.PTENextTouch) != 0
+				accessed := e.Flags&vm.PTEAccessed != 0
+				// Promotion hysteresis: a page AutoNUMA promoted within
+				// the last PromotionHysteresisPeriods scan periods is
+				// off-limits entirely (not even aged) — the promotion
+				// just declared it hot; demoting it now would only
+				// ping-pong it back out.
+				protected := hyst > 0 && e.PromoGen != 0 && curGen-e.PromoGen < hyst
+				flip := flipWin > 0 && e.PromoGen != 0 && curGen-e.PromoGen < flipWin
+				// Temperature after this encounter's aging: one
+				// unreferenced period is warm (likely to be touched again;
+				// nearest tier), two or more is genuinely cold (farthest
+				// tier).
+				age := e.Age
+				if age < ^uint8(0) {
+					age++
+				}
+				cold := age >= 2
+				for v := e.Start; v < e.Start+vm.VPN(e.N); v++ {
 					if full() {
-						return // batch full mid-chunk: stop examining
+						return false // batch full mid-chunk: stop examining
 					}
 					n++
 					if pinnedNT {
 						continue
 					}
-					pte := &r.PTEs[i]
 					if pr.replicas != nil {
-						if _, replicated := pr.replicas[r.Start+vm.VPN(i)]; replicated {
+						if _, replicated := pr.replicas[v]; replicated {
 							continue
 						}
 					}
-					// Promotion hysteresis: a page AutoNUMA promoted within
-					// the last PromotionHysteresisPeriods scan periods is
-					// off-limits entirely (not even aged) — the promotion
-					// just declared it hot; demoting it now would only
-					// ping-pong it back out.
-					if hyst > 0 && pte.PromoGen != 0 && curGen-pte.PromoGen < hyst {
+					if protected {
 						k.Stats.KswapdHysteresisSkips++
 						continue
 					}
+					aged = append(aged, v)
 					if accessed {
 						// First clock hand: age the page; a page still
 						// unreferenced at the next encounter is demotable.
-						pte.Flags &^= vm.PTEAccessed
-						pte.Age = 0
 						k.Stats.PagesAged++
 						continue
 					}
-					if pte.Age < ^uint8(0) {
-						pte.Age++
-					}
-					// Temperature: one unreferenced period is warm (likely
-					// to be touched again; nearest tier), two or more is
-					// genuinely cold (farthest tier).
-					cold := pte.Age >= 2
 					if coldOnly && !cold {
 						continue
 					}
@@ -483,14 +490,23 @@ func (d *kswapd) shrink(p *sim.Proc, pr *Process, near, far topology.NodeID, bat
 					if !ok {
 						continue
 					}
-					cands = append(cands, candidate{
-						vpn:  r.Start + vm.VPN(i),
-						dst:  dst,
-						cold: cold,
-						flip: flipWin > 0 && pte.PromoGen != 0 && curGen-pte.PromoGen < flipWin,
-					})
+					cands = append(cands, candidate{vpn: v, dst: dst, cold: cold, flip: flip})
 				}
+				return true
 			})
+			// Aging: clear the accessed bit (restarting the count), or
+			// count one more unreferenced encounter (saturating).
+			for _, v := range aged {
+				pte := pr.Space.PT.Get(v)
+				if pte.Flags&vm.PTEAccessed != 0 {
+					pte.Flags &^= vm.PTEAccessed
+					pte.Age = 0
+				} else if pte.Age < ^uint8(0) {
+					pte.Age++
+				}
+				pr.Space.PT.Install(v, pte)
+			}
+			d.aged = aged
 			cl.Release()
 			k.Stats.KswapdPtesScanned += uint64(n)
 			p.Sleep(sim.Time(n) * k.P.KswapdScanPage)

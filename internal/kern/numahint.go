@@ -168,18 +168,21 @@ func (t *Task) numaHintFaults(pages []vm.VPN) {
 		cl := t.Proc.chunkLock(ci)
 		cl.Acquire(t.P)
 		for _, pg := range pages[i:j] {
-			pte := sp.PT.Lookup(pg)
+			pte := sp.PT.Get(pg)
 			if !pte.Present() || pte.Flags&vm.PTENumaHint == 0 {
 				continue // raced: another thread already serviced it
 			}
-			pte.Flags &^= vm.PTENumaHint
-			pte.SetProt(sp.Find(pg.Base()).Prot)
-			if _, replicated := t.Proc.replicas[pg]; replicated {
+			pte.Flags = pte.Flags&^(vm.PTENumaHint|vm.PTERead|vm.PTEWrite) | sp.Find(pg.Base()).Prot.Flags()
+			_, replicated := t.Proc.replicas[pg]
+			if replicated {
 				// A page armed before it was replicated: restore access
 				// but keep the replica set's write protection, and never
 				// report it — promoting the primary would free a frame
 				// the set still references.
 				pte.Flags &^= vm.PTEWrite
+			}
+			sp.PT.Install(pg, pte)
+			if replicated {
 				continue
 			}
 			faulted = append(faulted, pg)

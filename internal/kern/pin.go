@@ -41,17 +41,13 @@ func (t *Task) setPinned(addr vm.Addr, length int64, pinned bool) (int, error) {
 		return 0, fmt.Errorf("kern: pin of unmapped address %#x", addr)
 	}
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	n := 0
-	t.Proc.Space.PT.ForEach(first, last, func(_ vm.VPN, pte *vm.PTE) {
-		if pinned {
-			pte.Flags |= vm.PTEPinned
-		} else {
-			pte.Flags &^= vm.PTEPinned
-		}
-		n++
-	})
-	// Huge units overlapping the range pin as a whole (ForEach skips
-	// huge chunks).
+	var set, clear uint8 = vm.PTEPinned, 0
+	if !pinned {
+		set, clear = 0, vm.PTEPinned
+	}
+	n := t.Proc.Space.PT.SetFlagsRange(first, last, set, clear)
+	// Huge units overlapping the range pin as a whole (the 4 KiB range
+	// write skips huge chunks).
 	for ci := vm.ChunkIndex(first); ci <= vm.ChunkIndex(last-1); ci++ {
 		c := t.Proc.Space.PT.Chunk(vm.VPN(ci * model.PTEChunkPages))
 		if c == nil || !c.Huge || c.HugeFrame == nil {

@@ -386,20 +386,29 @@ func TestRectWalkAllocs(t *testing.T) {
 	})
 }
 
-// TestRectWalkStaysCompact: faulting and charging a rectangle over a
-// compact table must not materialize any chunk.
+// TestRectWalkStaysCompact pins the rect paths to the data-driven chunk
+// encoding: the LU block faults at most 64 one-page runs into a chunk,
+// which stays compact, and charging or censusing it never changes an
+// encoding; a block twice as dense in one chunk flattens it.
 func TestRectWalkStaysCompact(t *testing.T) {
 	h := newHarness(false)
 	h.run(t, 0, func(tk *Task) {
+		pt := tk.Proc.Space.PT
 		r := luRect(tk)
 		if err := tk.AccessRect(r, Blocked, true); err != nil {
 			t.Fatal(err)
 		}
 		tk.TrafficRect(r, Stream, false)
 		tk.NodesOfRect(r)
-		pt := tk.Proc.Space.PT
 		if pt.NumChunks() < 2 || pt.DenseChunks() != 0 {
-			t.Fatalf("%d of %d chunks dense after the rect walk", pt.DenseChunks(), pt.NumChunks())
+			t.Fatalf("%d of %d chunks flat after the LU rect walk", pt.DenseChunks(), pt.NumChunks())
+		}
+		a, _ := tk.Mmap(256*4*pg, vm.ProtRW, vm.Interleave(0, 1, 2, 3), 0, "dense")
+		if err := tk.AccessRect(Rect{Base: a, RowBytes: 2048, Stride: 4 * pg, Rows: 256}, Blocked, true); err != nil {
+			t.Fatal(err)
+		}
+		if pt.DenseChunks() == 0 {
+			t.Fatal("~128 one-page runs per chunk left every chunk compact")
 		}
 	})
 }

@@ -49,8 +49,9 @@ type walkResult struct {
 
 // buildWalkTable maps walkRegion and populates it from rng: prefaulted
 // runs from several cores, next-touch marks, stale protections, NUMA
-// hints, materialized chunks and a huge chunk in the hole. It returns
-// the region base.
+// hints, chunks flattened by a one-page rewrite (interleaved chunks
+// faulted past the run threshold flatten on their own) and a huge chunk
+// in the hole. It returns the region base.
 func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 	const mib = 1 << 20
 	sp := tk.Proc.Space
@@ -85,11 +86,15 @@ func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 				t.Fatal(err)
 			}
 		case 1: // present but stale for writes, VMA still RW
-			sp.PT.SetProtRange(vm.PageOf(s), vm.PageOf(s)+vm.VPN(n/pg), vm.ProtRead)
+			sp.PT.SetFlagsRange(vm.PageOf(s), vm.PageOf(s)+vm.VPN(n/pg), vm.ProtRead.Flags(), vm.PTERead|vm.PTEWrite)
 		case 2:
 			sp.PT.ArmRange(vm.PageOf(s), vm.PageOf(s)+vm.VPN(n/pg), nil)
-		case 3:
-			sp.PT.Lookup(vm.PageOf(s)) // materialize the chunk
+		case 3: // age one page: flattens its chunk when the page sits inside a run
+			v := vm.PageOf(s)
+			if pte := sp.PT.Get(v); pte.Present() {
+				pte.Age++
+				sp.PT.Install(v, pte)
+			}
 		}
 	}
 	tk.MigrateTo(topology.CoreID(rng.Intn(16)))

@@ -28,7 +28,8 @@ type ReplicaStats struct {
 
 // replicaSet tracks the per-node copies of one page.
 type replicaSet struct {
-	frames []*mem.Frame // index = node id; nil where absent
+	frames []*mem.Frame    // index = node id; nil where absent
+	home   topology.NodeID // slot of the mapped (primary) frame; the others are copies
 }
 
 // Replicas returns the process's replica statistics.
@@ -66,15 +67,6 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 		pr.replicas = map[vm.VPN]*replicaSet{}
 	}
 
-	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	var copies []vm.VPN
-	sp.PT.ForEach(first, last, func(p vm.VPN, pte *vm.PTE) {
-		if _, done := pr.replicas[p]; done {
-			return
-		}
-		copies = append(copies, p)
-	})
-
 	// Physical copies run through the shared migration engine: one op
 	// per (page, replica node), batched per chunk with one bulk transfer
 	// per node pair on the lazy channel. The replica node set comes from
@@ -84,16 +76,24 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 	// the OnCopied hook, under the same chunk-lock hold as the copy
 	// itself, so a page is never copied-but-writable across a simulated
 	// yield; the TLB flush comes last (COW-break ordering).
+	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
 	nodes := k.M.NumNodes()
-	ops := make([]migrate.Op, 0, len(copies)*(nodes-1))
+	var ops []migrate.Op
 	expect := map[vm.VPN]int{}
-	for _, p := range copies {
-		home := sp.PT.Lookup(p).Frame.Node
-		for _, n := range k.Placer.ReplicaNodes(home) {
-			ops = append(ops, migrate.Op{VPN: p, Dst: n})
-			expect[p]++
+	copies := 0
+	sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
+		for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
+			if _, done := pr.replicas[p]; done {
+				continue
+			}
+			copies++
+			for _, n := range k.Placer.ReplicaNodes(e.Node) {
+				ops = append(ops, migrate.Op{VPN: p, Dst: n})
+				expect[p]++
+			}
 		}
-	}
+		return true
+	})
 	type repState struct {
 		rs   *replicaSet
 		done int
@@ -123,14 +123,16 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 			}
 			// Last copy of this page: register the set and write-protect
 			// while still holding the chunk lock.
-			if pte := sp.PT.Lookup(p); pte.Present() {
-				st.rs.frames[pte.Frame.Node] = pte.Frame
+			if pte := sp.PT.Get(p); pte.Present() {
+				st.rs.home = pte.Frame.Node
+				st.rs.frames[st.rs.home] = pte.Frame
 				pr.replicas[p] = st.rs
 				pte.Flags &^= vm.PTEWrite
+				sp.PT.Install(p, pte)
 			}
 		},
 	})
-	t.P.Sleep(sim.Time(len(copies)) * k.P.NTFaultCtl)
+	t.P.Sleep(sim.Time(copies) * k.P.NTFaultCtl)
 	t.tlbShootdown()
 	return created, nil
 }
@@ -160,13 +162,31 @@ func (pr *Process) collapseReplicas(t *Task, p vm.VPN, keep topology.NodeID) {
 		}
 	}
 	delete(pr.replicas, p)
-	pte := pr.Space.PT.Lookup(p)
+	pte := pr.Space.PT.Get(p)
 	pte.Frame = kept
-	v := pr.Space.Find(p.Base())
-	if v != nil {
-		pte.SetProt(v.Prot)
+	if v := pr.Space.Find(p.Base()); v != nil {
+		pte.Flags = pte.Flags&^(vm.PTERead|vm.PTEWrite) | v.Prot.Flags()
 	}
+	pr.Space.PT.Install(p, pte)
 	pr.replicaStats.Collapses++
+}
+
+// dropReplicas forgets the replica sets of [first, last) once the pages
+// are unmapped and frees their copies, in address order; the unmap
+// itself freed each primary frame.
+func (pr *Process) dropReplicas(first, last vm.VPN) {
+	for p := first; p < last && len(pr.replicas) > 0; p++ {
+		rs, ok := pr.replicas[p]
+		if !ok {
+			continue
+		}
+		for n, f := range rs.frames {
+			if f != nil && topology.NodeID(n) != rs.home {
+				pr.K.Phys.Free(f)
+			}
+		}
+		delete(pr.replicas, p)
+	}
 }
 
 // ReadReplicated performs a read of [addr, addr+length) that serves
@@ -210,19 +230,22 @@ func (t *Task) ReadReplicated(addr vm.Addr, length int64, kind AccessKind) error
 	if len(pr.replicas) == 0 {
 		// No replica sets anywhere in the process: the read is a plain
 		// home-node access, accumulated extent-run-at-a-time like
-		// AccessRange (no chunk materialization, no per-page map probe).
+		// AccessRange (no per-page map probe).
 		sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
 			add(e.Node, e.Start.Base(), (e.Start + vm.VPN(e.N)).Base())
 			return true
 		})
 	} else {
-		sp.PT.ForEach(first, last, func(p vm.VPN, pte *vm.PTE) {
-			node := pte.Frame.Node
-			if f := pr.replicaFor(p, local); f != nil {
-				node = local
-				pr.replicaStats.LocalReads++
+		sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
+			for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
+				node := e.Node
+				if f := pr.replicaFor(p, local); f != nil {
+					node = local
+					pr.replicaStats.LocalReads++
+				}
+				add(node, p.Base(), p.Base()+model.PageSize)
 			}
-			add(node, p.Base(), p.Base()+model.PageSize)
+			return true
 		})
 	}
 	t.scratch.nodeBytes, t.scratch.nodeOrder = bytesByNode, order

@@ -41,7 +41,8 @@ func (t *Task) Mmap(length int64, prot vm.Prot, pol vm.Policy, flags vm.VMAFlags
 	return t.Proc.Space.Map(length, prot, pol, flags, label)
 }
 
-// Munmap removes a mapping.
+// Munmap removes a mapping, along with the replica copies of its
+// replicated pages.
 func (t *Task) Munmap(addr vm.Addr, length int64) error {
 	k := t.Proc.K
 	k.Stats.Syscalls++
@@ -51,6 +52,7 @@ func (t *Task) Munmap(addr vm.Addr, length int64) error {
 	if err := t.Proc.Space.Unmap(addr, length); err != nil {
 		return err
 	}
+	t.Proc.dropReplicas(vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1)
 	t.tlbShootdown()
 	return nil
 }
@@ -71,11 +73,7 @@ func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 		return err
 	}
 	first, last := vm.PageOf(addr), vm.PageOf(end-1)+1
-	n := 0
-	t.Proc.Space.PT.ForEach(first, last, func(_ vm.VPN, pte *vm.PTE) {
-		pte.SetProt(prot)
-		n++
-	})
+	n := t.Proc.Space.PT.SetFlagsRange(first, last, prot.Flags(), vm.PTERead|vm.PTEWrite)
 	t.P.Sleep(sim.Time(n) * k.P.MprotectPage)
 	t.tlbShootdown()
 	return nil
@@ -96,16 +94,14 @@ func (t *Task) Madvise(addr vm.Addr, length int64, adv Advice) (int, error) {
 		return 0, fmt.Errorf("kern: madvise on unmapped address %#x", addr)
 	}
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	n := 0
-	t.Proc.Space.PT.ForEach(first, last, func(_ vm.VPN, pte *vm.PTE) {
-		switch adv {
-		case AdvMigrateOnNextTouch:
-			pte.Flags |= vm.PTENextTouch
-		case AdvNormal:
-			pte.Flags &^= vm.PTENextTouch
-		}
-		n++
-	})
+	var set, clear uint8
+	switch adv {
+	case AdvMigrateOnNextTouch:
+		set = vm.PTENextTouch
+	case AdvNormal:
+		clear = vm.PTENextTouch
+	}
+	n := t.Proc.Space.PT.SetFlagsRange(first, last, set, clear)
 	t.P.Sleep(sim.Time(n) * k.P.MadvisePage)
 	t.tlbShootdown()
 	return n, nil
@@ -170,12 +166,14 @@ func (t *Task) Mbind(addr vm.Addr, length int64, pol vm.Policy, flags ...MbindFl
 	var addrs []vm.Addr
 	var nodes []topology.NodeID
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	t.Proc.Space.PT.ForEach(first, last, func(p vm.VPN, pte *vm.PTE) {
-		want := k.Placer.Target(pol, p, t.Node())
-		if pte.Frame.Node != want {
-			addrs = append(addrs, p.Base())
-			nodes = append(nodes, want)
+	t.Proc.Space.PT.Extents(first, last, false, func(e vm.Ext) bool {
+		for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
+			if want := k.Placer.Target(pol, p, t.Node()); e.Node != want {
+				addrs = append(addrs, p.Base())
+				nodes = append(nodes, want)
+			}
 		}
+		return true
 	})
 	if len(addrs) == 0 {
 		return nil
@@ -196,7 +194,7 @@ func (t *Task) QueryPages(addrs []vm.Addr) []int {
 	status := make([]int, len(addrs))
 	var n int
 	for i, a := range addrs {
-		pte := t.Proc.Space.PT.Lookup(vm.PageOf(a))
+		pte := t.Proc.Space.PT.Get(vm.PageOf(a))
 		if !pte.Present() {
 			status[i] = StatusNoEnt
 			continue
@@ -212,7 +210,7 @@ func (t *Task) QueryPages(addrs []vm.Addr) []int {
 // GetNode returns the NUMA node of the page backing addr, or -1 if not
 // present (the move_pages query mode, nodes == nil).
 func (t *Task) GetNode(addr vm.Addr) int {
-	pte := t.Proc.Space.PT.Lookup(vm.PageOf(addr))
+	pte := t.Proc.Space.PT.Get(vm.PageOf(addr))
 	if !pte.Present() {
 		return -1
 	}
@@ -235,8 +233,11 @@ func (t *Task) GetNodes(addr vm.Addr, length int64) []int {
 		out[i] = -1
 	}
 	base := vm.PageOf(addr)
-	t.Proc.Space.PT.ForEach(base, base+vm.VPN(n), func(p vm.VPN, pte *vm.PTE) {
-		out[p-base] = int(pte.Frame.Node)
+	t.Proc.Space.PT.Extents(base, base+vm.VPN(n), false, func(e vm.Ext) bool {
+		for i := 0; i < e.N; i++ {
+			out[int(e.Start-base)+i] = int(e.Node)
+		}
+		return true
 	})
 	for ci := vm.ChunkIndex(base); ci <= vm.ChunkIndex(base+vm.VPN(n)-1); ci++ {
 		c := t.Proc.Space.PT.Chunk(vm.VPN(ci * model.PTEChunkPages))
@@ -342,12 +343,13 @@ func (t *Task) MigratePages(from, to []topology.NodeID) (int, error) {
 	var ops []migrate.Op
 	for _, v := range t.Proc.Space.VMAs() {
 		first, last := vm.PageOf(v.Start), vm.PageOf(v.End-1)+1
-		t.Proc.Space.PT.ForEach(first, last, func(p vm.VPN, pte *vm.PTE) {
-			d, ok := dst[pte.Frame.Node]
-			if !ok || d == pte.Frame.Node {
-				return
+		t.Proc.Space.PT.Extents(first, last, false, func(e vm.Ext) bool {
+			if d, ok := dst[e.Node]; ok && d != e.Node {
+				for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
+					ops = append(ops, migrate.Op{VPN: p, Dst: d})
+				}
 			}
-			ops = append(ops, migrate.Op{VPN: p, Dst: d})
+			return true
 		})
 	}
 	res := eng.Migrate(&migrate.Request{

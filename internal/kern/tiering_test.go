@@ -82,11 +82,12 @@ func TestPromotionHysteresisWindow(t *testing.T) {
 		// the whole pressured node consists of protected pages.
 		g0 := h.k.PromoGeneration()
 		pt := h.proc.Space.PT
-		pt.ForEach(vm.PageOf(buf), vm.PageOf(buf+1100*pg-1)+1, func(_ vm.VPN, pte *vm.PTE) {
-			if pte.Frame.Node == 0 {
+		for v := vm.PageOf(buf); v < vm.PageOf(buf+1100*pg); v++ {
+			if pte := pt.Get(v); pte.Present() && pte.Frame.Node == 0 {
 				pte.PromoGen = g0
+				pt.Install(v, pte)
 			}
-		})
+		}
 		// Protection holds while curGen - g0 < hyst, i.e. strictly
 		// before virtual time (g0+hyst-1)*period. Sleep to just inside
 		// that boundary: kswapd has woken repeatedly, found pressure,
@@ -151,14 +152,17 @@ func TestDemotionTemperatureTiers(t *testing.T) {
 		// two aged periods (Age 2), warm ones for none yet (Age 0, bit
 		// clear — the next encounter classifies them warm).
 		pt := h.proc.Space.PT
-		pt.ForEach(vm.PageOf(coldBuf), vm.PageOf(coldBuf+tierPages*pg-1)+1, func(_ vm.VPN, pte *vm.PTE) {
-			pte.Flags &^= vm.PTEAccessed
-			pte.Age = 2
-		})
-		pt.ForEach(vm.PageOf(warmBuf), vm.PageOf(warmBuf+tierPages*pg-1)+1, func(_ vm.VPN, pte *vm.PTE) {
-			pte.Flags &^= vm.PTEAccessed
-			pte.Age = 0
-		})
+		setAge := func(buf vm.Addr, age uint8) {
+			for v := vm.PageOf(buf); v < vm.PageOf(buf+tierPages*pg); v++ {
+				if pte := pt.Get(v); pte.Present() {
+					pte.Flags &^= vm.PTEAccessed
+					pte.Age = age
+					pt.Install(v, pte)
+				}
+			}
+		}
+		setAge(coldBuf, 2)
+		setAge(warmBuf, 0)
 		tk.P.Sleep(4 * h.k.P.KswapdPeriod)
 		coldHist, warmHist = map[int]int{}, map[int]int{}
 		for _, n := range tk.GetNodes(coldBuf, tierPages*pg) {

@@ -429,16 +429,16 @@ func (e *Engine) Migrate(req *Request) Result {
 			pt := req.Space.PageTable()
 			for _, x := range busy {
 				req.setStatus(x, StatusBusy)
-				if req.ClearNextTouch {
+				if v := req.Ops[x].VPN; req.ClearNextTouch && pt.Get(v).Present() {
 					// A failed lazy migration restores access and
 					// leaves the page in place, like the kernel fault
 					// handler: otherwise the touch could never settle.
-					if pte := pt.Lookup(req.Ops[x].VPN); pte.Present() {
-						cl := req.Space.ChunkLock(vm.ChunkIndex(req.Ops[x].VPN))
-						cl.Acquire(req.P)
-						pte.Flags &^= vm.PTENextTouch
-						cl.Release()
-					}
+					cl := req.Space.ChunkLock(vm.ChunkIndex(v))
+					cl.Acquire(req.P)
+					pte := pt.Get(v)
+					pte.Flags &^= vm.PTENextTouch
+					pt.Install(v, pte)
+					cl.Release()
 				}
 			}
 			res.Busy = len(busy)
@@ -538,7 +538,7 @@ func (e *Engine) flushCopies(req *Request, g *copyGroups, syncChan bool) {
 
 // mov is one classified movable page (or huge unit) of a batch.
 type mov struct {
-	pte  *vm.PTE
+	vpn  vm.VPN
 	huge *vm.Chunk
 	dst  topology.NodeID
 	slot int
@@ -558,8 +558,8 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(reqScratch) }}
 func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
 func putScratch(s *reqScratch) {
-	// Drop PTE/chunk references so a pooled scratch never retains a
-	// dead process's page table.
+	// Drop chunk references so a pooled scratch never retains a dead
+	// process's page table.
 	for i := range s.movs {
 		s.movs[i] = mov{}
 	}
@@ -623,7 +623,7 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 			}
 			continue
 		}
-		pte := pt.Lookup(op.VPN)
+		pte := pt.Get(op.VPN)
 		if !pte.Present() {
 			req.setStatus(x, StatusNoEnt)
 			res.Absent++
@@ -644,6 +644,7 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 			res.Local++
 			if req.ClearNextTouch {
 				pte.Flags &^= vm.PTENextTouch
+				pt.Install(op.VPN, pte)
 			}
 			if c.localCost > 0 {
 				req.P.Sleep(c.localCost)
@@ -664,7 +665,7 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 			res.Raced++
 			continue
 		}
-		movs = append(movs, mov{pte: pte, dst: op.Dst, slot: x})
+		movs = append(movs, mov{vpn: op.VPN, dst: op.Dst, slot: x})
 	}
 
 	// Control: page isolation, PTE updates. Partially under the global
@@ -681,7 +682,10 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 	}
 
 	// Rewrite: allocate destinations, copy bytes, swap PTEs while the
-	// chunk is locked, accumulating bytes per (src, dst) node pair.
+	// chunk is locked, accumulating bytes per (src, dst) node pair. Each
+	// page is re-read here rather than carried from classification: the
+	// lock-free paths (Touch, PinRange, Madvise) may have set flag bits
+	// during the control-stage sleep, and the rewrite must keep them.
 	s.movs = movs
 	groups := &s.groups
 	groups.reset()
@@ -702,24 +706,26 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 			res.Bytes += model.HugePageSize
 			continue
 		}
-		src := m.pte.Frame.Node
+		pte := pt.Get(m.vpn)
+		src := pte.Frame.Node
 		newF := e.env.AllocFrame(m.dst)
-		if m.pte.Frame.Data != nil {
-			copy(newF.Data, m.pte.Frame.Data)
+		if pte.Frame.Data != nil {
+			copy(newF.Data, pte.Frame.Data)
 		}
-		e.env.FreeFrame(m.pte.Frame)
+		e.env.FreeFrame(pte.Frame)
 		e.env.NoteMigration(newF.Node)
-		m.pte.Frame = newF
+		pte.Frame = newF
 		// Arrival counts as a fresh LRU insertion for the demotion
 		// scan's clock aging; promotions additionally stamp the current
 		// scan-period generation for hysteresis.
-		m.pte.Age = 0
+		pte.Age = 0
 		if req.StampPromoGen != 0 {
-			m.pte.PromoGen = req.StampPromoGen
+			pte.PromoGen = req.StampPromoGen
 		}
 		if req.ClearNextTouch {
-			m.pte.Flags &^= vm.PTENextTouch
+			pte.Flags &^= vm.PTENextTouch
 		}
+		pt.Install(m.vpn, pte)
 		req.setStatus(m.slot, int(newF.Node))
 		groups.add(src, newF.Node, model.PageSize)
 		e.noteTier(src, newF.Node, model.PageSize)
@@ -777,7 +783,7 @@ func (e *Engine) Replicate(req *Request) {
 		groups.reset()
 		for x := i; x < j; x++ {
 			op := req.Ops[x]
-			pte := pt.Lookup(op.VPN)
+			pte := pt.Get(op.VPN)
 			if !pte.Present() || pte.Frame.Node == op.Dst {
 				if req.OnCopied != nil {
 					req.OnCopied(x, nil)

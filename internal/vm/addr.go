@@ -56,6 +56,19 @@ func (p Prot) Allows(write bool) bool {
 	return p&ProtRead != 0
 }
 
+// Flags returns the PTE hardware permission bits (PTERead, PTEWrite)
+// that p grants.
+func (p Prot) Flags() uint8 {
+	var f uint8
+	if p&ProtRead != 0 {
+		f |= PTERead
+	}
+	if p&ProtWrite != 0 {
+		f |= PTEWrite
+	}
+	return f
+}
+
 func (p Prot) String() string {
 	s := [2]byte{'-', '-'}
 	if p&ProtRead != 0 {

@@ -8,22 +8,25 @@ import (
 	"numamig/internal/topology"
 )
 
-// This file is the extent-run (maple-tree-style) storage layer of the
-// page table. A chunk in compact mode stores its mapping as a sorted
-// set of maximal runs of pages with identical (flags, age, promogen,
-// node) — a multi-TB sparse mapping costs a few runs per touched chunk
-// instead of 512 materialized PTEs. Runs split when a single page
-// diverges (fault, migrate, protect) and re-merge when neighbours
-// become identical again (the merge sweep after every range mutation,
-// plus the explicit Coalesce for chunks that were materialized).
+// This file is the storage layer of the page table. A compact chunk
+// stores its mapping as a sorted set of maximal runs of pages with
+// identical (flags, age, promogen, node) — the maple-tree idea: a
+// multi-TB sparse mapping costs a few runs per touched chunk instead of
+// 512 PTEs. Range writes (SetFlagsRange, ArmRange, Touch, UnmapRange)
+// split runs at their edges and re-merge neighbours that become
+// identical again.
 //
-// The legacy per-page pointer API (Lookup, Entry, Chunk.PTE, ForEach,
-// ForEachRun) hands out aliases into a dense [512]PTE array, so a chunk
-// touched through it converts to dense mode first (materialize) and
-// stays dense — an outstanding *PTE must remain valid indefinitely.
-// Paths rewritten against the native extent API (Get, Touch, Install,
-// Extents, the *Range operations, UnmapRange) never force that
-// conversion, which is what keeps datacenter-scale scenarios compact.
+// Callers only ever see values (Get, Install, Extents, Cursor), so the
+// encoding is the chunk's own business. A chunk flattens to the
+// [512]PTE array when its data stops compressing: more than maxRuns
+// runs (interleaved memory fragments a chunk into ~512 one-page runs),
+// or an Install that rewrites one page inside a multi-page run — the
+// page-by-page rewrite of migration and aging, which would otherwise
+// split a run and allocate a frame slice per page. A flat chunk never
+// converts back; unmapping all of it releases it.
+
+// maxRuns is the run count past which a compact chunk flattens.
+const maxRuns = 64
 
 // extRun is one maximal same-state extent inside a chunk: n pages
 // starting at page offset off, all sharing flags/age/promoGen and
@@ -41,7 +44,7 @@ type extRun struct {
 
 func (r *extRun) end() uint16 { return r.off + r.n }
 
-// pte materializes the value of page i (0 <= i < n) of the run.
+// pte returns the value of page i (0 <= i < n) of the run.
 func (r *extRun) pte(i int) PTE {
 	e := PTE{Flags: r.flags, Age: r.age, PromoGen: r.promoGen}
 	if r.frames != nil {
@@ -77,8 +80,23 @@ func runForPTE(off uint16, e PTE) extRun {
 	return r
 }
 
-// FlagsAllow reports whether flag bits permit an access — PTE.Allows
-// over a flags value instead of a pointer, usable against extent runs.
+// store overwrites a one-page run with value e, reusing its frame slot.
+func (r *extRun) store(e PTE) {
+	r.flags, r.age, r.promoGen, r.node = e.Flags, e.Age, e.PromoGen, -1
+	if e.Frame == nil {
+		r.frames = nil
+		return
+	}
+	r.node = int32(e.Frame.Node)
+	if r.frames == nil {
+		r.frames = make([]*mem.Frame, 1)
+	}
+	r.frames[0] = e.Frame
+}
+
+// FlagsAllow reports whether flag bits permit an access. A
+// next-touch-marked or NUMA-hint-marked page never allows access (the
+// kernel cleared its permission bits so the touch faults).
 func FlagsAllow(flags uint8, write bool) bool {
 	if flags&PTEPresent == 0 || flags&(PTENextTouch|PTENumaHint) != 0 {
 		return false
@@ -142,6 +160,13 @@ func (c *Chunk) mergeWindow(i, j int) {
 	}
 }
 
+// settle flattens a compact chunk whose runs outgrew maxRuns.
+func (c *Chunk) settle() {
+	if len(c.runs) > maxRuns {
+		c.flatten()
+	}
+}
+
 // mutateRuns applies fn to every run overlapping [lo, hi), splitting
 // boundary runs first and re-merging afterwards. fn must not change a
 // run's off/n/frames length.
@@ -152,6 +177,7 @@ func (c *Chunk) mutateRuns(lo, hi uint16, fn func(r *extRun)) {
 		fn(&c.runs[k])
 	}
 	c.mergeWindow(i, j)
+	c.settle()
 }
 
 // removeRange deletes all run pages in [lo, hi), invoking free on each
@@ -177,29 +203,47 @@ func (c *Chunk) removeRange(lo, hi uint16, free func(*mem.Frame)) int {
 	if i < j {
 		c.runs = append(c.runs[:i], c.runs[j:]...)
 	}
+	c.settle()
 	return dropped
 }
 
-// install stores value e at page offset off in a compact chunk,
-// splitting whatever run covered the page and merging with identical
-// neighbours. A zero value clears the page (leaves a gap).
+// install stores value e at page offset off; a zero e clears the page.
+// A compact chunk stays compact when the page fills a gap or replaces a
+// one-page run, and flattens when the page rewrites part of a
+// multi-page run with a different value.
 func (c *Chunk) install(off uint16, e PTE) {
-	if e == (PTE{}) {
-		c.removeRange(off, off+1, nil)
-		return
-	}
-	// Fast path: the page extends an existing run with identical state —
-	// the shape of a sequential demand-fault stream.
-	i := c.findRun(off)
-	if i < len(c.runs) && c.runs[i].off <= off {
-		r := &c.runs[i]
-		if r.pteAttrEqual(e) && (e.Frame == nil || r.frames[off-r.off] == e.Frame) {
-			return // already stored
+	if c.dense == nil {
+		i := c.findRun(off)
+		if i == len(c.runs) || c.runs[i].off > off {
+			if e != (PTE{}) {
+				c.fillGap(i, off, e)
+			}
+			return
 		}
-	} else if i > 0 {
-		r := &c.runs[i-1]
-		if r.end() == off && r.pteAttrEqual(e) &&
-			(i == len(c.runs) || c.runs[i].off > off) {
+		r := &c.runs[i]
+		switch {
+		case r.pte(int(off-r.off)) == e:
+			return // already stored
+		case r.n == 1 && e == (PTE{}):
+			c.runs = append(c.runs[:i], c.runs[i+1:]...)
+			return
+		case r.n == 1:
+			r.store(e)
+			c.mergeWindow(i, i+1)
+			return
+		}
+		c.flatten()
+	}
+	c.dense[off] = e
+}
+
+// fillGap stores nonzero value e at the unmapped offset off, where i is
+// the index of the first run past it. The page extends the run ending
+// at off when their state matches — the shape of a sequential
+// demand-fault stream — and becomes a new one-page run otherwise.
+func (c *Chunk) fillGap(i int, off uint16, e PTE) {
+	if i > 0 {
+		if r := &c.runs[i-1]; r.end() == off && r.pteAttrEqual(e) {
 			if r.frames != nil {
 				r.frames = append(r.frames, e.Frame)
 			}
@@ -208,17 +252,11 @@ func (c *Chunk) install(off uint16, e PTE) {
 			return
 		}
 	}
-	lo := c.splitAt(off)
-	hi := c.splitAt(off + 1)
-	nr := runForPTE(off, e)
-	if lo < hi {
-		c.runs[lo] = nr
-	} else {
-		c.runs = append(c.runs, extRun{})
-		copy(c.runs[lo+1:], c.runs[lo:])
-		c.runs[lo] = nr
-	}
-	c.mergeWindow(lo, lo+1)
+	c.runs = append(c.runs, extRun{})
+	copy(c.runs[i+1:], c.runs[i:])
+	c.runs[i] = runForPTE(off, e)
+	c.mergeWindow(i, i+1)
+	c.settle()
 }
 
 // get returns the value at page offset off (zero PTE when unmapped).
@@ -230,44 +268,12 @@ func (c *Chunk) get(off uint16) PTE {
 	return c.runs[i].pte(int(off - c.runs[i].off))
 }
 
-// compactFrom re-encodes a dense array as runs, or returns nil if the
-// chunk does not compress (over maxRuns extents, or a non-present entry
-// carrying leftover state that gaps cannot represent).
-func compactFrom(d *[model.PTEChunkPages]PTE) []extRun {
-	const maxRuns = 128
-	var runs []extRun
-	for i := 0; i < model.PTEChunkPages; i++ {
-		e := d[i]
-		if e == (PTE{}) {
-			continue
-		}
-		if e.Flags == 0 {
-			return nil // stateful non-present entry; stay dense
-		}
-		if len(runs) > 0 {
-			r := &runs[len(runs)-1]
-			if r.end() == uint16(i) && r.pteAttrEqual(e) {
-				if r.frames != nil {
-					r.frames = append(r.frames, e.Frame)
-				}
-				r.n++
-				continue
-			}
-		}
-		if len(runs) == maxRuns {
-			return nil
-		}
-		runs = append(runs, runForPTE(uint16(i), e))
-	}
-	return runs
-}
-
 // Ext is one maximal same-state extent reported by PageTable.Extents:
 // N pages from Start sharing Flags/Age/PromoGen, backed on Node (-1
 // when frameless or when the extent is a gap). Gap extents (requested
 // via withGaps) have Flags == 0 and cover unmapped pages, including
 // whole missing chunks and huge-mapped chunks (which the 4 KiB walk
-// treats as unmapped, like ForEach does).
+// treats as unmapped).
 type Ext struct {
 	Start    VPN
 	N        int
@@ -278,11 +284,11 @@ type Ext struct {
 }
 
 // Extents walks [start, end) as maximal same-state extents in ascending
-// order without materializing or creating chunks — the native read path
-// of the compact representation. With withGaps set, unmapped spans are
-// reported too (Flags == 0); gaps are maximal within a chunk but not
-// coalesced across chunk boundaries. Returning false from fn stops the
-// walk. It is a single-span walk of a fresh Cursor.
+// order without changing the table — the read path of both encodings.
+// With withGaps set, unmapped spans are reported too (Flags == 0); gaps
+// are maximal within a chunk but not coalesced across chunk boundaries.
+// Returning false from fn stops the walk. It is a single-span walk of a
+// fresh Cursor.
 func (t *PageTable) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) {
 	cur := t.Cursor()
 	cur.Extents(start, end, withGaps, fn)
@@ -293,10 +299,10 @@ func (t *PageTable) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) 
 // chunk holds dozens of one-page spans. It resolves each chunk once
 // (one chunk-map probe per chunk, not per span) and, within a compact
 // chunk, advances its run index linearly from where the previous span
-// ended instead of binary-searching again. It never materializes or
-// creates chunks. A cursor caches table structure, so it is valid only
-// until the table is next mutated; a span that starts before the
-// previous one ended falls back to a fresh search.
+// ended instead of binary-searching again. It never changes the table.
+// A cursor caches table structure, so it is valid only until the table
+// is next mutated; a span that starts before the previous one ended
+// falls back to a fresh search.
 type Cursor struct {
 	t  *PageTable
 	ci uint64 // index of the resolved chunk c (valid when resolved)
@@ -394,8 +400,16 @@ func (cur *Cursor) walkRuns(v, stop VPN, withGaps bool, fn func(e Ext) bool) boo
 	return emitGap(withGaps, base+VPN(at), int(hi-at), fn)
 }
 
-// walkDense walks [v, stop) inside a materialized chunk, grouping pages
-// by the full attribute tuple like the compact walk.
+// frameNode returns the node backing a PTE, or -1 when it has no frame.
+func frameNode(pte *PTE) topology.NodeID {
+	if pte.Frame == nil {
+		return -1
+	}
+	return pte.Frame.Node
+}
+
+// walkDense walks [v, stop) inside a flat chunk, grouping pages by the
+// full attribute tuple like the compact walk.
 func walkDense(d *[model.PTEChunkPages]PTE, v, stop VPN, withGaps bool, fn func(e Ext) bool) bool {
 	for v < stop {
 		pte := &d[uint64(v)%model.PTEChunkPages]
@@ -427,7 +441,7 @@ func walkDense(d *[model.PTEChunkPages]PTE, v, stop VPN, withGaps bool, fn func(
 }
 
 // Get returns the value of the PTE covering v (zero PTE when unmapped
-// or inside a huge chunk) without materializing the chunk.
+// or inside a huge chunk).
 func (t *PageTable) Get(v VPN) PTE {
 	c := t.chunks[ChunkIndex(v)]
 	if c == nil || c.Huge {
@@ -440,20 +454,15 @@ func (t *PageTable) Get(v VPN) PTE {
 	return c.get(off)
 }
 
-// Install stores value e for v, creating the covering chunk, splitting
-// and re-merging extents as needed. A zero e unmaps the page. Panics
-// inside huge chunks like Entry.
+// Install stores value e for v, creating the covering chunk; a zero e
+// unmaps the page. It is the table's one per-page write. Panics inside
+// huge chunks.
 func (t *PageTable) Install(v VPN, e PTE) {
 	c := t.ChunkOrCreate(v)
 	if c.Huge {
 		panic("vm: 4k install inside huge-page chunk")
 	}
-	off := uint16(uint64(v) % model.PTEChunkPages)
-	if c.dense != nil {
-		c.dense[off] = e
-		return
-	}
-	c.install(off, e)
+	c.install(uint16(uint64(v)%model.PTEChunkPages), e)
 }
 
 // Touch performs the hardware fast path for an access to v: if the
@@ -493,52 +502,6 @@ func (t *PageTable) Touch(v VPN, write bool) bool {
 	return true
 }
 
-// OrFlagsRange ORs mask into the flags of every present page in
-// [start, end) and returns the number of pages covered — the bulk
-// access-marking step of AccessRange. Runs already carrying the mask
-// are counted without being split.
-func (t *PageTable) OrFlagsRange(start, end VPN, mask uint8) int {
-	n := 0
-	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
-		if c.dense != nil {
-			for off := lo; off < hi; off++ {
-				pte := &c.dense[off]
-				if pte.Flags&PTEPresent != 0 {
-					pte.Flags |= mask
-					n++
-				}
-			}
-			return
-		}
-		needs := false
-		i := c.findRun(lo)
-		for j := i; j < len(c.runs) && c.runs[j].off < hi; j++ {
-			r := &c.runs[j]
-			if r.flags&PTEPresent != 0 {
-				s, e := r.off, r.end()
-				if s < lo {
-					s = lo
-				}
-				if e > hi {
-					e = hi
-				}
-				n += int(e - s)
-				if r.flags&mask != mask {
-					needs = true
-				}
-			}
-		}
-		if needs {
-			c.mutateRuns(lo, hi, func(r *extRun) {
-				if r.flags&PTEPresent != 0 {
-					r.flags |= mask
-				}
-			})
-		}
-	})
-	return n
-}
-
 // UnmapRange clears every mapping in [start, end), invoking free on
 // each backing frame, and returns the number of present pages dropped.
 // Fully-cleared chunks are detached and recycled; huge chunks are left
@@ -571,27 +534,6 @@ func (t *PageTable) UnmapRange(start, end VPN, free func(*mem.Frame)) int {
 		}
 	}
 	return dropped
-}
-
-// Coalesce re-encodes materialized (dense) chunks overlapping
-// [start, end) back into compact extent form where they compress.
-// Callers must guarantee no outstanding *PTE aliases into the covered
-// chunks — a materialized pointer would silently detach from the table.
-// Safe points are scenario boundaries and post-unmap cleanup.
-func (t *PageTable) Coalesce(start, end VPN) {
-	for ci := uint64(start) / model.PTEChunkPages; ci <= uint64(end-1)/model.PTEChunkPages; ci++ {
-		c := t.chunks[ci]
-		if c == nil || c.Huge || c.dense == nil {
-			continue
-		}
-		runs := compactFrom(c.dense)
-		if runs == nil {
-			continue
-		}
-		releaseDense(c.dense)
-		c.dense = nil
-		c.runs = runs
-	}
 }
 
 // forRangeChunks invokes fn once per existing non-huge chunk overlapped

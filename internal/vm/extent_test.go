@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
 	"numamig/internal/mem"
@@ -12,8 +11,8 @@ import (
 	"numamig/internal/topology"
 )
 
-// refTable is the dense reference model the extent store is checked
-// against: a plain map of nonzero PTE values.
+// refTable is the reference model the page table is checked against: a
+// plain map holding the nonzero PTE value of every mapped page.
 type refTable struct {
 	m map[VPN]PTE
 }
@@ -28,13 +27,11 @@ func (r *refTable) install(v VPN, e PTE) {
 	r.m[v] = e
 }
 
-func (r *refTable) get(v VPN) PTE { return r.m[v] }
-
-func (r *refTable) setProtRange(start, end VPN, prot Prot) int {
+func (r *refTable) setFlagsRange(start, end VPN, set, clear uint8) int {
 	n := 0
 	for v := start; v < end; v++ {
-		if e, ok := r.m[v]; ok && e.Flags&PTEPresent != 0 {
-			e.SetProt(prot)
+		if e, ok := r.m[v]; ok && e.Present() {
+			e.Flags = e.Flags&^clear | set
 			r.m[v] = e
 			n++
 		}
@@ -42,53 +39,28 @@ func (r *refTable) setProtRange(start, end VPN, prot Prot) int {
 	return n
 }
 
-func (r *refTable) armRange(start, end VPN) (armed, examined int) {
+func (r *refTable) armRange(start, end VPN, skip func(VPN) bool) (armed, examined int) {
 	for v := start; v < end; v++ {
 		e, ok := r.m[v]
-		if !ok || e.Flags&PTEPresent == 0 {
+		if !ok || !e.Present() {
 			continue
 		}
 		examined++
-		if e.Flags&(PTENextTouch|PTENumaHint|PTEPinned) != 0 {
+		if e.Flags&(PTENextTouch|PTENumaHint|PTEPinned) != 0 || skip != nil && skip(v) {
 			continue
 		}
 		e.Flags |= PTENumaHint
 		r.m[v] = e
 		armed++
 	}
-	return
-}
-
-func (r *refTable) clearAccessedRange(start, end VPN) int {
-	n := 0
-	for v := start; v < end; v++ {
-		if e, ok := r.m[v]; ok && e.Flags&(PTEPresent|PTEAccessed) == PTEPresent|PTEAccessed {
-			e.Flags &^= PTEAccessed
-			e.Age = 0
-			r.m[v] = e
-			n++
-		}
-	}
-	return n
-}
-
-func (r *refTable) orFlagsRange(start, end VPN, mask uint8) int {
-	n := 0
-	for v := start; v < end; v++ {
-		if e, ok := r.m[v]; ok && e.Flags&PTEPresent != 0 {
-			e.Flags |= mask
-			r.m[v] = e
-			n++
-		}
-	}
-	return n
+	return armed, examined
 }
 
 func (r *refTable) unmapRange(start, end VPN) int {
 	n := 0
 	for v := start; v < end; v++ {
 		if e, ok := r.m[v]; ok {
-			if e.Flags&PTEPresent != 0 {
+			if e.Present() {
 				n++
 			}
 			delete(r.m, v)
@@ -110,208 +82,322 @@ func (r *refTable) touch(v VPN, write bool) bool {
 	return true
 }
 
-// compare asserts the extent table and the reference agree exactly over
-// [start, end): same present visit set via ForEach is destructive to
-// compactness (it materializes), so the walk uses Extents + Get.
-func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, tag string) {
-	t.Helper()
-	// Extents must reproduce every nonzero present entry with exact state.
-	got := map[VPN]PTE{}
-	pt.Extents(start, end, false, func(e Ext) bool {
-		for i := 0; i < e.N; i++ {
-			v := e.Start + VPN(i)
-			p := pt.Get(v)
-			if p.Flags != e.Flags || p.Age != e.Age || p.PromoGen != e.PromoGen {
-				t.Fatalf("%s: Get(%d) = %+v disagrees with extent %+v", tag, v, p, e)
+// extents returns the reference's maximal same-state extents over
+// [start, end), cut at chunk boundaries like PageTable.Extents, with
+// the unmapped spans too when withGaps is set.
+func (r *refTable) extents(start, end VPN, withGaps bool) []Ext {
+	var out []Ext
+	for v := start; v < end; v++ {
+		x := Ext{Start: v, N: 1, Node: -1}
+		if e, ok := r.m[v]; ok && e.Present() {
+			x.Flags, x.Age, x.PromoGen = e.Flags, e.Age, e.PromoGen
+			if e.Frame != nil {
+				x.Node = e.Frame.Node
 			}
-			if p.Frame != nil && p.Frame.Node != e.Node {
-				t.Fatalf("%s: extent node %d but frame node %d at %d", tag, e.Node, p.Frame.Node, v)
+		} else if !withGaps {
+			continue
+		}
+		if n := len(out); n > 0 {
+			last := &out[n-1]
+			same := last.Flags == x.Flags && last.Age == x.Age && last.PromoGen == x.PromoGen && last.Node == x.Node
+			if same && last.Start+VPN(last.N) == v && ChunkIndex(last.Start) == ChunkIndex(v) {
+				last.N++
+				continue
 			}
-			got[v] = p
 		}
-		return true
-	})
-	want := map[VPN]PTE{}
-	for v, e := range ref.m {
-		if v >= start && v < end && e.Flags&PTEPresent != 0 {
-			want[v] = e
-		}
+		out = append(out, x)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d present pages, reference has %d", tag, len(got), len(want))
-	}
-	for v, e := range want {
-		if got[v] != e {
-			t.Fatalf("%s: page %d = %+v, reference %+v", tag, v, got[v], e)
-		}
-	}
-	// Extents must be ascending, non-overlapping, maximal-within-chunk.
-	lastEnd := VPN(0)
-	pt.Extents(start, end, true, func(e Ext) bool {
-		if e.Start < lastEnd {
-			t.Fatalf("%s: extent at %d overlaps previous end %d", tag, e.Start, lastEnd)
-		}
-		if e.N <= 0 {
-			t.Fatalf("%s: empty extent at %d", tag, e.Start)
-		}
-		lastEnd = e.Start + VPN(e.N)
-		return true
-	})
+	return out
 }
 
-// TestExtentDifferential drives the extent-stored page table and a dense
-// reference model through randomized fault/protect/arm/age/unmap traces
-// — including forced materialization (Lookup) and re-compaction
-// (Coalesce) — asserting identical visible state and identical returned
-// counts after every operation.
-func TestExtentDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// compare asserts that the page table and the reference agree exactly
+// over [start, end): Extents, with and without gaps, reports the
+// reference's maximal extents, and Get returns the reference value of
+// every page.
+func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, tag string) {
+	t.Helper()
+	for _, withGaps := range []bool{false, true} {
+		var got []Ext
+		pt.Extents(start, end, withGaps, func(e Ext) bool { got = append(got, e); return true })
+		if want := ref.extents(start, end, withGaps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Extents(withGaps=%v) =\n%v\nreference\n%v", tag, withGaps, got, want)
+		}
+	}
+	for v := start; v < end; v++ {
+		if got, want := pt.Get(v), ref.m[v]; got != want {
+			t.Fatalf("%s: Get(%d) = %+v, reference %+v", tag, v, got, want)
+		}
+	}
+}
+
+// checkChunks asserts the encoding invariants — a compact chunk holds at
+// most maxRuns sorted, disjoint, non-empty runs whose frames sit on the
+// run's node; a flat chunk holds no runs — and returns how many chunks
+// of each encoding the table has.
+func checkChunks(t *testing.T, pt *PageTable) (compact, flat int) {
+	t.Helper()
+	for ci, c := range pt.chunks {
+		switch {
+		case c.Huge:
+			continue
+		case c.dense != nil:
+			if c.runs != nil {
+				t.Fatalf("flat chunk %d still holds %d runs", ci, len(c.runs))
+			}
+			flat++
+			continue
+		}
+		compact++
+		if len(c.runs) > maxRuns {
+			t.Fatalf("compact chunk %d holds %d runs, over maxRuns %d", ci, len(c.runs), maxRuns)
+		}
+		for i, r := range c.runs {
+			if r.n == 0 || r.end() > model.PTEChunkPages || i > 0 && c.runs[i-1].end() > r.off {
+				t.Fatalf("chunk %d run %d (%d+%d) is empty, out of range or overlaps its predecessor", ci, i, r.off, r.n)
+			}
+			if r.frames == nil && r.node != -1 || r.frames != nil && len(r.frames) != int(r.n) {
+				t.Fatalf("chunk %d run %d: %d frames for %d pages on node %d", ci, i, len(r.frames), r.n, r.node)
+			}
+			for _, f := range r.frames {
+				if f == nil || int32(f.Node) != r.node {
+					t.Fatalf("chunk %d run %d on node %d holds frame %+v", ci, i, r.node, f)
+				}
+			}
+		}
+	}
+	return compact, flat
+}
+
+// opSource feeds the op interpreter: *rand.Rand is one, byteSource
+// replays fuzz input.
+type opSource interface{ Intn(n int) int }
+
+// byteSource draws each value from the next two input bytes, and zeros
+// once the input is spent.
+type byteSource []byte
+
+func (b *byteSource) Intn(n int) int {
+	v := 0
+	for i := 0; i < 2 && len(*b) > 0; i++ {
+		v = v<<8 | int((*b)[0])
+		*b = (*b)[1:]
+	}
+	return v % n
+}
+
+// opSpan is the VPN range the interpreter works in: three chunks.
+const opSpan = 3 * model.PTEChunkPages
+
+// opTable drives a page table and the reference through the same op
+// stream — the interpreter shared by TestExtentDifferential and
+// FuzzPageTable.
+type opTable struct {
+	pt     *PageTable
+	ref    *refTable
+	src    opSource
+	frames []*mem.Frame
+}
+
+func newOpTable(src opSource) *opTable {
 	frames := make([]*mem.Frame, 4)
 	for i := range frames {
 		frames[i] = &mem.Frame{Node: topology.NodeID(i), PFN: uint64(i)}
 	}
-	const span = 3 * model.PTEChunkPages // three chunks
-	randVPN := func() VPN { return VPN(rng.Intn(span)) }
-	randRange := func() (VPN, VPN) {
-		a, b := randVPN(), randVPN()
-		if a > b {
-			a, b = b, a
-		}
-		return a, b + 1
-	}
-	randPTE := func() PTE {
-		e := PTE{Flags: PTEPresent | PTERead}
-		if rng.Intn(2) == 0 {
-			e.Flags |= PTEWrite
-		}
-		switch rng.Intn(4) {
-		case 0:
-			e.Flags |= PTEAccessed
-		case 1:
-			e.Flags |= PTENumaHint
-		case 2:
-			e.Flags |= PTEPinned
-		}
-		if rng.Intn(4) > 0 {
-			e.Frame = frames[rng.Intn(len(frames))]
-		}
-		if rng.Intn(3) == 0 {
-			e.Age = uint8(rng.Intn(3))
-		}
-		if rng.Intn(5) == 0 {
-			e.PromoGen = uint32(rng.Intn(3))
-		}
-		return e
-	}
+	return &opTable{pt: NewPageTable(), ref: newRef(), src: src, frames: frames}
+}
 
-	pt := NewPageTable()
-	ref := newRef()
+func (o *opTable) vpn() VPN { return VPN(o.src.Intn(opSpan)) }
+
+func (o *opTable) span() (VPN, VPN) {
+	a, b := o.vpn(), o.vpn()
+	if a > b {
+		a, b = b, a
+	}
+	return a, b + 1
+}
+
+// value draws a present PTE from a small state space, so runs form,
+// split and re-merge.
+func (o *opTable) value() PTE {
+	e := PTE{Flags: PTEPresent | PTERead}
+	if o.src.Intn(2) == 0 {
+		e.Flags |= PTEWrite
+	}
+	switch o.src.Intn(4) {
+	case 0:
+		e.Flags |= PTEAccessed
+	case 1:
+		e.Flags |= PTENumaHint
+	case 2:
+		e.Flags |= PTEPinned
+	}
+	if o.src.Intn(4) > 0 {
+		e.Frame = o.frames[o.src.Intn(len(o.frames))]
+	}
+	if o.src.Intn(3) == 0 {
+		e.Age = uint8(o.src.Intn(3))
+	}
+	if o.src.Intn(5) == 0 {
+		e.PromoGen = uint32(o.src.Intn(3))
+	}
+	return e
+}
+
+// mask draws a set of the non-present flag bits.
+func (o *opTable) mask() uint8 {
+	var m uint8
+	for bit := PTERead; bit != 0; bit <<= 1 {
+		if o.src.Intn(3) == 0 {
+			m |= bit
+		}
+	}
+	return m
+}
+
+// step applies one op to both tables and fails on any differing count.
+func (o *opTable) step(t *testing.T) {
+	t.Helper()
+	pt, ref := o.pt, o.ref
+	switch op := o.src.Intn(10); op {
+	case 0, 1, 2: // single-page write: fault, migrate, age or clear
+		v := o.vpn()
+		var e PTE
+		if o.src.Intn(5) > 0 {
+			e = o.value()
+		}
+		pt.Install(v, e)
+		ref.install(v, e)
+	case 3: // sequential demand-fault burst
+		v, n, e := o.vpn(), o.src.Intn(64)+1, o.value()
+		for i := VPN(0); i < VPN(n) && v+i < opSpan; i++ {
+			pt.Install(v+i, e)
+			ref.install(v+i, e)
+		}
+	case 4, 5: // mprotect-shaped permission rewrite, or arbitrary masks
+		a, b := o.span()
+		set, clear := Prot(o.src.Intn(4)).Flags(), PTERead|PTEWrite
+		if op == 5 {
+			set, clear = o.mask(), o.mask()
+		}
+		if got, want := pt.SetFlagsRange(a, b, set, clear), ref.setFlagsRange(a, b, set, clear); got != want {
+			t.Fatalf("SetFlagsRange(%d, %d, %#x, %#x) = %d, reference %d", a, b, set, clear, got, want)
+		}
+	case 6, 7: // AutoNUMA scan, plain or skipping replicated-like pages
+		a, b := o.span()
+		var skip func(VPN) bool
+		if op == 7 {
+			m := VPN(2 + o.src.Intn(4))
+			r := VPN(o.src.Intn(int(m)))
+			skip = func(v VPN) bool { return v%m == r }
+		}
+		gotA, gotE := pt.ArmRange(a, b, skip)
+		wantA, wantE := ref.armRange(a, b, skip)
+		if gotA != wantA || gotE != wantE {
+			t.Fatalf("ArmRange(%d, %d, skip=%v) = (%d, %d), reference (%d, %d)", a, b, skip != nil, gotA, gotE, wantA, wantE)
+		}
+	case 8:
+		a, b := o.span()
+		if got, want := pt.UnmapRange(a, b, nil), ref.unmapRange(a, b); got != want {
+			t.Fatalf("UnmapRange(%d, %d) = %d, reference %d", a, b, got, want)
+		}
+	case 9:
+		v, write := o.vpn(), o.src.Intn(2) == 0
+		if got, want := pt.Touch(v, write), ref.touch(v, write); got != want {
+			t.Fatalf("Touch(%d, %v) = %v, reference %v", v, write, got, want)
+		}
+	}
+}
+
+// TestExtentDifferential drives the page table and the reference map
+// through 20k random ops — single-page and run installs, SetFlagsRange,
+// ArmRange with and without a skip, UnmapRange and Touch — checking
+// every returned count and, periodically, the whole visible state and
+// the encoding invariants. Chunks pick their encoding from their data
+// alone, and the trace must see both encodings.
+func TestExtentDifferential(t *testing.T) {
+	o := newOpTable(rand.New(rand.NewSource(42)))
+	compactSeen, flatSeen := 0, 0
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(10); op {
-		case 0, 1, 2: // single-page install (fault/migrate/clear)
-			v := randVPN()
-			var e PTE
-			if rng.Intn(5) > 0 {
-				e = randPTE()
-			}
-			pt.Install(v, e)
-			ref.install(v, e)
-		case 3: // run install: sequential demand-fault burst
-			v := randVPN()
-			n := rng.Intn(64) + 1
-			e := randPTE()
-			for i := 0; i < n && v+VPN(i) < span; i++ {
-				pt.Install(v+VPN(i), e)
-				ref.install(v+VPN(i), e)
-			}
-		case 4:
-			a, b := randRange()
-			prot := Prot(rng.Intn(4))
-			if got, want := pt.SetProtRange(a, b, prot), ref.setProtRange(a, b, prot); got != want {
-				t.Fatalf("step %d: SetProtRange = %d, reference %d", step, got, want)
-			}
-		case 5:
-			a, b := randRange()
-			gotA, gotE := pt.ArmRange(a, b, nil)
-			wantA, wantE := ref.armRange(a, b)
-			if gotA != wantA || gotE != wantE {
-				t.Fatalf("step %d: ArmRange = (%d,%d), reference (%d,%d)", step, gotA, gotE, wantA, wantE)
-			}
-		case 6:
-			a, b := randRange()
-			if got, want := pt.ClearAccessedRange(a, b), ref.clearAccessedRange(a, b); got != want {
-				t.Fatalf("step %d: ClearAccessedRange = %d, reference %d", step, got, want)
-			}
-		case 7:
-			a, b := randRange()
-			if got, want := pt.UnmapRange(a, b, nil), ref.unmapRange(a, b); got != want {
-				t.Fatalf("step %d: UnmapRange = %d, reference %d", step, got, want)
-			}
-		case 8:
-			v := randVPN()
-			write := rng.Intn(2) == 0
-			if got, want := pt.Touch(v, write), ref.touch(v, write); got != want {
-				t.Fatalf("step %d: Touch(%d,%v) = %v, reference %v", step, v, write, got, want)
-			}
-		case 9:
-			a, b := randRange()
-			mask := uint8(PTEAccessed)
-			if rng.Intn(2) == 0 {
-				mask |= PTEDirty
-			}
-			if got, want := pt.OrFlagsRange(a, b, mask), ref.orFlagsRange(a, b, mask); got != want {
-				t.Fatalf("step %d: OrFlagsRange = %d, reference %d", step, got, want)
-			}
-		}
-		// Randomly flip representation modes mid-trace.
-		if rng.Intn(50) == 0 {
-			pt.Lookup(randVPN()) // force-materialize one chunk
-		}
-		if rng.Intn(50) == 0 {
-			pt.Coalesce(0, span) // re-compact everything compactable
-		}
-		if step%500 == 0 {
-			compare(t, pt, ref, 0, span, "periodic")
+		o.step(t)
+		if step%100 == 0 {
+			compare(t, o.pt, o.ref, 0, opSpan, "periodic")
+			c, f := checkChunks(t, o.pt)
+			compactSeen += c
+			flatSeen += f
 		}
 	}
-	compare(t, pt, ref, 0, span, "final")
+	compare(t, o.pt, o.ref, 0, opSpan, "final")
+	if compactSeen == 0 || flatSeen == 0 {
+		t.Fatalf("sampled %d compact and %d flat chunks; the trace must reach both encodings", compactSeen, flatSeen)
+	}
+}
 
-	// The two legacy view walks must agree with the reference too (they
-	// materialize, so they run last).
-	var visited []VPN
-	pt.ForEach(0, span, func(v VPN, pte *PTE) {
-		visited = append(visited, v)
-		if *pte != ref.m[v] {
-			t.Fatalf("ForEach(%d) = %+v, reference %+v", v, *pte, ref.m[v])
+// FuzzPageTable runs the TestExtentDifferential op interpreter on fuzz
+// input, checking the whole visible state and the encoding invariants
+// after every op.
+func FuzzPageTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteSource(data)
+		o := newOpTable(&src)
+		for step := 0; step < 256 && len(src) > 0; step++ {
+			o.step(t)
+			compare(t, o.pt, o.ref, 0, opSpan, "fuzz")
+			checkChunks(t, o.pt)
 		}
 	})
-	var present []VPN
-	for v, e := range ref.m {
-		if e.Flags&PTEPresent != 0 {
-			present = append(present, v)
+}
+
+// TestChunkEncodingSwitch pins the rule that picks a chunk's encoding
+// from its data alone. A 512-page run of one state stays compact
+// through reads and writes that keep it one run; one differing
+// overwrite inside it flattens the chunk, and unmapping the chunk
+// releases it. A chunk filled with one-page runs flattens when the run
+// count passes maxRuns.
+func TestChunkEncodingSwitch(t *testing.T) {
+	frames := make([]mem.Frame, model.PTEChunkPages)
+	pt := NewPageTable()
+	e := PTE{Flags: PTEPresent | PTERead | PTEWrite}
+	for i := range frames {
+		frames[i].Node = 1
+		e.Frame = &frames[i]
+		pt.Install(VPN(i), e)
+	}
+	c := pt.Chunk(0)
+	pt.Install(7, pt.Get(7))
+	pt.Lookup(9)
+	pt.Extents(0, model.PTEChunkPages, true, func(Ext) bool { return true })
+	pt.SetFlagsRange(0, model.PTEChunkPages, PTEAccessed, 0)
+	pt.ArmRange(0, model.PTEChunkPages, func(VPN) bool { return false })
+	pt.Touch(5, false)
+	if c.dense != nil || len(c.runs) != 1 || pt.DenseChunks() != 0 {
+		t.Fatalf("one-state chunk: %d runs, %d flat chunks; want 1 compact run", len(c.runs), pt.DenseChunks())
+	}
+	d := pt.Get(100)
+	d.Age = 1
+	pt.Install(100, d)
+	if c.dense == nil || pt.DenseChunks() != 1 {
+		t.Fatal("a differing overwrite inside a 512-page run left the chunk compact")
+	}
+	if pt.Get(100) != d || pt.Get(99).Age != 0 || pt.Get(101).Frame != &frames[101] {
+		t.Fatalf("flat chunk reads back %+v / %+v / %+v", pt.Get(99), pt.Get(100), pt.Get(101))
+	}
+	if n := pt.UnmapRange(0, model.PTEChunkPages, nil); n != model.PTEChunkPages || pt.NumChunks() != 0 {
+		t.Fatalf("UnmapRange dropped %d pages and left %d chunks; want %d and 0", n, pt.NumChunks(), model.PTEChunkPages)
+	}
+
+	for i := 0; i <= maxRuns; i++ {
+		pt.Install(VPN(2*i), PTE{Flags: PTEPresent | PTERead})
+		if want := i == maxRuns; (pt.DenseChunks() == 1) != want {
+			t.Fatalf("after %d one-page runs: %d flat chunks", i+1, pt.DenseChunks())
 		}
-	}
-	sort.Slice(present, func(i, j int) bool { return present[i] < present[j] })
-	if len(visited) != len(present) {
-		t.Fatalf("ForEach visited %d pages, reference has %d present", len(visited), len(present))
-	}
-	for i := range visited {
-		if visited[i] != present[i] {
-			t.Fatalf("ForEach visit #%d = %d, reference %d", i, visited[i], present[i])
-		}
-	}
-	runs := 0
-	pt.ForEachRun(0, span, func(r Run) { runs += r.Len() })
-	if runs != len(present) {
-		t.Fatalf("ForEachRun covered %d pages, reference has %d", runs, len(present))
 	}
 }
 
 // TestExtentSparseFootprint maps one page per chunk across a 4 TB
 // virtual span and asserts the compact representation stays orders of
-// magnitude below dense chunks: a materialized chunk costs ~12 KiB of
-// PTE array, a compact one a header plus one run (~150 B measured). The
-// same mapping with dense storage would be ~25 GB of PTE arrays.
+// magnitude below flat chunks: a flat chunk costs ~12 KiB of PTE array,
+// a compact one a header plus one run (~150 B measured). The same
+// mapping in flat chunks would be ~25 GB of PTE arrays.
 func TestExtentSparseFootprint(t *testing.T) {
 	const chunkBytes = model.PTEChunkPages * model.PageSize
 	const chunks = 4 << 40 / chunkBytes // 4 TB span, one page per 2 MiB chunk
@@ -333,8 +419,8 @@ func TestExtentSparseFootprint(t *testing.T) {
 	if pt.NumChunks() != chunks {
 		t.Fatalf("NumChunks = %d, want %d", pt.NumChunks(), chunks)
 	}
-	// Dense chunks would cost 512*24 B = 12 KiB each; require at least a
-	// 10x win to guard against accidental materialization on this path.
+	// Flat chunks would cost 512*24 B = 12 KiB each; require at least a
+	// 10x win to guard against accidental flattening on this path.
 	if perChunk > 1200 {
 		t.Fatalf("sparse mapping costs %d bytes/chunk; compact representation should stay under 1200", perChunk)
 	}
@@ -349,41 +435,62 @@ func TestExtentSparseFootprint(t *testing.T) {
 
 // TestCursorMatchesExtents pins multi-span cursor walks to one fresh
 // Extents call per span, with and without gaps, over a table mixing
-// compact, dense, missing and huge chunks: ascending span lists (the
+// compact, flat, missing and huge chunks: ascending span lists (the
 // rect walk's shape, adjacent and chunk-crossing spans included), spans
 // in random order (the fresh-search fallback) and walks that fn stops
-// early. Neither walk may materialize or create a chunk.
+// early. Neither walk may change a chunk's encoding or create a chunk.
 func TestCursorMatchesExtents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := make([]*mem.Frame, 4)
 	for i := range frames {
 		frames[i] = &mem.Frame{Node: topology.NodeID(i), PFN: uint64(i)}
 	}
-	const chunks = 6
-	const span = chunks * model.PTEChunkPages
-	pt := NewPageTable()
-	for i := 0; i < 3000; i++ {
-		v := VPN(rng.Intn(span))
+	randPTE := func() PTE {
 		e := PTE{Flags: PTEPresent | PTERead | uint8(rng.Intn(2))*PTEWrite}
 		if rng.Intn(4) > 0 {
 			e.Frame = frames[rng.Intn(len(frames))]
 		}
-		for n := rng.Intn(24); n >= 0 && v < span; n-- {
-			if ci := ChunkIndex(v); ci != 1 && ci != 5 { // 1 stays missing, 5 becomes huge
+		return e
+	}
+	const chunks = 6
+	const span = chunks * model.PTEChunkPages
+	pt := NewPageTable()
+	// Chunks 0 and 2 fill in ascending order with at most 60 runs, so
+	// they stay compact; chunks 3 and 4 take overlapping random bursts,
+	// whose overwrites inside runs flatten them. Chunk 1 stays missing
+	// and chunk 5 becomes huge.
+	for _, ci := range []int{0, 2} {
+		v, end := VPN(ci*model.PTEChunkPages), VPN((ci+1)*model.PTEChunkPages)
+		for runs := 0; runs < 60 && v < end; runs++ {
+			e := randPTE()
+			for n := 1 + rng.Intn(12); n > 0 && v < end; n-- {
 				pt.Install(v, e)
+				v++
 			}
+			v += VPN(rng.Intn(6))
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		v := VPN((3+rng.Intn(2))*model.PTEChunkPages + rng.Intn(model.PTEChunkPages))
+		e := randPTE()
+		for n := rng.Intn(24); n >= 0 && ChunkIndex(v) <= 4; n-- {
+			pt.Install(v, e)
 			v++
 		}
 		if rng.Intn(6) == 0 {
-			pt.Install(VPN(rng.Intn(span)), PTE{}) // punch a gap
+			pt.Install(VPN((3+rng.Intn(2))*model.PTEChunkPages+rng.Intn(model.PTEChunkPages)), PTE{}) // punch a gap
 		}
 	}
-	pt.Lookup(3 * model.PTEChunkPages) // chunk 3 dense
 	pt.ChunkOrCreate(5 * model.PTEChunkPages).Huge = true
-	nChunks, nDense := pt.NumChunks(), pt.DenseChunks()
-	if nDense != 1 {
-		t.Fatalf("DenseChunks = %d, want 1", nDense)
+	for _, want := range []struct {
+		ci   uint64
+		flat bool
+	}{{0, false}, {2, false}, {3, true}, {4, true}} {
+		if c := pt.chunks[want.ci]; c == nil || (c.dense != nil) != want.flat {
+			t.Fatalf("chunk %d: flat=%v, want %v", want.ci, c != nil && c.dense != nil, want.flat)
+		}
 	}
+	nChunks, nDense := pt.NumChunks(), pt.DenseChunks()
 
 	type walk struct{ lo, hi VPN }
 	collect := func(spans []walk, withGaps bool, limit int, cursor bool) []Ext {
@@ -438,7 +545,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 		return true
 	})
 	if pt.NumChunks() != nChunks || pt.DenseChunks() != nDense {
-		t.Fatalf("walks changed the table: %d chunks (%d dense), was %d (%d)",
+		t.Fatalf("walks changed the table: %d chunks (%d flat), was %d (%d)",
 			pt.NumChunks(), pt.DenseChunks(), nChunks, nDense)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"numamig/internal/mem"
 	"numamig/internal/model"
-	"numamig/internal/topology"
 )
 
 // PTE flag bits.
@@ -20,7 +19,9 @@ const (
 	PTENumaHint // AutoNUMA hinting mark: protection stripped so the next touch faults
 )
 
-// PTE is one page-table entry.
+// PTE is the value of one page-table entry. The table hands PTEs out
+// and takes them back by value only (Get, Install): a path rewriting a
+// page reads it, edits the copy and installs it under the chunk lock.
 type PTE struct {
 	Frame *mem.Frame
 	Flags uint8
@@ -42,47 +43,19 @@ type PTE struct {
 }
 
 // Present reports whether a frame is mapped.
-func (p *PTE) Present() bool { return p != nil && p.Flags&PTEPresent != 0 }
-
-// Allows reports whether the hardware bits permit the access. A
-// next-touch-marked or NUMA-hint-marked PTE never allows access (the
-// kernel cleared its permission bits so the touch faults).
-func (p *PTE) Allows(write bool) bool {
-	if p == nil {
-		return false
-	}
-	return FlagsAllow(p.Flags, write)
-}
-
-// SetProt installs hardware permission bits from a Prot mask, preserving
-// other flags.
-func (p *PTE) SetProt(prot Prot) {
-	p.Flags = protFlags(p.Flags, prot)
-}
-
-// protFlags returns flags with the hardware permission bits replaced by
-// the Prot mask.
-func protFlags(flags uint8, prot Prot) uint8 {
-	flags &^= PTERead | PTEWrite
-	if prot&ProtRead != 0 {
-		flags |= PTERead
-	}
-	if prot&ProtWrite != 0 {
-		flags |= PTEWrite
-	}
-	return flags
-}
+func (p PTE) Present() bool { return p.Flags&PTEPresent != 0 }
 
 // Chunk is one page-table page: 512 PTEs covering 2 MiB of address
 // space. The kernel takes one PTE lock per chunk, which is what limits
 // parallel-migration scaling for sub-megabyte buffers (Fig. 7).
 //
-// A chunk stores its mapping in one of two forms (see extent.go):
-// compact extent runs (`runs`, the default — one record per maximal
-// same-state range) or a materialized dense array (`dense`), entered
-// the first time a caller takes a *PTE alias into the chunk and kept
-// until Coalesce. Huge-page chunks (the paper's future-work extension)
-// use neither: HugeFrame maps one 2 MiB unit.
+// A chunk encodes its mapping privately in one of two forms (see
+// extent.go): compact extent runs (`runs`, one record per maximal
+// same-state range), or a flat 512-entry array (`dense`). Only the
+// chunk's own data moves it to the flat form — more than maxRuns runs,
+// or an Install that rewrites one page inside a multi-page run — and it
+// stays flat until the chunk is released. Huge-page chunks use neither:
+// HugeFrame maps one 2 MiB unit.
 type Chunk struct {
 	runs      []extRun
 	dense     *[model.PTEChunkPages]PTE
@@ -98,29 +71,21 @@ type Chunk struct {
 // ChunkIndex returns the page-table-chunk index of a VPN.
 func ChunkIndex(v VPN) uint64 { return uint64(v) / model.PTEChunkPages }
 
-// materialize converts the chunk to dense form (no-op if already dense)
-// and returns the array. The chunk stays dense afterwards: outstanding
-// *PTE aliases must remain valid.
-func (c *Chunk) materialize() *[model.PTEChunkPages]PTE {
-	if c.dense == nil {
-		d := densePool.Get().(*[model.PTEChunkPages]PTE)
-		for _, r := range c.runs {
-			for i := 0; i < int(r.n); i++ {
-				d[int(r.off)+i] = r.pte(i)
-			}
-		}
-		c.dense = d
-		c.runs = nil
+// flatten re-encodes a compact chunk as the flat array (no-op if it
+// already is one).
+func (c *Chunk) flatten() {
+	if c.dense != nil {
+		return
 	}
-	return c.dense
+	d := densePool.Get().(*[model.PTEChunkPages]PTE)
+	for _, r := range c.runs {
+		for i := 0; i < int(r.n); i++ {
+			d[int(r.off)+i] = r.pte(i)
+		}
+	}
+	c.dense = d
+	c.runs = nil
 }
-
-// PTE returns the chunk's entry at index i (0..model.PTEChunkPages-1),
-// aliasing chunk storage — the chunk materializes to dense form if it
-// was compact. Callers that already hold the chunk use it to scan the
-// PTE array directly instead of re-resolving the chunk map for every
-// page (PageTable.Lookup). Meaningless on huge chunks.
-func (c *Chunk) PTE(i int) *PTE { return &c.materialize()[i] }
 
 // PageTable is a sparse two-level table: chunk index -> chunk.
 type PageTable struct {
@@ -135,16 +100,11 @@ func NewPageTable() *PageTable {
 // Chunk returns the chunk covering v, or nil.
 func (t *PageTable) Chunk(v VPN) *Chunk { return t.chunks[ChunkIndex(v)] }
 
-// chunkPool recycles chunk headers; densePool recycles materialized PTE
-// arrays. Both are zeroed before release, so Get returns clean storage
-// without a clear on the allocation path.
+// chunkPool recycles chunk headers; densePool recycles flat PTE arrays.
+// Both are zeroed before release, so Get returns clean storage without
+// a clear on the allocation path.
 var chunkPool = sync.Pool{New: func() interface{} { return new(Chunk) }}
 var densePool = sync.Pool{New: func() interface{} { return new([model.PTEChunkPages]PTE) }}
-
-func releaseDense(d *[model.PTEChunkPages]PTE) {
-	*d = [model.PTEChunkPages]PTE{}
-	densePool.Put(d)
-}
 
 // ChunkOrCreate returns the chunk covering v, creating it (compact and
 // empty) if needed.
@@ -166,38 +126,22 @@ func (t *PageTable) releaseChunk(ci uint64) {
 		return
 	}
 	delete(t.chunks, ci)
-	if c.dense != nil {
-		releaseDense(c.dense)
+	if d := c.dense; d != nil {
+		*d = [model.PTEChunkPages]PTE{}
+		densePool.Put(d)
 	}
 	*c = Chunk{}
 	chunkPool.Put(c)
 }
 
-// Lookup returns the PTE for v, or nil if the covering chunk does not
-// exist. The returned pointer aliases table state (materializing the
-// chunk); prefer Get/Touch/Install on paths that should stay compact.
-func (t *PageTable) Lookup(v VPN) *PTE {
-	c := t.chunks[ChunkIndex(v)]
-	if c == nil || c.Huge {
-		return nil
-	}
-	return &c.materialize()[uint64(v)%model.PTEChunkPages]
-}
-
-// Entry returns the PTE for v, creating the covering chunk.
-func (t *PageTable) Entry(v VPN) *PTE {
-	c := t.ChunkOrCreate(v)
-	if c.Huge {
-		panic("vm: 4k entry requested inside huge-page chunk")
-	}
-	return &c.materialize()[uint64(v)%model.PTEChunkPages]
-}
+// Lookup returns the value of the PTE covering v: Get under its older
+// name.
+func (t *PageTable) Lookup(v VPN) PTE { return t.Get(v) }
 
 // NumChunks returns the number of allocated page-table pages.
 func (t *PageTable) NumChunks() int { return len(t.chunks) }
 
-// DenseChunks returns the number of chunks materialized to dense form —
-// the count a path that should stay extent-native must not raise.
+// DenseChunks returns the number of chunks in the flat encoding.
 func (t *PageTable) DenseChunks() int {
 	n := 0
 	for _, c := range t.chunks {
@@ -208,209 +152,95 @@ func (t *PageTable) DenseChunks() int {
 	return n
 }
 
-// ForEach visits every present 4 KiB PTE in [start, end) VPNs, in
-// ascending order, without creating chunks (existing compact chunks do
-// materialize — the callback may mutate through the pointer). Huge
-// chunks are skipped (the caller handles them via Chunk).
-func (t *PageTable) ForEach(start, end VPN, fn func(v VPN, pte *PTE)) {
-	for v := start; v < end; {
-		c := t.chunks[ChunkIndex(v)]
-		if c == nil || c.Huge {
-			// Skip to next chunk boundary.
-			v = VPN((ChunkIndex(v) + 1) * model.PTEChunkPages)
-			continue
-		}
-		d := c.materialize()
-		chunkEnd := VPN((ChunkIndex(v) + 1) * model.PTEChunkPages)
-		stop := end
-		if chunkEnd < stop {
-			stop = chunkEnd
-		}
-		for ; v < stop; v++ {
-			pte := &d[uint64(v)%model.PTEChunkPages]
-			if pte.Flags&PTEPresent != 0 {
-				fn(v, pte)
-			}
-		}
-	}
-}
-
-// Run is one maximal extent of present PTEs inside a single chunk that
-// share identical Flags and an identical backing node — the unit the
-// bulk access, scan and hinting paths charge and mutate at, instead of
-// one closure call per 4 KiB page. PTEs aliases chunk storage: index i
-// covers VPN Start+i, and mutating entries through it mutates the
-// table. Node is -1 when the run's PTEs carry no frame.
-type Run struct {
-	Start VPN
-	PTEs  []PTE
-	Flags uint8
-	Node  topology.NodeID
-}
-
-// Len returns the page count of the run.
-func (r *Run) Len() int { return len(r.PTEs) }
-
-// PTE returns the entry covering VPN Start+i, aliasing table state.
-func (r *Run) PTE(i int) *PTE { return &r.PTEs[i] }
-
-func frameNode(pte *PTE) topology.NodeID {
-	if pte.Frame == nil {
-		return -1
-	}
-	return pte.Frame.Node
-}
-
-// ForEachRun visits every present 4 KiB PTE in [start, end) in ascending
-// order, grouped into maximal same-state runs (equal Flags, equal
-// backing node, contiguous VPNs, one chunk). It never creates chunks;
-// huge chunks are skipped like ForEach, and compact chunks materialize
-// (fn may mutate the run's PTEs). Visiting per run instead of per page
-// keeps per-page work out of the hot loops: a sweep over an untouched,
-// uniformly-placed gigabyte costs ~512 run visits rather than ~260k
-// closure calls. fn may mutate the run's PTEs (the iterator has already
-// advanced past them) but must not unmap pages or mutate chunk
-// structure. Read-only walks that should not force materialization use
-// Extents instead.
-func (t *PageTable) ForEachRun(start, end VPN, fn func(r Run)) {
-	for v := start; v < end; {
-		ci := ChunkIndex(v)
-		c := t.chunks[ci]
-		if c == nil || c.Huge {
-			v = VPN((ci + 1) * model.PTEChunkPages)
-			continue
-		}
-		d := c.materialize()
-		chunkEnd := VPN((ci + 1) * model.PTEChunkPages)
-		stop := end
-		if chunkEnd < stop {
-			stop = chunkEnd
-		}
-		base := VPN(ci * model.PTEChunkPages)
-		for v < stop {
-			off := int(v - base)
-			pte := &d[off]
-			if pte.Flags&PTEPresent == 0 {
-				v++
-				continue
-			}
-			runStart := v
-			flags := pte.Flags
-			node := frameNode(pte)
-			v++
-			for v < stop {
-				q := &d[int(v-base)]
-				if q.Flags != flags || frameNode(q) != node {
-					break
-				}
-				v++
-			}
-			fn(Run{
-				Start: runStart,
-				PTEs:  d[off : off+int(v-runStart)],
-				Flags: flags,
-				Node:  node,
-			})
-		}
-	}
-}
-
-// SetProtRange installs hardware permission bits on every present PTE
-// in [start, end) and returns the number of entries touched — the bulk
-// equivalent of calling PTE.SetProt under ForEach. Compact chunks are
-// updated run-at-a-time without materializing.
-func (t *PageTable) SetProtRange(start, end VPN, prot Prot) int {
-	n := 0
-	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
-		if c.dense != nil {
-			for off := lo; off < hi; off++ {
-				pte := &c.dense[off]
-				if pte.Flags&PTEPresent != 0 {
-					pte.SetProt(prot)
-					n++
-				}
-			}
-			return
-		}
-		c.mutateRuns(lo, hi, func(r *extRun) {
-			if r.flags&PTEPresent != 0 {
-				r.flags = protFlags(r.flags, prot)
-				n += int(r.n)
-			}
-		})
-	})
-	return n
-}
-
 // ArmRange arms the PTENumaHint mark on present pages of [start, end)
 // that are not already next-touch-marked, hint-armed or pinned, and for
 // which skip (when non-nil) returns false. It returns the pages armed
 // and the present pages examined — the two counts the AutoNUMA scanner
 // charges its costs by. Runs whose shared flags disqualify them are
-// rejected wholesale without touching their PTEs. With a nil skip the
-// walk is fully extent-native; a per-page skip (page replication
-// scenarios) materializes the covered chunks.
+// rejected wholesale without touching their pages; a skip function
+// splits only the runs whose pages it judges differently.
 func (t *PageTable) ArmRange(start, end VPN, skip func(v VPN) bool) (armed, examined int) {
-	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
-		if c.dense == nil && skip == nil {
-			c.mutateRuns(lo, hi, func(r *extRun) {
-				if r.flags&PTEPresent == 0 {
-					return
-				}
-				examined += int(r.n)
-				if r.flags&(PTENextTouch|PTENumaHint|PTEPinned) != 0 {
-					return
-				}
-				r.flags |= PTENumaHint
-				armed += int(r.n)
-			})
-			return
-		}
-		d := c.materialize()
-		for off := lo; off < hi; off++ {
-			pte := &d[off]
-			if pte.Flags&PTEPresent == 0 {
-				continue
-			}
-			examined++
-			if pte.Flags&(PTENextTouch|PTENumaHint|PTEPinned) != 0 {
-				continue
-			}
-			if skip != nil && skip(base+VPN(off)) {
-				continue
-			}
-			pte.Flags |= PTENumaHint
-			armed++
-		}
-	})
-	return armed, examined
-}
-
-// ClearAccessedRange clears the accessed bit (and resets the clock-scan
-// age) of every present, accessed page in [start, end), returning the
-// number of pages cleared — the bulk form of the clock scan's aging
-// step. Runs without the accessed bit are skipped wholesale.
-func (t *PageTable) ClearAccessedRange(start, end VPN) int {
-	n := 0
+	const reject = PTENextTouch | PTENumaHint | PTEPinned
 	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
 		if c.dense != nil {
 			for off := lo; off < hi; off++ {
 				pte := &c.dense[off]
-				if pte.Flags&(PTEPresent|PTEAccessed) == PTEPresent|PTEAccessed {
-					pte.Flags &^= PTEAccessed
-					pte.Age = 0
+				if pte.Flags&PTEPresent == 0 {
+					continue
+				}
+				examined++
+				if pte.Flags&reject != 0 || skip != nil && skip(base+VPN(off)) {
+					continue
+				}
+				pte.Flags |= PTENumaHint
+				armed++
+			}
+			return
+		}
+		if skip != nil {
+			// Cut the eligible runs wherever skip's verdict changes, so
+			// the pass below takes one verdict per run.
+			for i := c.findRun(lo); i < len(c.runs) && c.runs[i].off < hi; i++ {
+				r := c.runs[i]
+				if r.flags&PTEPresent == 0 || r.flags&reject != 0 {
+					continue
+				}
+				s, e := max(r.off, lo), min(r.end(), hi)
+				veto := skip(base + VPN(s))
+				for off := s + 1; off < e; off++ {
+					if v := skip(base + VPN(off)); v != veto {
+						i, veto = c.splitAt(off), v
+					}
+				}
+			}
+		}
+		c.mutateRuns(lo, hi, func(r *extRun) {
+			if r.flags&PTEPresent == 0 {
+				return
+			}
+			examined += int(r.n)
+			if r.flags&reject != 0 || skip != nil && skip(base+VPN(r.off)) {
+				return
+			}
+			r.flags |= PTENumaHint
+			armed += int(r.n)
+		})
+	})
+	return armed, examined
+}
+
+// SetFlagsRange clears the bits of clear and then sets the bits of set
+// on every present page in [start, end), and returns the number of
+// present pages covered — the one range write behind mprotect, madvise,
+// pinning, minor-fault fixups and access marking. Runs already in the
+// target state are counted without being split. Neither mask may name
+// PTEPresent.
+func (t *PageTable) SetFlagsRange(start, end VPN, set, clear uint8) int {
+	n := 0
+	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
+		if c.dense != nil {
+			for off := lo; off < hi; off++ {
+				if pte := &c.dense[off]; pte.Flags&PTEPresent != 0 {
+					pte.Flags = pte.Flags&^clear | set
 					n++
 				}
 			}
 			return
 		}
-		c.mutateRuns(lo, hi, func(r *extRun) {
-			if r.flags&(PTEPresent|PTEAccessed) == PTEPresent|PTEAccessed {
-				r.flags &^= PTEAccessed
-				r.age = 0
-				n += int(r.n)
+		needs := false
+		for i := c.findRun(lo); i < len(c.runs) && c.runs[i].off < hi; i++ {
+			if r := &c.runs[i]; r.flags&PTEPresent != 0 {
+				n += int(min(r.end(), hi) - max(r.off, lo))
+				needs = needs || r.flags&^clear|set != r.flags
 			}
-		})
+		}
+		if needs {
+			c.mutateRuns(lo, hi, func(r *extRun) {
+				if r.flags&PTEPresent != 0 {
+					r.flags = r.flags&^clear | set
+				}
+			})
+		}
 	})
 	return n
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -51,70 +52,65 @@ func TestProt(t *testing.T) {
 
 func TestPTEFlags(t *testing.T) {
 	var p PTE
-	if p.Present() || p.Allows(false) {
+	if p.Present() || FlagsAllow(p.Flags, false) {
 		t.Fatal("zero PTE should be absent")
 	}
-	p.Flags = PTEPresent
-	p.SetProt(ProtRW)
-	if !p.Allows(true) || !p.Allows(false) {
+	if ProtNone.Flags() != 0 || ProtRead.Flags() != PTERead || ProtRW.Flags() != PTERead|PTEWrite {
+		t.Fatal("Prot.Flags wrong")
+	}
+	p.Flags = PTEPresent | ProtRW.Flags()
+	if !FlagsAllow(p.Flags, true) || !FlagsAllow(p.Flags, false) {
 		t.Fatal("rw PTE should allow access")
 	}
 	p.Flags |= PTENextTouch
-	if p.Allows(false) {
+	if FlagsAllow(p.Flags, false) {
 		t.Fatal("next-touch PTE must fault on access")
 	}
-	p.Flags &^= PTENextTouch
-	p.SetProt(ProtRead)
-	if p.Allows(true) {
+	p.Flags = PTEPresent | ProtRead.Flags()
+	if FlagsAllow(p.Flags, true) {
 		t.Fatal("read-only PTE allows write")
-	}
-	var nilPTE *PTE
-	if nilPTE.Present() || nilPTE.Allows(false) {
-		t.Fatal("nil PTE should deny")
 	}
 }
 
 func TestPageTableSparse(t *testing.T) {
 	pt := NewPageTable()
-	if pt.Lookup(123) != nil {
-		t.Fatal("lookup in empty table should be nil")
+	if pt.Lookup(123).Present() || pt.NumChunks() != 0 {
+		t.Fatal("lookup in an empty table should find nothing and create nothing")
 	}
-	e := pt.Entry(123)
-	e.Flags = PTEPresent
-	if pt.Lookup(123) == nil || !pt.Lookup(123).Present() {
+	pt.Install(123, PTE{Flags: PTEPresent})
+	if !pt.Lookup(123).Present() {
 		t.Fatal("entry not visible")
 	}
 	if pt.NumChunks() != 1 {
 		t.Fatalf("chunks = %d", pt.NumChunks())
 	}
 	// Far-away VPN allocates a second chunk.
-	pt.Entry(1 << 20).Flags = PTEPresent
+	pt.Install(1<<20, PTE{Flags: PTEPresent})
 	if pt.NumChunks() != 2 {
 		t.Fatalf("chunks = %d", pt.NumChunks())
 	}
 }
 
-func TestPageTableForEachOrdered(t *testing.T) {
+func TestPageTableExtentsOrdered(t *testing.T) {
 	pt := NewPageTable()
 	for _, v := range []VPN{5, 600, 3, 1024} {
-		pt.Entry(v).Flags = PTEPresent
+		pt.Install(v, PTE{Flags: PTEPresent})
 	}
-	var got []VPN
-	pt.ForEach(0, 2000, func(v VPN, pte *PTE) { got = append(got, v) })
-	want := []VPN{3, 5, 600, 1024}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
+	pages := func(start, end VPN) []VPN {
+		var got []VPN
+		pt.Extents(start, end, false, func(e Ext) bool {
+			for i := 0; i < e.N; i++ {
+				got = append(got, e.Start+VPN(i))
+			}
+			return true
+		})
+		return got
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
+	if got, want := pages(0, 2000), []VPN{3, 5, 600, 1024}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
-	// Bounded walk.
-	got = nil
-	pt.ForEach(4, 601, func(v VPN, pte *PTE) { got = append(got, v) })
-	if len(got) != 2 || got[0] != 5 || got[1] != 600 {
-		t.Fatalf("bounded walk got %v", got)
+	if got, want := pages(4, 601), []VPN{5, 600}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounded walk got %v, want %v", got, want)
 	}
 }
 
@@ -225,10 +221,7 @@ func TestUnmapPartial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := s.PT.Entry(PageOf(a) + VPN(i))
-		e.Frame = f
-		e.Flags = PTEPresent
-		e.SetProt(ProtRW)
+		s.PT.Install(PageOf(a)+VPN(i), PTE{Frame: f, Flags: PTEPresent | ProtRW.Flags()})
 	}
 	if err := s.Unmap(a+2*model.PageSize, 3*model.PageSize); err != nil {
 		t.Fatal(err)

@@ -16,11 +16,17 @@
 //     "## Scale", which documents the extent PTE storage, the
 //     hierarchy generator and the daemon batching contract, and
 //     "## Tenancy & SLOs", which documents the multi-tenant ledger,
-//     cap enforcement and class-priority contracts).
+//     cap enforcement and class-priority contracts);
+//   - every backticked dotted Go name in ARCHITECTURE.md — `pkg.Name`,
+//     `pkg.Type.Member` or `Type.Member` — whose first segment is a
+//     module package or a declared type must resolve to a declaration,
+//     struct field or method, so a rename or deletion cannot leave the
+//     document naming code that is gone (file names such as `rect.go`
+//     are not names).
 //
 // CI runs it as the docs job; it exits non-zero listing every
-// undocumented package and every family or telemetry topic
-// ARCHITECTURE.md misses.
+// undocumented package, every family or telemetry topic ARCHITECTURE.md
+// misses and every name it cites that does not resolve.
 //
 // Usage (from the module root):
 //
@@ -29,11 +35,13 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -60,67 +68,32 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 
-	var missing []string
+	ix := index{names: map[string]bool{}, roots: map[string]bool{}}
+	var undocumented []string
 	for dir := range dirs {
-		ok, err := hasPackageComment(dir)
+		documented, err := ix.addDir(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docscheck:", err)
-			os.Exit(2)
+			fatal(err)
 		}
-		if !ok {
-			missing = append(missing, dir)
+		if !documented {
+			undocumented = append(undocumented, dir)
 		}
 	}
-	failed := false
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		fmt.Fprintln(os.Stderr, "docscheck: packages without a package comment:")
-		for _, dir := range missing {
-			fmt.Fprintf(os.Stderr, "  %s\n", dir)
-		}
-		failed = true
+	sort.Strings(undocumented)
+	data, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		fatal(err)
 	}
+	doc := string(data)
 
-	staleFams, err := architectureMissingFamilies("ARCHITECTURE.md")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
-	}
-	if len(staleFams) > 0 {
-		fmt.Fprintln(os.Stderr, "docscheck: ARCHITECTURE.md does not mention these exp families:")
-		for _, f := range staleFams {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
-		failed = true
-	}
-	staleTopics, err := architectureMissingTopics("ARCHITECTURE.md")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
-	}
-	if len(staleTopics) > 0 {
-		fmt.Fprintln(os.Stderr, "docscheck: ARCHITECTURE.md does not mention these telemetry topics:")
-		for _, t := range staleTopics {
-			fmt.Fprintf(os.Stderr, "  %s\n", t)
-		}
-		failed = true
-	}
-	missingSections, err := architectureMissingSections("ARCHITECTURE.md")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(2)
-	}
-	if len(missingSections) > 0 {
-		fmt.Fprintln(os.Stderr, "docscheck: ARCHITECTURE.md is missing these required sections:")
-		for _, s := range missingSections {
-			fmt.Fprintf(os.Stderr, "  %s\n", s)
-		}
-		failed = true
-	}
+	failed := report("packages without a package comment", undocumented)
+	failed = report("ARCHITECTURE.md does not mention these exp families", absent(doc, exp.Families())) || failed
+	failed = report("ARCHITECTURE.md does not mention these telemetry topics", absent(doc, telemetry.Topics())) || failed
+	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
+	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
 	if failed {
 		os.Exit(1)
 	}
@@ -128,22 +101,22 @@ func main() {
 		len(dirs), len(exp.Families()), len(telemetry.Topics()))
 }
 
-// architectureMissingFamilies returns the registered exp family names
-// the architecture document never mentions — the content-freshness gap
-// CI used to leave open (it only checked that the file exists).
-func architectureMissingFamilies(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "docscheck:", err)
+	os.Exit(2)
+}
+
+// report prints a failure heading and its items to stderr, and reports
+// whether there were any.
+func report(heading string, items []string) bool {
+	if len(items) == 0 {
+		return false
 	}
-	text := string(data)
-	var missing []string
-	for _, name := range exp.Families() {
-		if !strings.Contains(text, name) {
-			missing = append(missing, name)
-		}
+	fmt.Fprintf(os.Stderr, "docscheck: %s:\n", heading)
+	for _, it := range items {
+		fmt.Fprintf(os.Stderr, "  %s\n", it)
 	}
-	return missing, nil
+	return true
 }
 
 // requiredSections are ARCHITECTURE.md headings whose presence CI
@@ -151,58 +124,127 @@ func architectureMissingFamilies(path string) ([]string, error) {
 // package comment can own.
 var requiredSections = []string{"## Scale", "## Tenancy & SLOs", "## Artifact"}
 
-// architectureMissingSections returns the required headings the
-// architecture document lacks.
-func architectureMissingSections(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	text := string(data)
-	var missing []string
-	for _, s := range requiredSections {
-		if !strings.Contains(text, s) {
-			missing = append(missing, s)
+// absent returns the entries of want that doc never mentions.
+func absent(doc string, want []string) []string {
+	var out []string
+	for _, w := range want {
+		if !strings.Contains(doc, w) {
+			out = append(out, w)
 		}
 	}
-	return missing, nil
+	return out
 }
 
-// architectureMissingTopics returns the registered telemetry topic
-// names the architecture document never mentions, keeping the topic
-// table in the "Telemetry & control" section in lockstep with the
-// telemetry package's registry.
-func architectureMissingTopics(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	text := string(data)
-	var missing []string
-	for _, name := range telemetry.Topics() {
-		if !strings.Contains(text, name) {
-			missing = append(missing, name)
-		}
-	}
-	return missing, nil
-}
+// index holds the names a backticked reference may resolve to —
+// `pkg.Name`, `pkg.Type.Member` and `Type.Member`, members being methods
+// and struct or interface fields — and the first segments the check
+// covers: package names and declared type names.
+type index struct{ names, roots map[string]bool }
 
-// hasPackageComment reports whether any non-test Go file in dir carries
-// a doc comment on its package clause.
-func hasPackageComment(dir string) (bool, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+// addDir indexes the non-test Go files of dir and reports whether any
+// of them carries a package doc comment.
+func (ix index) addDir(dir string) (documented bool, err error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments|parser.PackageClauseOnly)
+	}, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", dir, err)
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-				return true, nil
+	for pkg, p := range pkgs {
+		ix.roots[pkg] = true
+		for _, f := range p.Files {
+			documented = documented || f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != ""
+			ix.addDecls(pkg, f.Decls)
+		}
+	}
+	return documented, nil
+}
+
+func (ix index) addDecls(pkg string, decls []ast.Decl) {
+	member := func(typ, name string) {
+		ix.names[pkg+"."+typ+"."+name], ix.names[typ+"."+name] = true, true
+	}
+	for _, d := range decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				ix.names[pkg+"."+d.Name.Name] = true
+			} else {
+				member(typeName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						ix.names[pkg+"."+n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := s.Name.Name
+					ix.names[pkg+"."+typ], ix.roots[typ] = true, true
+					var fields *ast.FieldList
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields
+					case *ast.InterfaceType:
+						fields = t.Methods
+					default:
+						continue
+					}
+					for _, fl := range fields.List {
+						if len(fl.Names) == 0 { // embedded
+							member(typ, typeName(fl.Type))
+						}
+						for _, n := range fl.Names {
+							member(typ, n.Name)
+						}
+					}
+				}
 			}
 		}
 	}
-	return false, nil
+}
+
+// typeName returns the type name of a receiver or embedded-field
+// expression (T, *T, T[P], pkg.T), or "".
+func typeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	}
+	return ""
+}
+
+// backticked matches a backticked dotted name with an optional call
+// suffix (`exp.Families()`), capturing the name.
+var backticked = regexp.MustCompile("`([A-Za-z_]\\w*(?:\\.[A-Za-z_]\\w*)+)(?:\\(\\))?`")
+
+// fileExts are final segments that make a backticked name a file name
+// (`rect.go`, `BENCH_core.json`) rather than a Go name.
+var fileExts = map[string]bool{"go": true, "md": true, "json": true, "csv": true, "txt": true, "yml": true, "pprof": true, "sha256": true}
+
+// stale returns, in order of first appearance, the backticked dotted
+// names in doc that start at a package or type name but resolve to no
+// declaration.
+func (ix index) stale(doc string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, m := range backticked.FindAllStringSubmatch(doc, -1) {
+		name := m[1]
+		segs := strings.Split(name, ".")
+		if seen[name] || fileExts[segs[len(segs)-1]] || !ix.roots[segs[0]] || ix.names[name] {
+			continue
+		}
+		seen[name] = true
+		out = append(out, name)
+	}
+	return out
 }
