@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,74 +60,81 @@ func main() {
 	trace := flag.String("trace", "", "write a chrome-trace (chrome://tracing / Perfetto) JSON of the run to this file; requires -grid narrowed to exactly one scenario")
 	artifactCfg := flag.String("artifact", "", "run the paper-artifact campaign described by this JSON config (internal/artifact)")
 	artifactOut := flag.String("artifact-out", "", "artifact output directory (default: <config dir>/<campaign name>)")
-	perf := flag.Bool("perf", false, "run the perf harness and write BENCH_core.json / BENCH_exp.json to -perf-out")
-	scale := flag.Bool("scale", false, "with -perf: run only the datacenter-scale points and write BENCH_scale.json")
-	serve := flag.Bool("serve", false, "with -perf: run only the multi-tenant serving points and write BENCH_serve.json")
-	perfOut := flag.String("perf-out", ".", "directory the -perf reports are written to")
-	repeats := flag.Int("repeats", 0, "-perf repeats per point, fastest kept (0 = 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "numabench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "numabench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-			}
-		}()
-	}
-	if err := run(*expID, *all, *quick, *grid, *list, *families, *parallel, *format,
-		*seed, *nodes, *coresPerNode, *scenario, *trace, *artifactCfg, *artifactOut,
-		*perf, *scale, *serve, *perfOut, *repeats); err != nil {
-		if code, ok := err.(exitCode); ok {
-			// Profile defers must run before exiting.
-			pprof.StopCPUProfile()
-			os.Exit(int(code))
-		}
+	err := profiled(*cpuprofile, *memprofile, func() error {
+		return run(*expID, *all, *quick, *grid, *list, *families, *parallel, *format,
+			*seed, *nodes, *coresPerNode, *scenario, *trace, *artifactCfg, *artifactOut)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "numabench:", err)
-		os.Exit(1)
+		code := 1
+		if errors.As(err, new(usageError)) {
+			code = 2
+		}
+		os.Exit(code)
 	}
 }
 
-// exitCode carries a specific exit status through run's error return so
-// main's profile-writing defers still execute.
-type exitCode int
+// usageError is a command-line mistake. main reports it like any other
+// error but exits 2, the status the flag package gives an undefined
+// flag.
+type usageError string
 
-func (c exitCode) Error() string { return fmt.Sprintf("exit %d", int(c)) }
+func (e usageError) Error() string { return string(e) }
+
+// profiled runs fn under the requested profiles: a CPU profile written
+// to cpu and an allocation profile written to mem, either "" for none.
+// Both are stopped and written before it returns, also when fn fails,
+// because a failed run is the one most worth a profile.
+func profiled(cpu, mem string, fn func() error) (err error) {
+	if cpu != "" {
+		f, cerr := os.Create(cpu)
+		if cerr != nil {
+			return cerr
+		}
+		if cerr := pprof.StartCPUProfile(f); cerr != nil {
+			f.Close()
+			return cerr
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
+	if mem != "" {
+		defer func() { err = errors.Join(err, writeAllocProfile(mem)) }()
+	}
+	return fn()
+}
+
+// writeAllocProfile runs a final GC and writes the allocation profile,
+// which holds both the in-use and the cumulative views.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 func run(expID string, all, quick, grid, list bool, families string, parallel int,
 	format string, seed int64, nodes string, coresPerNode int,
-	scenario, trace, artifactCfg, artifactOut string,
-	perf, scale, serve bool, perfOut string, repeats int) error {
+	scenario, trace, artifactCfg, artifactOut string) error {
 
 	nodeList, err := parseNodeList(nodes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "numabench:", err)
-		return exitCode(2)
+		return err
 	}
 	if coresPerNode < 0 {
-		fmt.Fprintln(os.Stderr, "numabench: -cores-per-node must be >= 0")
-		return exitCode(2)
+		return usageError("-cores-per-node must be >= 0")
 	}
 	opts := exp.Options{Quick: quick, Seed: seed, NodeList: nodeList, CoresPerNode: coresPerNode}
 
@@ -134,45 +142,19 @@ func run(expID string, all, quick, grid, list bool, families string, parallel in
 		return listFamilies(os.Stdout, opts)
 	}
 	if artifactCfg != "" {
-		if grid || perf || all || expID != "" {
-			fmt.Fprintln(os.Stderr, "numabench: -artifact cannot combine with -grid/-perf/-exp/-all")
-			return exitCode(2)
+		if grid || all || expID != "" {
+			return usageError("-artifact cannot combine with -grid/-exp/-all")
 		}
 		return runArtifact(artifactCfg, artifactOut, parallel)
 	}
 	if artifactOut != "" {
-		fmt.Fprintln(os.Stderr, "numabench: -artifact-out requires -artifact")
-		return exitCode(2)
-	}
-	if perf {
-		po := bench.PerfOptions{
-			Quick:    quick,
-			Parallel: parallel,
-			Repeats:  repeats,
-			Seed:     seed,
-		}
-		if scale && serve {
-			fmt.Fprintln(os.Stderr, "numabench: -scale and -serve are mutually exclusive")
-			return exitCode(2)
-		}
-		if scale {
-			return bench.RunScalePerf(po, perfOut, os.Stdout)
-		}
-		if serve {
-			return bench.RunServePerf(po, perfOut, os.Stdout)
-		}
-		return bench.RunPerf(po, perfOut, os.Stdout)
-	}
-	if scale || serve {
-		fmt.Fprintln(os.Stderr, "numabench: -scale and -serve require -perf")
-		return exitCode(2)
+		return usageError("-artifact-out requires -artifact")
 	}
 	if grid {
 		return runGrid(families, parallel, format, scenario, trace, opts)
 	}
 	if scenario != "" || trace != "" {
-		fmt.Fprintln(os.Stderr, "numabench: -scenario and -trace require -grid")
-		return exitCode(2)
+		return usageError("-scenario and -trace require -grid")
 	}
 
 	o := bench.Options{Quick: quick}
@@ -183,8 +165,7 @@ func run(expID string, all, quick, grid, list bool, families string, parallel in
 	case expID != "":
 		ids = strings.Split(expID, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "numabench: need -exp <id>, -all, -grid or -perf; ids:", strings.Join(bench.Experiments(), ", "))
-		return exitCode(2)
+		return usageError("need -exp <id>, -all, -grid, -list or -artifact; ids: " + strings.Join(bench.Experiments(), ", "))
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -252,10 +233,10 @@ func parseNodeList(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad -nodes entry %q", part)
+			return nil, usageError(fmt.Sprintf("bad -nodes entry %q", part))
 		}
 		if n < 1 || n > topology.MaxNodes {
-			return nil, fmt.Errorf("-nodes entry %d unsupported (topology.Grid builds 1..%d nodes)", n, topology.MaxNodes)
+			return nil, usageError(fmt.Sprintf("-nodes entry %d unsupported (topology.Grid builds 1..%d nodes)", n, topology.MaxNodes))
 		}
 		out = append(out, n)
 	}

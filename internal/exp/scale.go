@@ -13,11 +13,12 @@ import (
 // socket/die/CXL machines), short-lived task churn across every core,
 // and the demotion daemons registered on the kernel's batched hub. The
 // cells are sized to stay grid-runnable; the heavyweight points
-// (256 nodes x 100k tasks, 1024-node construction) live in the perf
-// harness (internal/bench, BENCH_scale.json). What the family guards is
-// determinism: the CI smoke runs it at -parallel 1 and 8 and compares
-// bytes, so the extent page-table storage, the lazy topology caches and
-// the daemon hub all have to stay schedule-independent.
+// (256 nodes x 100k tasks, 1024-node construction) are measured by the
+// host-time benchmark's churn-256node workload and construction probes
+// (benchmark/). What the family guards is determinism: the CI smoke
+// runs it at -parallel 1 and 8 and compares bytes, so the extent
+// page-table storage, the lazy topology caches and the daemon hub all
+// have to stay schedule-independent.
 
 func init() {
 	Register(Family{

@@ -8,7 +8,7 @@ import (
 
 // Column is one table/CSV column of the grid report: its header name
 // and the cell renderer. The table and CSV encodings are positional, so
-// every consumer that joins on columns (tools/benchcmp-style diffs,
+// every consumer that joins on columns (artifact raw.csv files,
 // spreadsheet imports) depends on one stable registration order — this
 // schema is that single point of registration. Add new columns here,
 // before the trailing "err" column, and nowhere else.

@@ -22,11 +22,20 @@
 //     module package or a declared type must resolve to a declaration,
 //     struct field or method, so a rename or deletion cannot leave the
 //     document naming code that is gone (file names such as `rect.go`
-//     are not names).
+//     and snake_case metric names such as `kern.hub_idle_period_us`
+//     are not Go names);
+//   - README.md must name every registered exp scenario family in
+//     backticks, as its family table does;
+//   - every flag a `numabench` invocation passes in README.md or
+//     ARCHITECTURE.md — on a line of a fenced code block, or in an
+//     inline code span — must be one that cmd/numabench/main.go defines
+//     through the flag package, so a retired flag cannot live on in the
+//     docs.
 //
 // CI runs it as the docs job; it exits non-zero listing every
-// undocumented package, every family or telemetry topic ARCHITECTURE.md
-// misses and every name it cites that does not resolve.
+// undocumented package, every family or telemetry topic a document
+// misses, every name it cites that does not resolve and every
+// numabench flag that does not exist.
 //
 // Usage (from the module root):
 //
@@ -43,6 +52,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"numamig/internal/exp"
@@ -83,22 +93,39 @@ func main() {
 		}
 	}
 	sort.Strings(undocumented)
-	data, err := os.ReadFile("ARCHITECTURE.md")
+	doc, readme := readFile("ARCHITECTURE.md"), readFile("README.md")
+	flags, err := definedFlags(numabenchMain)
 	if err != nil {
 		fatal(err)
 	}
-	doc := string(data)
+	var familyNames []string
+	for _, f := range exp.Families() {
+		familyNames = append(familyNames, "`"+f+"`")
+	}
 
 	failed := report("packages without a package comment", undocumented)
 	failed = report("ARCHITECTURE.md does not mention these exp families", absent(doc, exp.Families())) || failed
 	failed = report("ARCHITECTURE.md does not mention these telemetry topics", absent(doc, telemetry.Topics())) || failed
 	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
 	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
+	failed = report("README.md does not name these exp families in backticks", absent(readme, familyNames)) || failed
+	for _, d := range []struct{ name, text string }{{"README.md", readme}, {"ARCHITECTURE.md", doc}} {
+		failed = report(d.name+" passes numabench flags that "+numabenchMain+" does not define",
+			undefined(invocationFlags(d.text), flags)) || failed
+	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md\n",
-		len(dirs), len(exp.Families()), len(telemetry.Topics()))
+	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md, %d numabench flags known\n",
+		len(dirs), len(exp.Families()), len(telemetry.Topics()), len(flags))
+}
+
+func readFile(name string) string {
+	data, err := os.ReadFile(name)
+	if err != nil {
+		fatal(err)
+	}
+	return string(data)
 }
 
 func fatal(err error) {
@@ -130,6 +157,110 @@ func absent(doc string, want []string) []string {
 	for _, w := range want {
 		if !strings.Contains(doc, w) {
 			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// numabenchMain is the file whose flag definitions the documented
+// numabench invocations are checked against.
+const numabenchMain = "cmd/numabench/main.go"
+
+// flagDefiners maps each flag-package function that defines a flag to
+// the position of its name argument.
+var flagDefiners = map[string]int{
+	"Bool": 0, "BoolVar": 1, "BoolFunc": 0, "Duration": 0, "DurationVar": 1,
+	"Float64": 0, "Float64Var": 1, "Func": 0, "Int": 0, "IntVar": 1,
+	"Int64": 0, "Int64Var": 1, "String": 0, "StringVar": 1, "TextVar": 1,
+	"Uint": 0, "UintVar": 1, "Uint64": 0, "Uint64Var": 1, "Var": 1,
+}
+
+// definedFlags returns the names of the flags file defines through the
+// flag package's top-level functions.
+func definedFlags(file string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		i, definer := flagDefiners[sel.Sel.Name]
+		if !ok || pkg.Name != "flag" || !definer || i >= len(call.Args) {
+			return true
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				flags[name] = true
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		return nil, fmt.Errorf("%s: no flag definitions found", file)
+	}
+	return flags, nil
+}
+
+var (
+	// codeSpan matches an inline code span, which may wrap a line.
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	// numabenchArgs captures what follows a numabench command name up
+	// to a shell operator or comment.
+	numabenchArgs = regexp.MustCompile(`\bnumabench\b([^#&|;<>]*)`)
+	// flagArg matches a command-line flag, capturing its name.
+	flagArg = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+)
+
+// invocationFlags returns, in order of appearance, the flags passed by
+// the numabench invocations in doc: on a line of a fenced code block,
+// or inside an inline code span.
+func invocationFlags(doc string) []string {
+	var cmds []string
+	var prose strings.Builder
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			cmds = append(cmds, line)
+		default:
+			prose.WriteString(line + "\n")
+		}
+	}
+	for _, m := range codeSpan.FindAllStringSubmatch(prose.String(), -1) {
+		cmds = append(cmds, m[1])
+	}
+	var out []string
+	for _, cmd := range cmds {
+		for _, m := range numabenchArgs.FindAllStringSubmatch(cmd, -1) {
+			for _, arg := range strings.Fields(m[1]) {
+				if f := flagArg.FindStringSubmatch(arg); f != nil {
+					out = append(out, f[1])
+				}
+			}
+		}
+	}
+	return out
+}
+
+// undefined returns, once each, the entries of used that defined lacks.
+func undefined(used []string, defined map[string]bool) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, u := range used {
+		if !defined[u] && !seen[u] {
+			seen[u] = true
+			out = append(out, "-"+u)
 		}
 	}
 	return out
@@ -228,19 +359,20 @@ func typeName(e ast.Expr) string {
 var backticked = regexp.MustCompile("`([A-Za-z_]\\w*(?:\\.[A-Za-z_]\\w*)+)(?:\\(\\))?`")
 
 // fileExts are final segments that make a backticked name a file name
-// (`rect.go`, `BENCH_core.json`) rather than a Go name.
+// (`rect.go`, `fig7.json`) rather than a Go name.
 var fileExts = map[string]bool{"go": true, "md": true, "json": true, "csv": true, "txt": true, "yml": true, "pprof": true, "sha256": true}
 
 // stale returns, in order of first appearance, the backticked dotted
 // names in doc that start at a package or type name but resolve to no
-// declaration.
+// declaration. A name with an underscore is a benchmark metric or grid
+// column, never a Go name.
 func (ix index) stale(doc string) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, m := range backticked.FindAllStringSubmatch(doc, -1) {
 		name := m[1]
 		segs := strings.Split(name, ".")
-		if seen[name] || fileExts[segs[len(segs)-1]] || !ix.roots[segs[0]] || ix.names[name] {
+		if seen[name] || fileExts[segs[len(segs)-1]] || strings.Contains(name, "_") || !ix.roots[segs[0]] || ix.names[name] {
 			continue
 		}
 		seen[name] = true
