@@ -1,11 +1,10 @@
-// Command numabench regenerates the paper's tables and figures on the
-// simulated platform and runs the scenario grid.
+// Command numabench runs the scenario grid and the campaigns that
+// regenerate the paper's tables and figures on the simulated platform.
 //
 // Usage:
 //
-//	numabench -exp fig4                   # one experiment, full scale
-//	numabench -exp table1 -quick          # reduced sweep
-//	numabench -all -quick                 # every figure/table
+//	numabench -artifact artifacts/paper.json  # every paper figure/table -> artifacts/paper/figures.txt
+//	numabench -artifact artifacts/fig7.json   # Figure 7 campaign: repeats + grouped analysis
 //	numabench -grid                       # full scenario grid, aligned table
 //	numabench -grid -parallel 8 -quick    # trimmed grid, 8 workers
 //	numabench -grid -format json          # machine-readable output
@@ -13,9 +12,7 @@
 //	numabench -grid -nodes 1,2,4,8        # sweep machine sizes explicitly
 //	numabench -grid -cores-per-node 2     # narrower sockets
 //	numabench -list                       # enumerate families + counts
-//	numabench -artifact artifacts/fig7.json  # paper-artifact campaign: repeats + grouped analysis
 //
-// Experiments: fig4 fig5 fig6a fig6b fig7 table1 fig8 blas1.
 // Grid families: see -list (all registered families).
 //
 // Grid output is deterministic: the same -seed produces byte-identical
@@ -38,36 +35,42 @@ import (
 
 	numamig "numamig"
 	"numamig/internal/artifact"
-	"numamig/internal/bench"
 	"numamig/internal/exp"
 	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 )
 
+// options holds the parsed command line.
+type options struct {
+	quick, grid, list      bool
+	families, format       string
+	parallel, coresPerNode int
+	seed                   int64
+	nodes, scenario, trace string
+	artifact, artifactOut  string
+	cpuprofile, memprofile string
+}
+
 func main() {
-	expID := flag.String("exp", "", "experiment id ("+strings.Join(bench.Experiments(), ", ")+")")
-	all := flag.Bool("all", false, "run every experiment")
-	quick := flag.Bool("quick", false, "reduced parameter sweeps (seconds instead of minutes)")
-	grid := flag.Bool("grid", false, "run the scenario grid (internal/exp) instead of one experiment")
-	list := flag.Bool("list", false, "list registered scenario families with counts and descriptions")
-	families := flag.String("families", "", "comma-separated scenario families for -grid (default: all of "+strings.Join(exp.Families(), ", ")+")")
-	parallel := flag.Int("parallel", 0, "grid worker goroutines (0 = GOMAXPROCS)")
-	format := flag.String("format", "table", "grid output format: table, csv or json")
-	seed := flag.Int64("seed", 1, "base deterministic seed for -grid scenarios")
-	nodes := flag.String("nodes", "", "comma-separated topology.Grid node counts to sweep for -grid/-list (subset of 1..1024; default per family)")
-	coresPerNode := flag.Int("cores-per-node", 0, "cores per node for -grid/-list scenarios (0 = the Opteron host's 4)")
-	scenario := flag.String("scenario", "", "run only the -grid scenario with this exact ID")
-	trace := flag.String("trace", "", "write a chrome-trace (chrome://tracing / Perfetto) JSON of the run to this file; requires -grid narrowed to exactly one scenario")
-	artifactCfg := flag.String("artifact", "", "run the paper-artifact campaign described by this JSON config (internal/artifact)")
-	artifactOut := flag.String("artifact-out", "", "artifact output directory (default: <config dir>/<campaign name>)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
+	var o options
+	flag.BoolVar(&o.quick, "quick", false, "reduced parameter sweeps for -grid/-list")
+	flag.BoolVar(&o.grid, "grid", false, "run the scenario grid (internal/exp)")
+	flag.BoolVar(&o.list, "list", false, "list registered scenario families with counts and descriptions")
+	flag.StringVar(&o.families, "families", "", "comma-separated scenario families for -grid (default: all of "+strings.Join(exp.Families(), ", ")+")")
+	flag.IntVar(&o.parallel, "parallel", 0, "grid worker goroutines (0 = GOMAXPROCS)")
+	flag.StringVar(&o.format, "format", "table", "grid output format: table, csv or json")
+	flag.Int64Var(&o.seed, "seed", 1, "base deterministic seed for -grid scenarios")
+	flag.StringVar(&o.nodes, "nodes", "", "comma-separated topology.Grid node counts to sweep for -grid/-list (subset of 1..1024; default per family)")
+	flag.IntVar(&o.coresPerNode, "cores-per-node", 0, "cores per node for -grid/-list scenarios (0 = the Opteron host's 4)")
+	flag.StringVar(&o.scenario, "scenario", "", "run only the -grid scenario with this exact ID")
+	flag.StringVar(&o.trace, "trace", "", "write a chrome-trace (chrome://tracing / Perfetto) JSON of the run to this file; requires -grid narrowed to exactly one scenario")
+	flag.StringVar(&o.artifact, "artifact", "", "run the campaign described by this JSON config (internal/artifact): paper figures, grid repeats and their analysis")
+	flag.StringVar(&o.artifactOut, "artifact-out", "", "artifact output directory (default: <config dir>/<campaign name>)")
+	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
 
-	err := profiled(*cpuprofile, *memprofile, func() error {
-		return run(*expID, *all, *quick, *grid, *list, *families, *parallel, *format,
-			*seed, *nodes, *coresPerNode, *scenario, *trace, *artifactCfg, *artifactOut)
-	})
+	err := profiled(o.cpuprofile, o.memprofile, func() error { return run(o) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "numabench:", err)
 		code := 1
@@ -125,65 +128,41 @@ func writeAllocProfile(path string) error {
 	return f.Close()
 }
 
-func run(expID string, all, quick, grid, list bool, families string, parallel int,
-	format string, seed int64, nodes string, coresPerNode int,
-	scenario, trace, artifactCfg, artifactOut string) error {
-
-	nodeList, err := parseNodeList(nodes)
+func run(o options) error {
+	nodeList, err := parseNodeList(o.nodes)
 	if err != nil {
 		return err
 	}
-	if coresPerNode < 0 {
+	if o.coresPerNode < 0 {
 		return usageError("-cores-per-node must be >= 0")
 	}
-	opts := exp.Options{Quick: quick, Seed: seed, NodeList: nodeList, CoresPerNode: coresPerNode}
+	opts := exp.Options{Quick: o.quick, Seed: o.seed, NodeList: nodeList, CoresPerNode: o.coresPerNode}
 
-	if list {
+	switch {
+	case o.list:
 		return listFamilies(os.Stdout, opts)
-	}
-	if artifactCfg != "" {
-		if grid || all || expID != "" {
-			return usageError("-artifact cannot combine with -grid/-exp/-all")
+	case o.artifact != "":
+		if o.grid {
+			return usageError("-artifact cannot combine with -grid")
 		}
-		return runArtifact(artifactCfg, artifactOut, parallel)
-	}
-	if artifactOut != "" {
+		return runArtifact(o)
+	case o.artifactOut != "":
 		return usageError("-artifact-out requires -artifact")
-	}
-	if grid {
-		return runGrid(families, parallel, format, scenario, trace, opts)
-	}
-	if scenario != "" || trace != "" {
+	case o.grid:
+		return runGrid(o, opts)
+	case o.scenario != "" || o.trace != "":
 		return usageError("-scenario and -trace require -grid")
 	}
-
-	o := bench.Options{Quick: quick}
-	var ids []string
-	switch {
-	case all:
-		ids = bench.Experiments()
-	case expID != "":
-		ids = strings.Split(expID, ",")
-	default:
-		return usageError("need -exp <id>, -all, -grid, -list or -artifact; ids: " + strings.Join(bench.Experiments(), ", "))
-	}
-	for _, id := range ids {
-		start := time.Now()
-		if err := bench.Run(strings.TrimSpace(id), o, os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("# (%s regenerated in %v wall time)\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+	return usageError("need -grid, -list or -artifact")
 }
 
-// runArtifact executes a paper-artifact campaign (internal/artifact):
-// parse + validate the declarative config, run the grid once per
-// repeat (streaming raw rows to raw.csv as repeats complete), then
-// write the grouped analysis artifacts. Output bytes are independent
-// of -parallel and of wall-clock time.
-func runArtifact(cfgPath, outDir string, parallel int) error {
-	data, err := os.ReadFile(cfgPath)
+// runArtifact executes a campaign (internal/artifact): parse and
+// validate the declarative config, run its grid and experiments
+// (streaming raw rows to raw.csv as repeats complete, when the config
+// writes raw.csv), then write the rendered artifacts. Output bytes are
+// independent of -parallel and of wall-clock time.
+func runArtifact(o options) error {
+	data, err := os.ReadFile(o.artifact)
 	if err != nil {
 		return err
 	}
@@ -191,25 +170,30 @@ func runArtifact(cfgPath, outDir string, parallel int) error {
 	if err != nil {
 		return err
 	}
+	outDir := o.artifactOut
 	if outDir == "" {
-		outDir = filepath.Join(filepath.Dir(cfgPath), cfg.Name)
+		outDir = filepath.Join(filepath.Dir(o.artifact), cfg.Name)
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	ro := artifact.RunOptions{Parallel: parallel, Log: os.Stderr}
+	ro := artifact.RunOptions{Parallel: o.parallel, Log: os.Stderr}
 	// Stream the raw rows as each repeat completes; WriteDir rewrites
 	// the same bytes at the end, so an interrupted campaign still
 	// leaves its completed repeats on disk.
-	raw, err := os.Create(filepath.Join(outDir, artifact.RawCSVName))
-	if err != nil {
-		return err
+	var raw *os.File
+	if cfg.Wants(artifact.OutCSV) {
+		if raw, err = os.Create(filepath.Join(outDir, artifact.RawCSVName)); err != nil {
+			return err
+		}
+		ro.RawOut = raw
 	}
-	ro.RawOut = raw
 	start := time.Now()
 	out, runErr := artifact.RunCampaign(cfg, ro)
-	if cerr := raw.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
+	if raw != nil {
+		if cerr := raw.Close(); runErr == nil {
+			runErr = cerr
+		}
 	}
 	if runErr != nil {
 		return runErr
@@ -217,9 +201,16 @@ func runArtifact(cfgPath, outDir string, parallel int) error {
 	if err := out.WriteDir(outDir); err != nil {
 		return err
 	}
-	fmt.Printf("artifact: campaign %s: %d scenarios x %d repeats -> %s (max rel std %.4f, %d speedup ratios, %v wall time)\n",
-		cfg.Name, out.Analysis.Scenarios, cfg.Repeats, outDir,
-		out.Analysis.MaxRelStd, len(out.Analysis.Speedups), time.Since(start).Round(time.Millisecond))
+	var ran []string
+	if an := out.Analysis; an != nil {
+		ran = append(ran, fmt.Sprintf("%d scenarios x %d repeats, max rel std %.4f, %d speedup ratios",
+			an.Scenarios, cfg.Repeats, an.MaxRelStd, len(an.Speedups)))
+	}
+	if n := len(cfg.Experiments); n > 0 {
+		ran = append(ran, fmt.Sprintf("%d experiments", n))
+	}
+	fmt.Printf("artifact: campaign %s -> %s (%s, %v wall time)\n",
+		cfg.Name, outDir, strings.Join(ran, ", "), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -271,34 +262,34 @@ func listFamilies(w io.Writer, opts exp.Options) error {
 }
 
 // runGrid expands the requested families and executes them through the
-// concurrent runner, rendering in the requested format. scenario
-// filters to one exact scenario ID; trace additionally records that
+// concurrent runner, rendering in the requested format. -scenario
+// filters to one exact scenario ID; -trace additionally records that
 // run's telemetry stream as chrome-trace JSON.
-func runGrid(families string, parallel int, format, scenario, trace string, opts exp.Options) error {
+func runGrid(o options, opts exp.Options) error {
 	var names []string
-	if families != "" {
-		for _, n := range strings.Split(families, ",") {
+	if o.families != "" {
+		for _, n := range strings.Split(o.families, ",") {
 			names = append(names, strings.TrimSpace(n))
 		}
 	}
-	switch format {
+	switch o.format {
 	case "table", "csv", "json":
 	default:
-		return fmt.Errorf("unknown -format %q (want table, csv or json)", format)
+		return fmt.Errorf("unknown -format %q (want table, csv or json)", o.format)
 	}
 	scs, err := exp.Scenarios(names, opts)
 	if err != nil {
 		return err
 	}
-	if scenario != "" {
+	if o.scenario != "" {
 		kept := scs[:0]
 		for _, s := range scs {
-			if s.ID == scenario {
+			if s.ID == o.scenario {
 				kept = append(kept, s)
 			}
 		}
 		if len(kept) == 0 {
-			return fmt.Errorf("no scenario with ID %q (check -families/-quick/-nodes)", scenario)
+			return fmt.Errorf("no scenario with ID %q (check -families/-quick/-nodes)", o.scenario)
 		}
 		scs = kept
 	}
@@ -307,13 +298,13 @@ func runGrid(families string, parallel int, format, scenario, trace string, opts
 	}
 
 	var rec *telemetry.Recorder
-	if trace != "" {
+	if o.trace != "" {
 		if len(scs) != 1 {
 			return fmt.Errorf("-trace needs exactly one scenario, have %d (narrow with -scenario)", len(scs))
 		}
 		// One scenario, one System: serialize and hook its bus. The
 		// observer is process-global, so clear it before returning.
-		parallel = 1
+		o.parallel = 1
 		numamig.SetSystemObserver(func(sys *numamig.System) {
 			rec = telemetry.Record(sys.Bus())
 		})
@@ -321,13 +312,13 @@ func runGrid(families string, parallel int, format, scenario, trace string, opts
 	}
 
 	start := time.Now()
-	results := exp.Runner{Parallel: parallel}.Run(scs)
+	results := exp.Runner{Parallel: o.parallel}.Run(scs)
 
-	if trace != "" {
+	if o.trace != "" {
 		if rec == nil {
 			return fmt.Errorf("-trace: the scenario built no simulated system")
 		}
-		f, err := os.Create(trace)
+		f, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
@@ -338,7 +329,7 @@ func runGrid(families string, parallel int, format, scenario, trace string, opts
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "numabench: wrote %d trace events to %s\n", len(rec.Events), trace)
+		fmt.Fprintf(os.Stderr, "numabench: wrote %d trace events to %s\n", len(rec.Events), o.trace)
 	}
 	failed := 0
 	for _, r := range results {
@@ -346,7 +337,7 @@ func runGrid(families string, parallel int, format, scenario, trace string, opts
 			failed++
 		}
 	}
-	switch format {
+	switch o.format {
 	case "json":
 		if err := exp.WriteJSON(os.Stdout, results); err != nil {
 			return err

@@ -6,11 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"numamig/internal/artifact"
+	"numamig/internal/bench"
 )
 
 // numabench is the command under test, built once by TestMain so every
@@ -60,13 +65,11 @@ func TestCommandLineErrors(t *testing.T) {
 		status int
 		msg    string
 	}{
-		{nil, 2, "need -exp <id>, -all, -grid, -list or -artifact; ids: "},
-		{[]string{"-artifact", "c.json", "-grid"}, 2, "-artifact cannot combine with -grid/-exp/-all"},
-		{[]string{"-artifact", "c.json", "-exp", "fig4"}, 2, "-artifact cannot combine with -grid/-exp/-all"},
-		{[]string{"-artifact", "c.json", "-all"}, 2, "-artifact cannot combine with -grid/-exp/-all"},
+		{nil, 2, "need -grid, -list or -artifact"},
+		{[]string{"-artifact", "c.json", "-grid"}, 2, "-artifact cannot combine with -grid"},
 		{[]string{"-artifact-out", "out"}, 2, "-artifact-out requires -artifact"},
 		{[]string{"-scenario", "migration/x"}, 2, "-scenario and -trace require -grid"},
-		{[]string{"-exp", "fig4", "-trace", "t.json"}, 2, "-scenario and -trace require -grid"},
+		{[]string{"-quick", "-trace", "t.json"}, 2, "-scenario and -trace require -grid"},
 		{[]string{"-grid", "-nodes", "2,x"}, 2, `bad -nodes entry "x"`},
 		{[]string{"-grid", "-nodes", "0"}, 2, "-nodes entry 0 unsupported (topology.Grid builds 1..1024 nodes)"},
 		{[]string{"-list", "-nodes", "1025"}, 2, "-nodes entry 1025 unsupported"},
@@ -74,7 +77,10 @@ func TestCommandLineErrors(t *testing.T) {
 		{[]string{"-grid", "-format", "xml"}, 1, `unknown -format "xml" (want table, csv or json)`},
 		{[]string{"-grid", "-quick", "-families", "migration", "-trace", "t.json"}, 1, "-trace needs exactly one scenario, have 20"},
 		{[]string{"-grid", "-families", "nope"}, 1, `unknown family "nope"`},
-		{[]string{"-exp", "nope"}, 1, `unknown experiment "nope"`},
+		{[]string{"-artifact", "missing.json"}, 1, "missing.json: no such file"},
+		// Paper figures are campaign experiments: -exp and -all are gone.
+		{[]string{"-exp", "fig4"}, 2, "flag provided but not defined: -exp"},
+		{[]string{"-all", "-quick"}, 2, "flag provided but not defined: -all"},
 		// The flags of the retired perf harness are gone.
 		{[]string{"-perf"}, 2, "flag provided but not defined: -perf"},
 		{[]string{"-perf", "-scale"}, 2, "flag provided but not defined: -perf"},
@@ -118,4 +124,107 @@ func TestProfilesWrittenOnFailedRun(t *testing.T) {
 			t.Errorf("%s: %d bytes of profile, err %v", name, n, err)
 		}
 	}
+}
+
+// Every campaign config with a committed output directory regenerates
+// it exactly: the same file set, byte for byte. artifacts/paper.json
+// must name every experiment, so no paper figure or table goes
+// unpinned.
+func TestCommittedArtifactsRegenerate(t *testing.T) {
+	root, err := filepath.Abs("../../artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := readConfig(t, filepath.Join(root, "paper.json"))
+	got := slices.Clone(paper.Experiments)
+	slices.Sort(got)
+	if want := bench.Experiments(); !slices.Equal(got, want) {
+		t.Errorf("paper.json experiments %v, want every experiment %v", got, want)
+	}
+	configs, err := filepath.Glob(filepath.Join(root, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regenerated []string
+	for _, path := range configs {
+		committed := filepath.Join(root, readConfig(t, path).Name)
+		if _, err := os.Stat(committed); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		regenerated = append(regenerated, filepath.Base(path))
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
+			out := filepath.Join(t.TempDir(), "out")
+			if status, stderr := invoke(t, root, "-artifact", path, "-artifact-out", out); status != 0 {
+				t.Fatalf("exit %d: %s", status, stderr)
+			}
+			want, got := dirFiles(t, committed), dirFiles(t, out)
+			for name, data := range want {
+				if g, ok := got[name]; !ok {
+					t.Errorf("%s: not regenerated", name)
+				} else if !bytes.Equal(g, data) {
+					t.Errorf("%s: regenerated %d bytes differ from the committed %d", name, len(g), len(data))
+				}
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("%s: regenerated but not committed", name)
+				}
+			}
+		})
+	}
+	if !slices.Contains(regenerated, "paper.json") {
+		t.Errorf("regenerated %v, which leaves out paper.json", regenerated)
+	}
+}
+
+// A campaign whose outputs leave out csv writes no raw.csv.
+func TestArtifactWritesOnlyConfiguredOutputs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := `{"schema": "numamig-artifact/v1", "name": "rep", "families": ["replication"], "quick": true,
+		"repeats": 1, "base_seed": 1, "seed_policy": "fixed", "outputs": ["json"]}`
+	if err := os.WriteFile(filepath.Join(dir, "rep.json"), []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, stderr := invoke(t, dir, "-artifact", "rep.json"); status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "rep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != artifact.SummaryName {
+		t.Errorf("campaign with outputs [json] wrote %v", entries)
+	}
+}
+
+func readConfig(t *testing.T, path string) artifact.Config {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := artifact.ParseConfig(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return cfg
+}
+
+// dirFiles returns the contents of every file in dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }

@@ -1,44 +1,28 @@
-// Command numasim inspects the simulated machine (numactl
-// --hardware-style) and runs small interactive demos of the migration
-// primitives.
+// Command numasim prints the simulated machine the way numactl
+// --hardware prints a real one: nodes with their cores and memory, the
+// node distance matrix and the interconnect links. The migration
+// primitives are walked through in examples/.
 //
 // Usage:
 //
-//	numasim -hardware                 # topology, distances, link graph
-//	numasim -demo nexttouch           # kernel next-touch walkthrough
-//	numasim -demo lazy                # lazy migration walkthrough
-//	numasim -demo sync                # synchronous move_pages walkthrough
-//	numasim -nodes 8 -cores 2 ...     # non-default machine shapes
+//	numasim                           # the paper's 4x4 Opteron host
+//	numasim -nodes 8 -cores 2         # non-default machine shapes
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"numamig"
 	"numamig/internal/topology"
 )
 
 func main() {
-	hardware := flag.Bool("hardware", false, "print machine topology")
-	demo := flag.String("demo", "", "run a demo: nexttouch, lazy, sync")
 	nodes := flag.Int("nodes", 4, "NUMA nodes (1,2,4,8)")
 	cores := flag.Int("cores", 4, "cores per node")
 	flag.Parse()
 
-	sys := numamig.New(numamig.Config{Nodes: *nodes, CoresPerNode: *cores})
-	switch {
-	case *hardware:
-		printHardware(sys)
-	case *demo != "":
-		if err := runDemo(sys, *demo); err != nil {
-			fmt.Fprintln(os.Stderr, "numasim:", err)
-			os.Exit(1)
-		}
-	default:
-		printHardware(sys)
-	}
+	printHardware(numamig.New(numamig.Config{Nodes: *nodes, CoresPerNode: *cores}))
 }
 
 func printHardware(sys *numamig.System) {
@@ -68,62 +52,5 @@ func printHardware(sys *numamig.System) {
 	fmt.Println("interconnect links:")
 	for _, l := range m.Links {
 		fmt.Printf("  link %d: node %d <-> node %d\n", l.ID, l.A, l.B)
-	}
-}
-
-func runDemo(sys *numamig.System, name string) error {
-	const pages = 1024
-	size := int64(pages) * numamig.PageSize
-	show := func(t *numamig.Task, b *numamig.Buffer, label string) {
-		hist, absent := b.NodeHistogram(t)
-		fmt.Printf("%-28s t=%-10v pages by node %v (absent %d)\n", label, t.P.Now(), hist, absent)
-	}
-	switch name {
-	case "nexttouch":
-		return sys.Run(func(t *numamig.Task) {
-			buf := numamig.MustAlloc(t, size, numamig.Bind(0))
-			must(buf.Prefault(t))
-			show(t, buf, "after first-touch on node 0")
-			nt := sys.NewKernelNT()
-			if _, err := nt.Mark(t, buf.Region()); err != nil {
-				panic(err)
-			}
-			fmt.Println("madvise(MIGRATE_ON_NEXT_TOUCH) issued")
-			t.MigrateTo(numamig.CoreID(sys.Machine.NumCores() - 1))
-			fmt.Printf("thread migrated to core %d (node %d)\n", t.Core, t.Node())
-			must(buf.Access(t, numamig.Stream, false))
-			show(t, buf, "after next touch")
-			fmt.Printf("kernel stats: %d next-touch page migrations, %d faults\n",
-				sys.Stats().NTMigrations, sys.Stats().Faults)
-		})
-	case "lazy":
-		return sys.Run(func(t *numamig.Task) {
-			buf := numamig.MustAlloc(t, size, numamig.Bind(0))
-			must(buf.Prefault(t))
-			mgr := sys.NewManager(numamig.LazyKernel, true)
-			mgr.Attach(t, buf.Region())
-			must(mgr.MoveThread(t, 4))
-			show(t, buf, "after MoveThread (marked)")
-			// Touch only half: untouched pages never migrate.
-			must(t.AccessRange(buf.Base, size/2, numamig.Stream, false))
-			show(t, buf, "after touching first half")
-		})
-	case "sync":
-		return sys.Run(func(t *numamig.Task) {
-			buf := numamig.MustAlloc(t, size, numamig.Bind(0))
-			must(buf.Prefault(t))
-			start := t.P.Now()
-			must(buf.MoveTo(t, 1, true))
-			d := t.P.Now() - start
-			show(t, buf, "after move_pages to node 1")
-			fmt.Printf("throughput: %.1f MB/s\n", float64(size)/d.Seconds()/1e6)
-		})
-	}
-	return fmt.Errorf("unknown demo %q (want nexttouch, lazy, sync)", name)
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
 	}
 }

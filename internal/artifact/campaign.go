@@ -39,7 +39,8 @@ type RunOptions struct {
 
 // Outcome is a completed campaign: the raw rows, the grouped analysis,
 // and every rendered artifact as bytes, ready for WriteDir or for
-// byte-level comparison in tests and tools/artifactcheck.
+// byte-level comparison in tests and tools/artifactcheck. Rows and
+// Analysis stay empty for an experiments-only campaign.
 type Outcome struct {
 	Config   Config
 	Rows     []Row
@@ -51,31 +52,51 @@ type Outcome struct {
 	Figures []byte // figures
 }
 
-// RunCampaign executes a validated campaign config: the configured
-// families expand once per repeat (each repeat under its derived
-// seed), every scenario runs through the parallel grid runner, the
-// grouped analysis pass runs over the raw rows, and the configured
-// artifacts render. Any scenario error, completeness violation or
-// tolerance breach fails the whole campaign.
+// RunCampaign executes a validated campaign config: the scenario grid
+// of its families, if it names any, and then its experiments. Any
+// scenario error, completeness violation or tolerance breach fails the
+// whole campaign.
 func RunCampaign(cfg Config, ro RunOptions) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	logf := func(format string, args ...interface{}) {
-		if ro.Log != nil {
-			fmt.Fprintf(ro.Log, format, args...)
+	out := &Outcome{Config: cfg}
+	// exp.Scenarios expands an empty family list to every family, so an
+	// experiments-only campaign skips the grid instead of running it.
+	if len(cfg.Families) > 0 {
+		if err := out.runGrid(ro); err != nil {
+			return nil, err
 		}
 	}
+	if cfg.Wants(OutFigures) {
+		var buf bytes.Buffer
+		for _, id := range cfg.Experiments {
+			start := time.Now()
+			fmt.Fprintf(&buf, "# experiment: %s\n", id)
+			if err := bench.Run(id, bench.Options{Quick: cfg.Quick}, &buf); err != nil {
+				return nil, fmt.Errorf("artifact: experiment %s: %w", id, err)
+			}
+			buf.WriteByte('\n')
+			ro.logf("artifact: experiment %s in %v\n", id, time.Since(start).Round(time.Millisecond))
+		}
+		out.Figures = buf.Bytes()
+	}
+	return out, nil
+}
 
+// runGrid expands the campaign's families once per repeat (each repeat
+// under its derived seed), runs every scenario through the parallel
+// grid runner, runs the grouped analysis over the raw rows, and renders
+// the configured grid artifacts.
+func (out *Outcome) runGrid(ro RunOptions) error {
+	cfg := &out.Config
 	var stream *csv.Writer
 	if ro.RawOut != nil {
 		stream = csv.NewWriter(ro.RawOut)
 		if err := stream.Write(rawHeader()); err != nil {
-			return nil, fmt.Errorf("artifact: streaming raw header: %w", err)
+			return fmt.Errorf("artifact: streaming raw header: %w", err)
 		}
 	}
-
-	out := &Outcome{Config: cfg}
 	for r := 0; r < cfg.Repeats; r++ {
 		seed := cfg.SeedFor(r)
 		opts := exp.Options{
@@ -86,68 +107,62 @@ func RunCampaign(cfg Config, ro RunOptions) (*Outcome, error) {
 		}
 		scs, err := exp.Scenarios(cfg.Families, opts)
 		if err != nil {
-			return nil, fmt.Errorf("artifact: expanding repeat %d: %w", r, err)
+			return fmt.Errorf("artifact: expanding repeat %d: %w", r, err)
 		}
 		if len(scs) == 0 {
-			return nil, fmt.Errorf("artifact: repeat %d expands to no scenarios (nodes list too narrow for the families?)", r)
+			return fmt.Errorf("artifact: repeat %d expands to no scenarios (nodes list too narrow for the families?)", r)
 		}
 		start := time.Now()
 		results := exp.Runner{Parallel: ro.Parallel}.Run(scs)
 		for i := range results {
 			if results[i].Err != "" {
-				return nil, fmt.Errorf("artifact: repeat %d scenario %q failed: %s",
+				return fmt.Errorf("artifact: repeat %d scenario %q failed: %s",
 					r, results[i].ID, results[i].Err)
 			}
 			row := rowOf(r, seed, &results[i])
 			out.Rows = append(out.Rows, row)
 			if stream != nil {
 				if err := stream.Write(row.record()); err != nil {
-					return nil, fmt.Errorf("artifact: streaming raw row: %w", err)
+					return fmt.Errorf("artifact: streaming raw row: %w", err)
 				}
 			}
 		}
 		if stream != nil {
 			stream.Flush()
 			if err := stream.Error(); err != nil {
-				return nil, fmt.Errorf("artifact: streaming repeat %d: %w", r, err)
+				return fmt.Errorf("artifact: streaming repeat %d: %w", r, err)
 			}
 		}
-		logf("artifact: repeat %d/%d: %d scenarios (seed %d) in %v\n",
+		ro.logf("artifact: repeat %d/%d: %d scenarios (seed %d) in %v\n",
 			r+1, cfg.Repeats, len(scs), seed, time.Since(start).Round(time.Millisecond))
 	}
 
-	an, err := Analyze(&cfg, out.Rows)
+	an, err := Analyze(cfg, out.Rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	out.Analysis = an
-
-	want := cfg.outputs()
-	if want[OutCSV] {
+	if cfg.Wants(OutCSV) {
 		out.RawCSV = renderRawCSV(out.Rows)
 	}
-	if want[OutJSON] {
+	if cfg.Wants(OutJSON) {
 		if out.Summary, err = RenderSummary(an); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if want[OutMD] {
-		if out.Tables, err = RenderTables(&cfg, an); err != nil {
-			return nil, err
+	if cfg.Wants(OutMD) {
+		if out.Tables, err = RenderTables(cfg, an); err != nil {
+			return err
 		}
 	}
-	if want[OutFigures] {
-		var buf bytes.Buffer
-		for _, id := range cfg.Experiments {
-			fmt.Fprintf(&buf, "# experiment: %s\n", id)
-			if err := bench.Run(id, bench.Options{Quick: cfg.Quick}, &buf); err != nil {
-				return nil, fmt.Errorf("artifact: experiment %s: %w", id, err)
-			}
-			buf.WriteByte('\n')
-		}
-		out.Figures = buf.Bytes()
+	return nil
+}
+
+// logf writes a progress line to Log, if set.
+func (ro RunOptions) logf(format string, args ...interface{}) {
+	if ro.Log != nil {
+		fmt.Fprintf(ro.Log, format, args...)
 	}
-	return out, nil
 }
 
 // WriteDir writes the rendered artifacts into dir (created as needed):

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"numamig/internal/bench"
 )
 
 // Repeat-determinism property tests: the artifact reproducibility
@@ -177,5 +179,33 @@ func TestRunCampaignRejectsInvalidConfig(t *testing.T) {
 	cfg.Families = []string{"warp-drive"}
 	if _, err := RunCampaign(cfg, RunOptions{}); err == nil {
 		t.Error("invalid config ran")
+	}
+}
+
+// A campaign naming experiments but no families runs no grid (an empty
+// family list would expand to every family) and renders figures alone.
+func TestExperimentsOnlyCampaignRunsNoGrid(t *testing.T) {
+	cfg := Config{Schema: ConfigSchema, Name: "figs", Quick: true, Experiments: []string{"fig6b", "fig4"}}
+	var raw, log bytes.Buffer
+	o, err := RunCampaign(cfg, RunOptions{RawOut: &raw, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Rows) != 0 || o.Analysis != nil || o.RawCSV != nil || o.Summary != nil || o.Tables != nil || raw.Len() != 0 {
+		t.Fatalf("experiments-only campaign ran a grid: %d rows, %d raw bytes", len(o.Rows), raw.Len())
+	}
+	var want bytes.Buffer
+	for _, id := range cfg.Experiments {
+		want.WriteString("# experiment: " + id + "\n")
+		if err := bench.Run(id, bench.Options{Quick: true}, &want); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+	}
+	if !bytes.Equal(o.Figures, want.Bytes()) {
+		t.Errorf("figures.txt:\n%s\nwant:\n%s", o.Figures, want.Bytes())
+	}
+	if strings.Contains(log.String(), "repeat") {
+		t.Errorf("log reports grid repeats: %q", log.String())
 	}
 }

@@ -8,7 +8,10 @@
 // column registry), then runs a grouped analysis pass — per-cell
 // mean/std/min/max over every metric column plus declarative speedup
 // ratios (e.g. patched vs unpatched) — and renders Fig. 7-style
-// scaling tables as Markdown and machine-readable JSON.
+// scaling tables as Markdown and machine-readable JSON. A campaign also
+// renders the internal/bench experiments it names (the paper's figures
+// and tables) into figures.txt; one that names only experiments runs no
+// grid.
 //
 // Everything derived is checkable: tools/artifactcheck re-parses the
 // raw CSV, recomputes the analysis with this package, and byte-compares
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 
 	"numamig/internal/bench"
@@ -103,7 +107,9 @@ type SpeedupSpec struct {
 // Config is a declarative experiment campaign. Families, machine
 // sizes, repeat count and seed policy fully determine the raw row set;
 // Tables and Speedups fully determine the rendered analysis, so two
-// runs of one config are byte-identical.
+// runs of one config are byte-identical. A campaign that names
+// Experiments but no Families runs no grid: it only renders figures,
+// and sets none of the grid settings.
 type Config struct {
 	Schema      string `json:"schema"`
 	Name        string `json:"name"`
@@ -140,12 +146,12 @@ type Config struct {
 	// Speedups declares the relative-speedup ratio columns.
 	Speedups []SpeedupSpec `json:"speedups,omitempty"`
 
-	// Experiments additionally regenerates classic internal/bench
-	// figures/tables (e.g. "fig7") into figures.txt.
+	// Experiments regenerates internal/bench experiments, the paper's
+	// figures and tables (e.g. "fig7"), into figures.txt.
 	Experiments []string `json:"experiments,omitempty"`
 
-	// Outputs selects the written artifacts (empty = csv, json, md,
-	// plus figures when Experiments is non-empty).
+	// Outputs selects the written artifacts (empty = csv, json and md
+	// when Families is non-empty, plus figures when Experiments is).
 	Outputs []string `json:"outputs,omitempty"`
 }
 
@@ -185,9 +191,60 @@ func (c *Config) Validate() error {
 	if !nameRE.MatchString(c.Name) {
 		return fmt.Errorf("artifact: campaign name %q must match %s", c.Name, nameRE)
 	}
-	if len(c.Families) == 0 {
-		return fmt.Errorf("artifact: config names no scenario families")
+	switch {
+	case len(c.Families) > 0:
+		if err := c.validateGrid(); err != nil {
+			return err
+		}
+	case len(c.Experiments) == 0:
+		return fmt.Errorf("artifact: config names no scenario families and no experiments")
+	case len(c.Nodes) > 0 || c.CoresPerNode != 0 || c.Repeats != 0 || c.BaseSeed != 0 || c.SeedPolicy != "" ||
+		c.Tolerance != 0 || len(c.Metrics) > 0 || len(c.Tables) > 0 || len(c.Speedups) > 0:
+		return fmt.Errorf("artifact: nodes, cores_per_node, repeats, seeds, tolerance, metrics, tables and speedups need scenario families")
 	}
+
+	knownExp := map[string]bool{}
+	for _, e := range bench.Experiments() {
+		knownExp[e] = true
+	}
+	seenE := map[string]bool{}
+	for _, e := range c.Experiments {
+		if !knownExp[e] {
+			return fmt.Errorf("artifact: unknown experiment %q (have %v)", e, bench.Experiments())
+		}
+		if seenE[e] {
+			return fmt.Errorf("artifact: duplicate experiment %q", e)
+		}
+		seenE[e] = true
+	}
+
+	seenO := map[string]bool{}
+	for _, o := range c.Outputs {
+		switch o {
+		case OutCSV, OutJSON, OutMD:
+			if len(c.Families) == 0 {
+				return fmt.Errorf("artifact: output %q requires at least one family", o)
+			}
+		case OutFigures:
+			if len(c.Experiments) == 0 {
+				return fmt.Errorf("artifact: output %q requires at least one experiment", OutFigures)
+			}
+		default:
+			return fmt.Errorf("artifact: unknown output %q (want %s, %s, %s or %s)",
+				o, OutCSV, OutJSON, OutMD, OutFigures)
+		}
+		if seenO[o] {
+			return fmt.Errorf("artifact: duplicate output %q", o)
+		}
+		seenO[o] = true
+	}
+	return nil
+}
+
+// validateGrid checks the settings of the scenario grid a campaign
+// runs: its families, machine shape, repeats, seeds, tolerance, metric
+// columns, tables and speedups.
+func (c *Config) validateGrid() error {
 	known := map[string]bool{}
 	for _, f := range exp.Families() {
 		known[f] = true
@@ -307,38 +364,6 @@ func (c *Config) Validate() error {
 		}
 	}
 
-	knownExp := map[string]bool{}
-	for _, e := range bench.Experiments() {
-		knownExp[e] = true
-	}
-	seenE := map[string]bool{}
-	for _, e := range c.Experiments {
-		if !knownExp[e] {
-			return fmt.Errorf("artifact: unknown experiment %q (have %v)", e, bench.Experiments())
-		}
-		if seenE[e] {
-			return fmt.Errorf("artifact: duplicate experiment %q", e)
-		}
-		seenE[e] = true
-	}
-
-	seenO := map[string]bool{}
-	for _, o := range c.Outputs {
-		switch o {
-		case OutCSV, OutJSON, OutMD:
-		case OutFigures:
-			if len(c.Experiments) == 0 {
-				return fmt.Errorf("artifact: output %q requires at least one experiment", OutFigures)
-			}
-		default:
-			return fmt.Errorf("artifact: unknown output %q (want %s, %s, %s or %s)",
-				o, OutCSV, OutJSON, OutMD, OutFigures)
-		}
-		if seenO[o] {
-			return fmt.Errorf("artifact: duplicate output %q", o)
-		}
-		seenO[o] = true
-	}
 	return nil
 }
 
@@ -352,21 +377,17 @@ func (c *Config) SeedFor(r int) int64 {
 	return c.BaseSeed + int64(r)*SeedStride
 }
 
-// outputs returns the effective output set (the default when none is
-// configured).
-func (c *Config) outputs() map[string]bool {
-	out := map[string]bool{}
+// Wants reports whether the campaign writes output o. With no outputs
+// configured it writes csv, json and md when it names families, and
+// figures when it names experiments.
+func (c *Config) Wants(o string) bool {
 	if len(c.Outputs) == 0 {
-		out[OutCSV], out[OutJSON], out[OutMD] = true, true, true
-		if len(c.Experiments) > 0 {
-			out[OutFigures] = true
+		if o == OutFigures {
+			return len(c.Experiments) > 0
 		}
-		return out
+		return len(c.Families) > 0
 	}
-	for _, o := range c.Outputs {
-		out[o] = true
-	}
-	return out
+	return slices.Contains(c.Outputs, o)
 }
 
 // metrics returns the effective metric column set, in schema order.

@@ -84,6 +84,13 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown output", func(c *Config) { c.Outputs = []string{"pdf"} }, "unknown output"},
 		{"figures without experiments", func(c *Config) { c.Outputs = []string{OutFigures} }, "requires at least one experiment"},
 		{"duplicate output", func(c *Config) { c.Outputs = []string{OutCSV, OutCSV} }, "duplicate output"},
+		{"grid settings without families", func(c *Config) {
+			c.Families, c.Experiments = nil, []string{"fig4"}
+		}, "need scenario families"},
+		{"csv without families", func(c *Config) {
+			c.Families, c.Repeats, c.BaseSeed, c.SeedPolicy = nil, 0, 0, ""
+			c.Experiments, c.Outputs = []string{"fig4"}, []string{OutFigures, OutCSV}
+		}, "requires at least one family"},
 	}
 	for _, c := range cases {
 		cfg := validConfig()
@@ -150,13 +157,16 @@ func TestSeedForDerivation(t *testing.T) {
 
 func TestEffectiveDefaults(t *testing.T) {
 	cfg := validConfig()
-	out := cfg.outputs()
-	if !out[OutCSV] || !out[OutJSON] || !out[OutMD] || out[OutFigures] {
-		t.Errorf("default outputs = %v", out)
+	if !cfg.Wants(OutCSV) || !cfg.Wants(OutJSON) || !cfg.Wants(OutMD) || cfg.Wants(OutFigures) {
+		t.Error("a grid campaign's default outputs are not csv, json and md")
 	}
 	cfg.Experiments = []string{"fig7"}
-	if !cfg.outputs()[OutFigures] {
+	if !cfg.Wants(OutFigures) {
 		t.Error("experiments configured but figures not in the default output set")
+	}
+	figs := Config{Experiments: []string{"fig7"}}
+	if figs.Wants(OutCSV) || figs.Wants(OutJSON) || figs.Wants(OutMD) || !figs.Wants(OutFigures) {
+		t.Error("an experiments-only campaign's default output is not figures alone")
 	}
 	// The metric subset must come back in schema order, not config order.
 	cfg.Metrics = []string{"faults", "mbps"}

@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation section (§4) on the simulated platform. Each experiment
-// returns the same rows/series the paper reports; cmd/numabench and the
-// root-level Go benchmarks drive it.
+// returns the same rows/series the paper reports; a campaign's
+// experiments (internal/artifact) drive it.
 package bench
 
 import (
@@ -367,97 +367,26 @@ func Experiments() []string {
 	return names
 }
 
-type runner func(Options, io.Writer) error
+// generator renders one experiment's figure or table to w.
+type generator func(Options, io.Writer) error
 
-var registry = map[string]runner{
-	"fig4": func(o Options, w io.Writer) error {
-		f, err := Figure4(o)
+// gen adapts a figure or table constructor to a generator.
+func gen[T interface{ Write(io.Writer) }](build func(Options) (T, error)) generator {
+	return func(o Options, w io.Writer) error {
+		r, err := build(o)
 		if err != nil {
 			return err
 		}
-		f.Write(w)
+		r.Write(w)
 		return nil
-	},
-	"fig5": func(o Options, w io.Writer) error {
-		f, err := Figure5(o)
-		if err != nil {
-			return err
-		}
-		f.Write(w)
-		return nil
-	},
-	"fig6a": func(o Options, w io.Writer) error {
-		t, err := Figure6a(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"fig6b": func(o Options, w io.Writer) error {
-		t, err := Figure6b(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"fig7": func(o Options, w io.Writer) error {
-		f, err := Figure7(o)
-		if err != nil {
-			return err
-		}
-		f.Write(w)
-		return nil
-	},
-	"table1": func(o Options, w io.Writer) error {
-		t, err := Table1(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"fig8": func(o Options, w io.Writer) error {
-		f, err := Figure8(o)
-		if err != nil {
-			return err
-		}
-		f.Write(w)
-		return nil
-	},
-	"blas1": func(o Options, w io.Writer) error {
-		t, err := BLAS1(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"exthuge": func(o Options, w io.Writer) error {
-		t, err := ExtHuge(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"extreplica": func(o Options, w io.Writer) error {
-		t, err := ExtReplica(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
-	"policies": func(o Options, w io.Writer) error {
-		t, err := Policies(o)
-		if err != nil {
-			return err
-		}
-		t.Write(w)
-		return nil
-	},
+	}
+}
+
+// registry maps each experiment id to its generator.
+var registry = map[string]generator{
+	"fig4": gen(Figure4), "fig5": gen(Figure5), "fig6a": gen(Figure6a), "fig6b": gen(Figure6b),
+	"fig7": gen(Figure7), "table1": gen(Table1), "fig8": gen(Figure8), "blas1": gen(BLAS1),
+	"exthuge": gen(ExtHuge), "extreplica": gen(ExtReplica), "policies": gen(Policies),
 }
 
 // Run executes one experiment by id, writing its table/figure to w.

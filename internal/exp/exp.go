@@ -112,8 +112,8 @@ type Options struct {
 	// Seed is the base deterministic seed (default 1).
 	Seed int64
 	// NodeList overrides the machine-size sweep with explicit
-	// topology.Grid node counts (subset of 1, 2, 4, 8); empty keeps the
-	// per-family defaults.
+	// topology.Grid node counts (each in 1..topology.MaxNodes); empty
+	// keeps the per-family defaults.
 	NodeList []int
 	// CoresPerNode sets cores per node for every generated scenario
 	// (0: the Opteron host's 4).

@@ -6,7 +6,6 @@ import (
 
 	"numamig/internal/model"
 	"numamig/internal/sim"
-	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -44,14 +43,7 @@ func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
 		if !segv {
 			return serviced, nil
 		}
-		k.Stats.Faults++
-		if k.bus.Active(telemetry.TopicPageFault) {
-			k.bus.Publish(telemetry.Event{
-				Topic: telemetry.TopicPageFault,
-				Node:  t.Node(), Dst: telemetry.NoNode,
-				Task: t.P.ID(), Pages: 1,
-			})
-		}
+		t.pageFaults(1)
 		t.P.Sleep(k.P.FaultBase)
 		if err := t.raiseSegv(segvAt, write); err != nil {
 			return serviced, err
@@ -178,44 +170,23 @@ func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 	cl.Acquire(t.P)
 	defer cl.Release()
 
-	// Pages arrive in ascending order, so consecutive ones usually share
-	// a VMA: cache the last hit instead of binary-searching per page.
-	var cached *vm.VMA
-	vmaOf := func(p vm.VPN) *vm.VMA {
-		if cached == nil || !cached.Contains(p.Base()) {
-			cached = sp.Find(p.Base())
-		}
-		return cached
-	}
-	// Minor fixups: consecutive stale pages of one VMA restore their
-	// protection as a single range operation on the extent store.
 	if len(stale) > 0 {
-		k.Stats.MinorFaults += uint64(len(stale))
+		t.pageFaults(len(stale))
 		t.P.Sleep(sim.Time(len(stale)) * k.P.FaultBase)
-		for i := 0; i < len(stale); {
-			v := vmaOf(stale[i])
-			j := i + 1
-			for j < len(stale) && stale[j] == stale[j-1]+1 && v.Contains(stale[j].Base()) {
-				j++
-			}
-			sp.PT.SetFlagsRange(stale[i], stale[j-1]+1, v.Prot.Flags(), vm.PTERead|vm.PTEWrite)
-			i = j
-		}
+		t.fixStale(stale)
 	}
-	// Demand allocations.
+	// Demand allocations. Pages arrive in ascending order, so
+	// consecutive ones usually share a VMA: cache the last hit instead
+	// of binary-searching per page.
 	if len(absent) > 0 {
-		k.Stats.Faults += uint64(len(absent))
-		if k.bus.Active(telemetry.TopicPageFault) {
-			k.bus.Publish(telemetry.Event{
-				Topic: telemetry.TopicPageFault,
-				Node:  t.Node(), Dst: telemetry.NoNode,
-				Task: t.P.ID(), Pages: len(absent),
-			})
-		}
+		t.pageFaults(len(absent))
 		k.Stats.DemandAllocs += uint64(len(absent))
 		t.P.Sleep(sim.Time(len(absent)) * (k.P.FaultBase + k.P.DemandZero))
+		var v *vm.VMA
 		for _, p := range absent {
-			v := vmaOf(p)
+			if v == nil || !v.Contains(p.Base()) {
+				v = sp.Find(p.Base())
+			}
 			f := t.allocFrame(t.capTarget(t.placeTarget(v, p)))
 			sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
 			t.chargeTenant(f)

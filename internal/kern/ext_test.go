@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"numamig/internal/sim"
+	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -216,6 +217,66 @@ func TestReplicationCollapseOnWrite(t *testing.T) {
 			t.Fatal("unwritten page lost its replicas")
 		}
 	})
+}
+
+// TestWriteFaultCollapsesReplicas: a write fault on a replicated page
+// collapses its replica set to the writer's node whichever path takes
+// it, and every path counts the fault alike: one fault, one minor fault
+// and one published page per page fixed.
+func TestWriteFaultCollapsesReplicas(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		write func(tk *Task, a vm.Addr) error
+	}{
+		{"AccessRange", func(tk *Task, a vm.Addr) error { return tk.AccessRange(a, 4*pg, Stream, true) }},
+		{"Touch", func(tk *Task, a vm.Addr) error {
+			for p := a; p < a+4*pg; p += pg {
+				if err := tk.Touch(p, true); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"WriteData", func(tk *Task, a vm.Addr) error { return tk.WriteData(a, make([]byte, 4*pg)) }},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			h := newHarness(true)
+			published := 0
+			h.k.Bus().Subscribe(telemetry.TopicPageFault, func(ev telemetry.Event) { published += ev.Pages })
+			h.run(t, 0, func(tk *Task) {
+				a, _ := tk.Mmap(4*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+				if _, err := tk.FaultIn(a, 4*pg, true); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tk.ReplicateRange(a, 4*pg); err != nil {
+					t.Fatal(err)
+				}
+				allocated, before, pub := h.k.Phys.TotalAllocated(), h.k.Stats, published
+				if err := w.write(tk, a); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.proc.Replicas().Collapses; got != 4 {
+					t.Errorf("collapses = %d, want 4", got)
+				}
+				if got := h.k.Phys.TotalAllocated(); got != allocated-12 {
+					t.Errorf("allocated frames %d -> %d, want the 12 replica copies freed", allocated, got)
+				}
+				st := h.k.Stats
+				if f, m, p := st.Faults-before.Faults, st.MinorFaults-before.MinorFaults, published-pub; f != 4 || m != 4 || p != 4 {
+					t.Errorf("faults +%d, minor faults +%d, published pages +%d; want +4 each", f, m, p)
+				}
+				// No stale copy serves a read from another node.
+				tk.MigrateTo(12)
+				reads := h.proc.Replicas().LocalReads
+				if err := tk.ReadReplicated(a, 4*pg, Stream); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.proc.Replicas().LocalReads - reads; got != 0 {
+					t.Errorf("node 3 read %d pages from replicas after the write", got)
+				}
+			})
+		})
+	}
 }
 
 // TestMunmapFreesReplicas: unmapping a replicated range frees the

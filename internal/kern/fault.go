@@ -48,14 +48,7 @@ func (t *Task) Touch(addr vm.Addr, write bool) error {
 // retried), or an error is returned.
 func (t *Task) fault(addr vm.Addr, write bool) error {
 	k := t.Proc.K
-	k.Stats.Faults++
-	if k.bus.Active(telemetry.TopicPageFault) {
-		k.bus.Publish(telemetry.Event{
-			Topic: telemetry.TopicPageFault,
-			Node:  t.Node(), Dst: telemetry.NoNode,
-			Task: t.P.ID(), Pages: 1,
-		})
-	}
+	t.pageFaults(1)
 	t.P.Sleep(k.P.FaultBase)
 
 	sp := t.Proc.Space
@@ -90,10 +83,7 @@ func (t *Task) fault(addr vm.Addr, write bool) error {
 		// takes the chunk lock itself).
 		numaHint = true
 	default:
-		// Present but stale permissions (e.g. after mprotect restore):
-		// minor fault, install VMA protection.
-		k.Stats.MinorFaults++
-		sp.PT.SetFlagsRange(vpn, vpn+1, v.Prot.Flags(), vm.PTERead|vm.PTEWrite)
+		t.fixStale([]vm.VPN{vpn})
 	}
 	cl.Release()
 	if nextTouch {
@@ -104,6 +94,57 @@ func (t *Task) fault(addr vm.Addr, write bool) error {
 	}
 	t.Proc.MmapSem.RUnlock()
 	return nil
+}
+
+// pageFaults counts n page faults and publishes them as one PageFault
+// event: the entry of every fault path, single-page or bulk.
+func (t *Task) pageFaults(n int) {
+	k := t.Proc.K
+	k.Stats.Faults += uint64(n)
+	if k.bus.Active(telemetry.TopicPageFault) {
+		k.bus.Publish(telemetry.Event{
+			Topic: telemetry.TopicPageFault,
+			Node:  t.Node(), Dst: telemetry.NoNode,
+			Task: t.P.ID(), Pages: n,
+		})
+	}
+}
+
+// fixStale services minor faults: present pages whose PTE denies an
+// access their VMA allows. It restores the VMA's protection, except on
+// a replicated page: replicas are mapped read-only, so only a write
+// faults there, and it collapses the replica set to the faulting task's
+// node (the COW-style break) at the replica control cost plus one TLB
+// shootdown. The pages ascend within one PTE chunk, whose lock the
+// caller holds; the caller has counted the faults (pageFaults) and
+// paid their entry cost.
+func (t *Task) fixStale(pages []vm.VPN) {
+	pr := t.Proc
+	k := pr.K
+	k.Stats.MinorFaults += uint64(len(pages))
+	collapsed := 0
+	for i := 0; i < len(pages); {
+		p := pages[i]
+		if pr.replicas[p] != nil {
+			pr.collapseReplicas(p, t.Node())
+			collapsed++
+			i++
+			continue
+		}
+		// Consecutive unreplicated pages of one VMA restore as one
+		// range operation on the extent store.
+		v := pr.Space.Find(p.Base())
+		j := i + 1
+		for j < len(pages) && pages[j] == pages[j-1]+1 && v.Contains(pages[j].Base()) && pr.replicas[pages[j]] == nil {
+			j++
+		}
+		pr.Space.PT.SetFlagsRange(p, pages[j-1]+1, v.Prot.Flags(), vm.PTERead|vm.PTEWrite)
+		i = j
+	}
+	if collapsed > 0 {
+		t.P.Sleep(sim.Time(collapsed) * k.P.NTFaultCtl)
+		t.tlbShootdown()
+	}
 }
 
 // demandAlloc services a not-present fault: allocate per policy near the
@@ -167,12 +208,7 @@ func (t *Task) allocFrame(target topology.NodeID) *mem.Frame {
 // page), then migrates them through the shared engine.
 func (t *Task) ntServiceFaults(pages []vm.VPN) {
 	k := t.Proc.K
-	k.Stats.Faults += uint64(len(pages))
-	k.bus.Publish(telemetry.Event{
-		Topic: telemetry.TopicPageFault,
-		Node:  t.Node(), Dst: telemetry.NoNode,
-		Task: t.P.ID(), Pages: len(pages),
-	})
+	t.pageFaults(len(pages))
 	t.P.InCat(CatNTCtl, func() {
 		t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
 	})

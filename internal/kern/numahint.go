@@ -133,12 +133,7 @@ func (pr *Process) ArmNumaHints(p *sim.Proc, cursor vm.VPN, max int) (int, vm.VP
 // per page), then services them.
 func (t *Task) numaServiceFaults(pages []vm.VPN) {
 	k := t.Proc.K
-	k.Stats.Faults += uint64(len(pages))
-	k.bus.Publish(telemetry.Event{
-		Topic: telemetry.TopicPageFault,
-		Node:  t.Node(), Dst: telemetry.NoNode,
-		Task: t.P.ID(), Pages: len(pages),
-	})
+	t.pageFaults(len(pages))
 	t.P.InCat(CatNumaHint, func() {
 		t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
 	})

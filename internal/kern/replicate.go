@@ -7,7 +7,6 @@ import (
 	"numamig/internal/migrate"
 	"numamig/internal/model"
 	"numamig/internal/sim"
-	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -137,10 +136,10 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 	return created, nil
 }
 
-// CollapseReplicas tears down the replica set of the page containing
-// addr, keeping the copy on keep (typically the writer's node) and
-// restoring write permission. Called from the write-fault path.
-func (pr *Process) collapseReplicas(t *Task, p vm.VPN, keep topology.NodeID) {
+// collapseReplicas tears down the replica set of page p, keeping the
+// copy on keep (the writer's node) and restoring the VMA's protection.
+// Called from the write-fault path (fixStale).
+func (pr *Process) collapseReplicas(p vm.VPN, keep topology.NodeID) {
 	rs, ok := pr.replicas[p]
 	if !ok {
 		return
@@ -255,27 +254,9 @@ func (t *Task) ReadReplicated(addr vm.Addr, length int64, kind AccessKind) error
 	return nil
 }
 
-// WriteReplicated performs a write to one page, collapsing its replica
-// set first (the COW-style break).
+// WriteReplicated performs a write to one page. On a replicated page
+// the write faults and collapses the replica set to the writer's node
+// (the COW-style break), as a write through any other path does.
 func (t *Task) WriteReplicated(addr vm.Addr) error {
-	pr := t.Proc
-	p := vm.PageOf(addr)
-	if _, ok := pr.replicas[p]; ok {
-		k := pr.K
-		k.Stats.Faults++
-		if k.bus.Active(telemetry.TopicPageFault) {
-			k.bus.Publish(telemetry.Event{
-				Topic: telemetry.TopicPageFault,
-				Node:  t.Node(), Dst: telemetry.NoNode,
-				Task: t.P.ID(), Pages: 1,
-			})
-		}
-		t.P.Sleep(k.P.FaultBase + k.P.NTFaultCtl)
-		cl := pr.chunkLock(vm.ChunkIndex(p))
-		cl.Acquire(t.P)
-		pr.collapseReplicas(t, p, t.Node())
-		cl.Release()
-		t.tlbShootdown()
-	}
 	return t.Touch(addr, true)
 }

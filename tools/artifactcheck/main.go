@@ -51,6 +51,9 @@ func check(cfgPath, dir string) error {
 	if dir == "" {
 		dir = filepath.Join(filepath.Dir(cfgPath), cfg.Name)
 	}
+	if len(cfg.Families) == 0 {
+		return fmt.Errorf("%s runs no scenario families, so it has no raw rows to check", cfg.Name)
+	}
 
 	// 1. Raw CSV: header must agree with the live schema, rows must
 	// parse (ReadRawCSV enforces both).
@@ -133,18 +136,7 @@ func checkCoverage(cfg *artifact.Config, rows []artifact.Row) error {
 // figures.txt would need a full simulator run to recompute, so only
 // its presence is checked.
 func compareDerived(cfg *artifact.Config, an *artifact.Analysis, dir string) error {
-	outputs := map[string]bool{}
-	if len(cfg.Outputs) == 0 {
-		outputs[artifact.OutJSON], outputs[artifact.OutMD] = true, true
-		if len(cfg.Experiments) > 0 {
-			outputs[artifact.OutFigures] = true
-		}
-	} else {
-		for _, o := range cfg.Outputs {
-			outputs[o] = true
-		}
-	}
-	if outputs[artifact.OutJSON] {
+	if cfg.Wants(artifact.OutJSON) {
 		want, err := artifact.RenderSummary(an)
 		if err != nil {
 			return err
@@ -153,7 +145,7 @@ func compareDerived(cfg *artifact.Config, an *artifact.Analysis, dir string) err
 			return err
 		}
 	}
-	if outputs[artifact.OutMD] {
+	if cfg.Wants(artifact.OutMD) {
 		want, err := artifact.RenderTables(cfg, an)
 		if err != nil {
 			return err
@@ -162,7 +154,7 @@ func compareDerived(cfg *artifact.Config, an *artifact.Analysis, dir string) err
 			return err
 		}
 	}
-	if outputs[artifact.OutFigures] {
+	if cfg.Wants(artifact.OutFigures) {
 		fi, err := os.Stat(filepath.Join(dir, artifact.FiguresName))
 		if err != nil {
 			return err

@@ -26,11 +26,12 @@
 //     are not Go names);
 //   - README.md must name every registered exp scenario family in
 //     backticks, as its family table does;
-//   - every flag a `numabench` invocation passes in README.md or
-//     ARCHITECTURE.md — on a line of a fenced code block, or in an
-//     inline code span — must be one that cmd/numabench/main.go defines
-//     through the flag package, so a retired flag cannot live on in the
-//     docs.
+//   - every flag a `numabench` invocation passes in README.md,
+//     ARCHITECTURE.md or .claude/skills/verify/SKILL.md — on a line of a
+//     fenced code block, or in an inline code span — or in a code line
+//     of cmd/numabench/main.go's usage comment must be one that
+//     cmd/numabench/main.go defines through the flag package, so a
+//     retired flag cannot live on in the docs.
 //
 // CI runs it as the docs job; it exits non-zero listing every
 // undocumented package, every family or telemetry topic a document
@@ -94,7 +95,7 @@ func main() {
 	}
 	sort.Strings(undocumented)
 	doc, readme := readFile("ARCHITECTURE.md"), readFile("README.md")
-	flags, err := definedFlags(numabenchMain)
+	flags, usage, err := numabenchFlags(numabenchMain)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,9 +110,17 @@ func main() {
 	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
 	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
 	failed = report("README.md does not name these exp families in backticks", absent(readme, familyNames)) || failed
-	for _, d := range []struct{ name, text string }{{"README.md", readme}, {"ARCHITECTURE.md", doc}} {
+	for _, d := range []struct {
+		name string
+		cmds []string
+	}{
+		{"README.md", markdownCommands(readme)},
+		{"ARCHITECTURE.md", markdownCommands(doc)},
+		{verifyNotes, markdownCommands(readFile(verifyNotes))},
+		{numabenchMain + "'s usage comment", usage},
+	} {
 		failed = report(d.name+" passes numabench flags that "+numabenchMain+" does not define",
-			undefined(invocationFlags(d.text), flags)) || failed
+			undefined(invocationFlags(d.cmds), flags)) || failed
 	}
 	if failed {
 		os.Exit(1)
@@ -166,6 +175,10 @@ func absent(doc string, want []string) []string {
 // numabench invocations are checked against.
 const numabenchMain = "cmd/numabench/main.go"
 
+// verifyNotes shows how to build and drive the repository end to end,
+// numabench invocations included.
+const verifyNotes = ".claude/skills/verify/SKILL.md"
+
 // flagDefiners maps each flag-package function that defines a flag to
 // the position of its name argument.
 var flagDefiners = map[string]int{
@@ -175,12 +188,21 @@ var flagDefiners = map[string]int{
 	"Uint": 0, "UintVar": 1, "Uint64": 0, "Uint64Var": 1, "Var": 1,
 }
 
-// definedFlags returns the names of the flags file defines through the
-// flag package's top-level functions.
-func definedFlags(file string) (map[string]bool, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+// numabenchFlags returns the names of the flags file defines through
+// the flag package's top-level functions, and the code lines (the
+// indented ones) of its package comment.
+func numabenchFlags(file string) (map[string]bool, []string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var usage []string
+	if f.Doc != nil {
+		for _, line := range strings.Split(f.Doc.Text(), "\n") {
+			if strings.HasPrefix(line, "\t") || strings.HasPrefix(line, " ") {
+				usage = append(usage, line)
+			}
+		}
 	}
 	flags := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -205,9 +227,9 @@ func definedFlags(file string) (map[string]bool, error) {
 		return true
 	})
 	if len(flags) == 0 {
-		return nil, fmt.Errorf("%s: no flag definitions found", file)
+		return nil, nil, fmt.Errorf("%s: no flag definitions found", file)
 	}
-	return flags, nil
+	return flags, usage, nil
 }
 
 var (
@@ -220,10 +242,9 @@ var (
 	flagArg = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
 
-// invocationFlags returns, in order of appearance, the flags passed by
-// the numabench invocations in doc: on a line of a fenced code block,
-// or inside an inline code span.
-func invocationFlags(doc string) []string {
+// markdownCommands returns the text of doc that may hold commands: the
+// lines of its fenced code blocks, then its inline code spans.
+func markdownCommands(doc string) []string {
 	var cmds []string
 	var prose strings.Builder
 	fenced := false
@@ -240,6 +261,12 @@ func invocationFlags(doc string) []string {
 	for _, m := range codeSpan.FindAllStringSubmatch(prose.String(), -1) {
 		cmds = append(cmds, m[1])
 	}
+	return cmds
+}
+
+// invocationFlags returns, in order of appearance, the flags passed by
+// the numabench invocations in cmds.
+func invocationFlags(cmds []string) []string {
 	var out []string
 	for _, cmd := range cmds {
 		for _, m := range numabenchArgs.FindAllStringSubmatch(cmd, -1) {
