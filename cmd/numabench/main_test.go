@@ -16,6 +16,7 @@ import (
 
 	"numamig/internal/artifact"
 	"numamig/internal/bench"
+	"numamig/internal/exp"
 )
 
 // numabench is the command under test, built once by TestMain so every
@@ -127,9 +128,11 @@ func TestProfilesWrittenOnFailedRun(t *testing.T) {
 }
 
 // Every campaign config with a committed output directory regenerates
-// it exactly: the same file set, byte for byte. artifacts/paper.json
-// must name every experiment, so no paper figure or table goes
-// unpinned.
+// it exactly: the same file set, byte for byte. A campaign that runs
+// the grid regenerates at -parallel 1 and at 8, since its bytes must
+// not depend on the worker count. artifacts/paper.json must name every
+// experiment and artifacts/grid.json every scenario family, so no
+// paper figure and no family goes unpinned.
 func TestCommittedArtifactsRegenerate(t *testing.T) {
 	root, err := filepath.Abs("../../artifacts")
 	if err != nil {
@@ -141,40 +144,96 @@ func TestCommittedArtifactsRegenerate(t *testing.T) {
 	if want := bench.Experiments(); !slices.Equal(got, want) {
 		t.Errorf("paper.json experiments %v, want every experiment %v", got, want)
 	}
+	if grid, want := readConfig(t, filepath.Join(root, "grid.json")), exp.Families(); !slices.Equal(grid.Families, want) {
+		t.Errorf("grid.json families %v, want every family in registry order %v", grid.Families, want)
+	}
 	configs, err := filepath.Glob(filepath.Join(root, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var regenerated []string
 	for _, path := range configs {
-		committed := filepath.Join(root, readConfig(t, path).Name)
+		cfg := readConfig(t, path)
+		committed := filepath.Join(root, cfg.Name)
 		if _, err := os.Stat(committed); errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		regenerated = append(regenerated, filepath.Base(path))
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			t.Parallel()
-			out := filepath.Join(t.TempDir(), "out")
-			if status, stderr := invoke(t, root, "-artifact", path, "-artifact-out", out); status != 0 {
-				t.Fatalf("exit %d: %s", status, stderr)
+			if len(cfg.Families) == 0 {
+				regenerate(t, root, path, committed)
+				return
 			}
-			want, got := dirFiles(t, committed), dirFiles(t, out)
-			for name, data := range want {
-				if g, ok := got[name]; !ok {
-					t.Errorf("%s: not regenerated", name)
-				} else if !bytes.Equal(g, data) {
-					t.Errorf("%s: regenerated %d bytes differ from the committed %d", name, len(g), len(data))
-				}
-			}
-			for name := range got {
-				if _, ok := want[name]; !ok {
-					t.Errorf("%s: regenerated but not committed", name)
-				}
+			for _, par := range []string{"1", "8"} {
+				t.Run("parallel="+par, func(t *testing.T) {
+					t.Parallel()
+					regenerate(t, root, path, committed, "-parallel", par)
+				})
 			}
 		})
 	}
-	if !slices.Contains(regenerated, "paper.json") {
-		t.Errorf("regenerated %v, which leaves out paper.json", regenerated)
+	for _, name := range []string{"paper.json", "grid.json"} {
+		if !slices.Contains(regenerated, name) {
+			t.Errorf("regenerated %v, which leaves out %s", regenerated, name)
+		}
+	}
+}
+
+// regenerate reruns the campaign config at path with the extra args and
+// compares its output with the committed directory: the same file set,
+// byte for byte. A differing file is reported at its first differing
+// line, so a moved grid cell names its scenario.
+func regenerate(t *testing.T, root, path, committed string, args ...string) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "out")
+	if status, stderr := invoke(t, root, append([]string{"-artifact", path, "-artifact-out", out}, args...)...); status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr)
+	}
+	want, got := dirFiles(t, committed), dirFiles(t, out)
+	for name, data := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("%s: not regenerated", name)
+		} else if !bytes.Equal(g, data) {
+			t.Errorf("%s: regenerated bytes differ from the committed ones at %s", name, firstDiff(data, g))
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: regenerated but not committed", name)
+		}
+	}
+}
+
+// firstDiff describes the first line at which got departs from want.
+func firstDiff(want, got []byte) string {
+	w, g := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+	i := 0
+	for i < len(w) && i < len(g) && bytes.Equal(w[i], g[i]) {
+		i++
+	}
+	line := func(lines [][]byte) string {
+		if i < len(lines) {
+			return fmt.Sprintf("%q", lines[i])
+		}
+		return "end of file"
+	}
+	return fmt.Sprintf("line %d: committed %s, regenerated %s", i+1, line(w), line(g))
+}
+
+// -trace exports one scenario's event stream as a chrome trace that
+// tools/tracecheck accepts.
+func TestTraceExport(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	status, stderr := invoke(t, dir, "-grid", "-quick", "-families", "tiered", "-scenario", "tiered/rl1/hyst/r1/f2", "-trace", trace)
+	if status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr)
+	}
+	check := exec.Command("go", "run", "./tools/tracecheck", trace)
+	check.Dir = "../.." // the module root
+	if out, err := check.CombinedOutput(); err != nil {
+		t.Fatalf("tracecheck: %v\n%s", err, out)
 	}
 }
 

@@ -12,17 +12,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"numamig"
 	"numamig/internal/topology"
 )
 
 func main() {
-	nodes := flag.Int("nodes", 4, "NUMA nodes (1,2,4,8)")
-	cores := flag.Int("cores", 4, "cores per node")
+	nodes := flag.Int("nodes", 4, fmt.Sprintf("NUMA nodes (1..%d)", topology.MaxNodes))
+	cores := flag.Int("cores", 4, "cores per node (at least 1)")
 	flag.Parse()
+	if err := checkShape(*nodes, *cores); err != nil {
+		fmt.Fprintln(os.Stderr, "numasim:", err)
+		os.Exit(2)
+	}
 
 	printHardware(numamig.New(numamig.Config{Nodes: *nodes, CoresPerNode: *cores}))
+}
+
+// checkShape rejects the machine shapes topology.Grid cannot build, so
+// a bad flag gets one line and exit status 2 instead of a panic or a
+// machine without CPUs.
+func checkShape(nodes, cores int) error {
+	if nodes < 1 || nodes > topology.MaxNodes {
+		return fmt.Errorf("-nodes %d out of range (want 1..%d)", nodes, topology.MaxNodes)
+	}
+	if cores < 1 {
+		return fmt.Errorf("-cores %d out of range (want at least 1)", cores)
+	}
+	return nil
 }
 
 func printHardware(sys *numamig.System) {

@@ -39,8 +39,8 @@ type RunOptions struct {
 
 // Outcome is a completed campaign: the raw rows, the grouped analysis,
 // and every rendered artifact as bytes, ready for WriteDir or for
-// byte-level comparison in tests and tools/artifactcheck. Rows and
-// Analysis stay empty for an experiments-only campaign.
+// byte-level comparison in tests. Rows and Analysis stay empty for an
+// experiments-only campaign.
 type Outcome struct {
 	Config   Config
 	Rows     []Row
@@ -227,8 +227,7 @@ func renderRawCSV(rows []Row) []byte {
 }
 
 // ReadRawCSV parses a raw artifact CSV back into rows, verifying the
-// header against the current schema — the schema-agreement check of
-// tools/artifactcheck.
+// header against the current schema.
 func ReadRawCSV(rd io.Reader) ([]Row, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = len(rawHeader())

@@ -13,12 +13,13 @@
 // and tables) into figures.txt; one that names only experiments runs no
 // grid.
 //
-// Everything derived is checkable: tools/artifactcheck re-parses the
-// raw CSV, recomputes the analysis with this package, and byte-compares
-// the rendered summary/tables against the committed artifacts, so a
-// stale or hand-edited artifact fails CI. Because the simulator is
-// deterministic in virtual time, rerunning a campaign with the same
-// config produces byte-identical outputs at any parallelism.
+// Because the simulator is deterministic in virtual time, rerunning a
+// campaign with the same config produces byte-identical outputs at any
+// parallelism, so the committed artifacts are checked by regenerating
+// them (cmd/numabench's TestCommittedArtifactsRegenerate): a stale or
+// hand-edited artifact fails the tests. The analysis reads only the
+// rendered raw rows, so re-analysing a written raw CSV reproduces the
+// summary and tables byte for byte.
 package artifact
 
 import (
@@ -368,8 +369,8 @@ func (c *Config) validateGrid() error {
 }
 
 // SeedFor returns repeat r's seed under the config's seed policy. The
-// derivation is part of the artifact contract: tools/artifactcheck
-// recomputes it to validate the raw CSV's seed column.
+// derivation is part of the artifact contract: each raw row records
+// its seed, and Analyze checks the column against it.
 func (c *Config) SeedFor(r int) int64 {
 	if c.SeedPolicy == SeedFixed {
 		return c.BaseSeed

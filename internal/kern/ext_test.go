@@ -238,6 +238,13 @@ func TestWriteFaultCollapsesReplicas(t *testing.T) {
 			return nil
 		}},
 		{"WriteData", func(tk *Task, a vm.Addr) error { return tk.WriteData(a, make([]byte, 4*pg)) }},
+		// mprotect must not make a replicated page writable.
+		{"Mprotect RW, then AccessRange", func(tk *Task, a vm.Addr) error {
+			if err := tk.Mprotect(a, 4*pg, vm.ProtRW); err != nil {
+				return err
+			}
+			return tk.AccessRange(a, 4*pg, Stream, true)
+		}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			h := newHarness(true)

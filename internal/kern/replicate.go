@@ -170,6 +170,21 @@ func (pr *Process) collapseReplicas(p vm.VPN, keep topology.NodeID) {
 	pr.replicaStats.Collapses++
 }
 
+// protectReplicas clears the write bit of the replicated pages of
+// [first, last) again after mprotect rewrote their protection, as Linux
+// keeps COW PTEs read-only across mprotect: the next write faults and
+// collapses the set (fixStale).
+func (pr *Process) protectReplicas(first, last vm.VPN) {
+	if len(pr.replicas) == 0 {
+		return
+	}
+	for p := first; p < last; p++ {
+		if _, ok := pr.replicas[p]; ok {
+			pr.Space.PT.SetFlagsRange(p, p+1, 0, vm.PTEWrite)
+		}
+	}
+}
+
 // dropReplicas forgets the replica sets of [first, last) once the pages
 // are unmapped and frees their copies, in address order; the unmap
 // itself freed each primary frame.

@@ -59,7 +59,9 @@ func (t *Task) Munmap(addr vm.Addr, length int64) error {
 
 // Mprotect changes protection of [addr, addr+length): updates the VMAs
 // and strips now-forbidden hardware bits from present PTEs, then flushes
-// TLBs. Used by the user-space next-touch implementation (§3.2).
+// TLBs. Replicated pages stay write-protected, so a write still
+// collapses their set. Used by the user-space next-touch implementation
+// (§3.2).
 func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 	k := t.Proc.K
 	k.Stats.Syscalls++
@@ -74,6 +76,7 @@ func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 	}
 	first, last := vm.PageOf(addr), vm.PageOf(end-1)+1
 	n := t.Proc.Space.PT.SetFlagsRange(first, last, prot.Flags(), vm.PTERead|vm.PTEWrite)
+	t.Proc.protectReplicas(first, last)
 	t.P.Sleep(sim.Time(n) * k.P.MprotectPage)
 	t.tlbShootdown()
 	return nil

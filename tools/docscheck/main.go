@@ -25,18 +25,22 @@
 //     and snake_case metric names such as `kern.hub_idle_period_us`
 //     are not Go names);
 //   - README.md must name every registered exp scenario family in
-//     backticks, as its family table does;
+//     backticks, as its family table does, and must link
+//     ARCHITECTURE.md;
 //   - every flag a `numabench` invocation passes in README.md,
 //     ARCHITECTURE.md or .claude/skills/verify/SKILL.md — on a line of a
 //     fenced code block, or in an inline code span — or in a code line
 //     of cmd/numabench/main.go's usage comment must be one that
 //     cmd/numabench/main.go defines through the flag package, so a
-//     retired flag cannot live on in the docs.
+//     retired flag cannot live on in the docs;
+//   - every path under cmd/, tools/, internal/, examples/, artifacts/
+//     or benchmark/ that the same code text cites must exist, so a
+//     deleted tool or config cannot live on in the docs either.
 //
 // CI runs it as the docs job; it exits non-zero listing every
 // undocumented package, every family or telemetry topic a document
-// misses, every name it cites that does not resolve and every
-// numabench flag that does not exist.
+// misses, every name it cites that does not resolve, every numabench
+// flag that does not exist and every cited path that is gone.
 //
 // Usage (from the module root):
 //
@@ -110,6 +114,8 @@ func main() {
 	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
 	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
 	failed = report("README.md does not name these exp families in backticks", absent(readme, familyNames)) || failed
+	failed = report("README.md does not link", absent(readme, []string{"ARCHITECTURE.md"})) || failed
+	paths := map[string]bool{}
 	for _, d := range []struct {
 		name string
 		cmds []string
@@ -121,12 +127,13 @@ func main() {
 	} {
 		failed = report(d.name+" passes numabench flags that "+numabenchMain+" does not define",
 			undefined(invocationFlags(d.cmds), flags)) || failed
+		failed = report(d.name+" cites repository paths that do not exist", missingPaths(d.cmds, paths)) || failed
 	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md, %d numabench flags known\n",
-		len(dirs), len(exp.Families()), len(telemetry.Topics()), len(flags))
+	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md, %d numabench flags known, %d cited paths exist\n",
+		len(dirs), len(exp.Families()), len(telemetry.Topics()), len(flags), len(paths))
 }
 
 func readFile(name string) string {
@@ -262,6 +269,30 @@ func markdownCommands(doc string) []string {
 		cmds = append(cmds, m[1])
 	}
 	return cmds
+}
+
+// repoPath matches a path under one of the repository's top-level
+// code and output directories, optionally written ./-relative, where a
+// word starts: numamig/internal/exp is an import path, not a file.
+var repoPath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|tools|internal|examples|artifacts|benchmark)/[\w./-]*)`)
+
+// missingPaths returns, once each, the repository paths cited in cmds
+// that do not exist, recording every path it checks in seen.
+func missingPaths(cmds []string, seen map[string]bool) []string {
+	var out []string
+	for _, cmd := range cmds {
+		for _, m := range repoPath.FindAllStringSubmatch(cmd, -1) {
+			p := strings.TrimRight(m[1], ".")
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			if _, err := os.Stat(p); err != nil {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // invocationFlags returns, in order of appearance, the flags passed by

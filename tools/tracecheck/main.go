@@ -1,8 +1,9 @@
 // Command tracecheck validates a chrome-trace JSON file produced by
-// `numabench -trace`. It is the CI smoke gate for the trace exporter:
-// a regression that makes the exporter emit malformed JSON, an empty
+// `numabench -trace`. It is the tier-1 gate for the trace exporter
+// (cmd/numabench's TestTraceExport and the benchmark's traced run): a
+// regression that makes the exporter emit malformed JSON, an empty
 // event stream, or events chrome://tracing / Perfetto would reject
-// fails the job before a human ever loads the file.
+// fails the tests before a human ever loads the file.
 //
 // Checks:
 //
