@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"sort"
 
 	"numamig/internal/sim"
@@ -15,11 +16,14 @@ import (
 // engine callback drains every bucket due at that instant, and only
 // daemons with actual work get their (persistent, parked) runner proc
 // woken for the tick. Idle polls
-// are side-effect-free engine-context calls — no proc, no park/wake,
-// no queue traffic. Buckets, not a heap: the common tick re-arms all
-// of a bucket's daemons to the same next deadline, which is an O(1)
-// append per daemon here but an O(log n) sift each in a heap (a heap
-// version spent ~40% of the 256-node churn point sifting).
+// are side-effect-free engine-context calls — no proc, no park/wake —
+// and cost one engine event per distinct deadline. They allocate
+// nothing: drained buckets and their daemon arrays are recycled, and
+// the timer callback is one func value. Buckets, not a heap: the
+// common tick re-arms all of a bucket's daemons to the same next
+// deadline, which is an O(1) append per daemon here but an O(log n)
+// sift each in a heap (a heap version spent ~40% of the 256-node
+// churn point sifting).
 //
 // Determinism: buckets are kept sorted by deadline and drained FIFO,
 // so daemons tick in (deadline, registration) order — both
@@ -86,7 +90,8 @@ type DaemonHub struct {
 	// (one per distinct period plus the post-work stagger of busy
 	// daemons), so the ordered insert is cheap.
 	buckets []*hubBucket
-	n       int // registered (non-retired) daemons
+	free    []*hubBucket // drained buckets, ds arrays kept for reuse
+	n       int          // registered (non-retired) daemons
 	// runners holds the persistent proc of every daemon that has had at
 	// least one busy tick; entries leave only on TickRetire.
 	runners map[HubDaemon]*hubRunner
@@ -95,11 +100,14 @@ type DaemonHub struct {
 	// superseded fire spuriously and find nothing due — harmless.
 	timerAt  sim.Time
 	timerSet bool
+	fireFn   func() // h.fire, bound once
 }
 
 // NewDaemonHub creates an empty hub on eng.
 func NewDaemonHub(eng *sim.Engine) *DaemonHub {
-	return &DaemonHub{eng: eng, runners: map[HubDaemon]*hubRunner{}}
+	h := &DaemonHub{eng: eng, runners: map[HubDaemon]*hubRunner{}}
+	h.fireFn = h.fire
+	return h
 }
 
 // Register schedules d's first poll one period from now. Safe from both
@@ -112,16 +120,31 @@ func (h *DaemonHub) Register(d HubDaemon) {
 // Len returns the number of registered (non-retired) daemons.
 func (h *DaemonHub) Len() int { return h.n }
 
+// push queues d's next poll at when. A deadline at or before now would
+// be drained again by the tick that set it, looping inside one engine
+// event, so it panics instead.
 func (h *DaemonHub) push(when sim.Time, d HubDaemon) {
+	if when <= h.eng.Now() {
+		panic(fmt.Sprintf("kern: daemon %s has period %v; its next tick must come after now", d.Name(), d.Period()))
+	}
 	h.n++
 	i := sort.Search(len(h.buckets), func(i int) bool { return h.buckets[i].when >= when })
 	if i < len(h.buckets) && h.buckets[i].when == when {
 		h.buckets[i].ds = append(h.buckets[i].ds, d)
 		return
 	}
+	var b *hubBucket
+	if n := len(h.free); n > 0 {
+		b = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		b = &hubBucket{}
+	}
+	b.when = when
+	b.ds = append(b.ds, d)
 	h.buckets = append(h.buckets, nil)
 	copy(h.buckets[i+1:], h.buckets[i:])
-	h.buckets[i] = &hubBucket{when: when, ds: []HubDaemon{d}}
+	h.buckets[i] = b
 }
 
 // ensureTimer guarantees an engine callback at (or before) the earliest
@@ -136,7 +159,7 @@ func (h *DaemonHub) ensureTimer() {
 	}
 	h.timerAt = top
 	h.timerSet = true
-	h.eng.At(top-h.eng.Now(), h.fire)
+	h.eng.At(top-h.eng.Now(), h.fireFn)
 }
 
 // fire is the group tick: drain every bucket due at this instant in
@@ -147,7 +170,7 @@ func (h *DaemonHub) fire() {
 	now := h.eng.Now()
 	for len(h.buckets) > 0 && h.buckets[0].when <= now {
 		b := h.buckets[0]
-		h.buckets = h.buckets[1:]
+		h.buckets = h.buckets[:copy(h.buckets, h.buckets[1:])]
 		for _, d := range b.ds {
 			h.n--
 			switch d.Poll() {
@@ -163,6 +186,9 @@ func (h *DaemonHub) fire() {
 				h.signal(d)
 			}
 		}
+		clear(b.ds)
+		b.ds = b.ds[:0]
+		h.free = append(h.free, b)
 	}
 	h.ensureTimer()
 }

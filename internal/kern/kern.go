@@ -111,6 +111,7 @@ type Kernel struct {
 
 	// Memory-pressure daemons (kswapd.go).
 	procs    []*Process // every process, for the demotion daemons' walks
+	live     int        // live tasks across procs, polled by every daemon tick
 	kswapds  []*kswapd
 	demotion bool
 	// hub batches the periodic daemons' ticks into per-deadline group
@@ -420,14 +421,4 @@ func (k *Kernel) NewProcess(name string) *Process {
 // LiveThreads returns the number of live tasks across every process.
 // The kernel daemons — and any control daemon built on the telemetry
 // bus — retire once it reaches zero, so the engine drains normally.
-func (k *Kernel) LiveThreads() int { return k.liveThreads() }
-
-// liveThreads returns the number of live tasks across every process;
-// the kernel daemons retire once it reaches zero.
-func (k *Kernel) liveThreads() int {
-	n := 0
-	for _, pr := range k.procs {
-		n += pr.NumThreads()
-	}
-	return n
-}
+func (k *Kernel) LiveThreads() int { return k.live }

@@ -112,7 +112,7 @@ func (d *kswapd) Period() sim.Time { return d.k.P.KswapdPeriod }
 // decay nor reclaim nor a proactive trickle (exactly the iterations the
 // old per-node loop spent waking up to do nothing), run otherwise.
 func (d *kswapd) Poll() TickVerdict {
-	if d.k.liveThreads() == 0 {
+	if d.k.live == 0 {
 		return TickRetire
 	}
 	// Idle iff the whole tick body would be a no-op: no boost to decay

@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,5 +282,30 @@ func TestKswapdRetires(t *testing.T) {
 	})
 	if h.k.Stats.KswapdWakeups != 0 {
 		t.Fatalf("unpressured run woke kswapd %d times", h.k.Stats.KswapdWakeups)
+	}
+}
+
+// TestLiveThreadsCountsEveryTask: the live-task count that kswapd's
+// retire check reads follows Spawn, Adopt, release and task exit across
+// processes, and a second release of one adopted task removes nothing.
+func TestLiveThreadsCountsEveryTask(t *testing.T) {
+	h := newHarness(false)
+	other := h.k.NewProcess("other")
+	var seen []int
+	h.run(t, 0, func(tk *Task) {
+		seen = append(seen, h.k.LiveThreads())
+		_, release := other.Adopt(tk.P, 1)
+		seen = append(seen, h.k.LiveThreads())
+		other.Spawn("child", 2, func(*Task) {})
+		seen = append(seen, h.k.LiveThreads())
+		release()
+		release()
+		seen = append(seen, h.k.LiveThreads())
+	})
+	if want := []int{1, 2, 3, 2}; !slices.Equal(seen, want) {
+		t.Fatalf("live threads %v, want %v", seen, want)
+	}
+	if n := h.k.LiveThreads(); n != 0 {
+		t.Fatalf("%d live threads after every task exited", n)
 	}
 }

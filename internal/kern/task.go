@@ -135,7 +135,7 @@ type taskScratch struct {
 func (pr *Process) Spawn(name string, core topology.CoreID, fn func(t *Task)) *Task {
 	pr.nextTID++
 	t := &Task{Proc: pr, TID: pr.nextTID, Core: core}
-	pr.tasks = append(pr.tasks, t)
+	pr.addTask(t)
 	pr.K.Eng.Spawn(name, func(p *sim.Proc) {
 		t.P = p
 		defer pr.removeTask(t)
@@ -150,14 +150,22 @@ func (pr *Process) Spawn(name string, core topology.CoreID, fn func(t *Task)) *T
 func (pr *Process) Adopt(p *sim.Proc, core topology.CoreID) (*Task, func()) {
 	pr.nextTID++
 	t := &Task{P: p, Proc: pr, TID: pr.nextTID, Core: core}
-	pr.tasks = append(pr.tasks, t)
+	pr.addTask(t)
 	return t, func() { pr.removeTask(t) }
+}
+
+// addTask and removeTask keep the kernel's live-task count in step with
+// the process's task list.
+func (pr *Process) addTask(t *Task) {
+	pr.tasks = append(pr.tasks, t)
+	pr.K.live++
 }
 
 func (pr *Process) removeTask(t *Task) {
 	for i, x := range pr.tasks {
 		if x == t {
 			pr.tasks = append(pr.tasks[:i], pr.tasks[i+1:]...)
+			pr.K.live--
 			return
 		}
 	}

@@ -75,11 +75,16 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	b := e.buckets[t]
-	if b == nil {
-		b = e.getBucket(t)
-		e.buckets[t] = b
-		e.pushBucket(b)
+	// Wakes, yields, event fires and lock grants land on the instant
+	// being drained, whose bucket is cur: skip the index lookup.
+	b := e.cur
+	if b == nil || b.t != t {
+		b = e.buckets[t]
+		if b == nil {
+			b = e.getBucket(t)
+			e.buckets[t] = b
+			e.pushBucket(b)
+		}
 	}
 	b.ev = append(b.ev, event{p: p, fn: fn})
 	e.npend++

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -216,10 +219,9 @@ func TestFluidWaterfillProperties(t *testing.T) {
 			if len(ls) == 0 {
 				ls = append(ls, links[rng.Intn(nLinks)])
 			}
-			j := &fjob{links: ls, remaining: 1e6}
-			f.jobs = append(f.jobs, j)
+			f.join(&fjob{links: ls, remaining: 1e6})
 		}
-		f.waterfill()
+		f.waterfill(f.jobs)
 		// (a) No link oversubscribed.
 		load := map[*Link]float64{}
 		for _, j := range f.jobs {
@@ -345,4 +347,255 @@ func TestFluidMakespanLowerBound(t *testing.T) {
 	if last.Seconds() < bound*(1-1e-9) {
 		t.Fatalf("makespan %v beats lower bound %.6fs", last, bound)
 	}
+}
+
+// TestFluidLinkServesOneFluid: a link belongs to the first Fluid that
+// carries a flow over it, and a flow over it from another Fluid panics
+// instead of corrupting both networks' user lists.
+func TestFluidLinkServesOneFluid(t *testing.T) {
+	e := NewEngine(1)
+	a, b := NewFluid(e), NewFluid(e)
+	l := NewLink("shared", 1e9)
+	a.join(&fjob{links: []*Link{l}, remaining: 1})
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "link shared already serves another Fluid") {
+			t.Fatalf("join over another Fluid's link: %s, want the ownership panic", r)
+		}
+	}()
+	b.join(&fjob{links: []*Link{l}, remaining: 1})
+}
+
+// refWaterfill is the whole-network max-min solve the component-local
+// one replaced, kept as the reference: every in-flight job, links in
+// first-use order, each bottleneck found by a scan of every link and
+// settled by a scan of every job's path. It returns the jobs' rates in
+// order and keeps its state to itself.
+func refWaterfill(jobs []*fjob) []float64 {
+	type linkState struct {
+		residual float64
+		njobs    int
+		settled  bool
+	}
+	idx := map[*Link]int{}
+	var state []linkState
+	for _, j := range jobs {
+		for _, l := range j.links {
+			if _, ok := idx[l]; !ok {
+				idx[l] = len(state)
+				state = append(state, linkState{residual: l.Cap})
+			}
+		}
+	}
+	for _, j := range jobs {
+		for _, l := range j.links {
+			state[idx[l]].njobs++
+		}
+	}
+	rate := make([]float64, len(jobs))
+	settled := make([]bool, len(jobs))
+	unsettledJobs := len(jobs)
+	for unsettledJobs > 0 {
+		bn := -1
+		best := math.Inf(1)
+		for i := range state {
+			l := &state[i]
+			if l.settled || l.njobs == 0 {
+				continue
+			}
+			share := l.residual / float64(l.njobs)
+			if share < best {
+				best = share
+				bn = i
+			}
+		}
+		if bn < 0 {
+			panic("refWaterfill found no bottleneck with unsettled jobs")
+		}
+		state[bn].settled = true
+		for ji, j := range jobs {
+			if settled[ji] {
+				continue
+			}
+			onBn := false
+			for _, l := range j.links {
+				if idx[l] == bn {
+					onBn = true
+					break
+				}
+			}
+			if !onBn {
+				continue
+			}
+			rate[ji] = best
+			settled[ji] = true
+			unsettledJobs--
+			for _, l := range j.links {
+				if idx[l] == bn {
+					continue
+				}
+				s := &state[idx[l]]
+				s.residual -= best
+				if s.residual < 0 {
+					s.residual = 0
+				}
+				s.njobs--
+			}
+		}
+		state[bn].njobs = 0
+	}
+	return rate
+}
+
+// fluidSource feeds the fluid op interpreter: *rand.Rand is one,
+// fluidBytes replays fuzz input.
+type fluidSource interface{ Intn(n int) int }
+
+// fluidBytes draws each value from the next two input bytes, and zeros
+// once the input is spent.
+type fluidBytes []byte
+
+func (b *fluidBytes) Intn(n int) int {
+	v := 0
+	for i := 0; i < 2 && len(*b) > 0; i++ {
+		v = v<<8 | int((*b)[0])
+		*b = (*b)[1:]
+	}
+	return v % n
+}
+
+// maxInFlight bounds the interpreter's in-flight jobs so the reference
+// solve stays cheap.
+const maxInFlight = 24
+
+// fluidOps drives a Fluid's join/leave bookkeeping and its
+// component-local re-solve — exactly what Transfer and complete do,
+// without procs or virtual time — through arrivals over random link
+// subsets of a 2–12 link network and completions of random job
+// subsets. It is the interpreter shared by TestFluidDifferential and
+// FuzzFluid.
+type fluidOps struct {
+	src   fluidSource
+	f     *Fluid
+	links []*Link
+	// Non-empty re-solves narrower than the whole network, and as wide
+	// as it.
+	partial, whole int
+}
+
+func newFluidOps(src fluidSource) *fluidOps {
+	o := &fluidOps{src: src, f: NewFluid(NewEngine(1))}
+	n := 2 + src.Intn(11)
+	for i := 0; i < n; i++ {
+		// {1, 2, 4} GB/s: equal shares across links are common, so
+		// bottleneck ties must break the way the reference breaks them.
+		o.links = append(o.links, NewLink(fmt.Sprintf("l%d", i), float64(int(1)<<src.Intn(3))*1e9))
+	}
+	return o
+}
+
+// step applies one arrival or completion, re-solves, and checks every
+// in-flight rate and every link's user list against the reference.
+func (o *fluidOps) step(t *testing.T) {
+	f, src := o.f, o.src
+	var changed []*Link
+	if n := len(f.jobs); n == 0 || n < maxInFlight && src.Intn(2) == 0 {
+		// Arrival over a subset of density 1/2, 1/4 or 1/8, so the
+		// job–link graph is sometimes one component and sometimes
+		// many. The path starts at a random link, so first-use order
+		// differs from link order.
+		mask := src.Intn(1 << len(o.links))
+		for d := src.Intn(3); d > 0; d-- {
+			mask &= src.Intn(1 << len(o.links))
+		}
+		rot := src.Intn(len(o.links))
+		var path []*Link
+		for i := range o.links {
+			k := (rot + i) % len(o.links)
+			if mask>>k&1 == 1 || mask == 0 && i == 0 {
+				path = append(path, o.links[k])
+			}
+		}
+		f.join(&fjob{links: path, remaining: 1})
+		changed = path
+	} else {
+		// Completion of a random subset: job i finishes when bit i%8
+		// of the mask is set, or one random job on an empty mask.
+		mask := src.Intn(256)
+		for i, j := range f.jobs {
+			if mask>>(i%8)&1 == 1 {
+				j.remaining = 0
+			}
+		}
+		if mask == 0 {
+			f.jobs[src.Intn(n)].remaining = 0
+		}
+		changed = f.leave()
+	}
+	if len(f.jobs) > 0 {
+		comp := f.affected(changed)
+		switch {
+		case len(comp) == len(f.jobs):
+			o.whole++
+		case len(comp) > 0:
+			o.partial++
+		}
+		f.waterfill(comp)
+	}
+	o.check(t)
+}
+
+func (o *fluidOps) check(t *testing.T) {
+	t.Helper()
+	jobs := o.f.jobs
+	for i, want := range refWaterfill(jobs) {
+		if got := jobs[i].rate; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("job %d of %d: rate %v (%#x), reference %v (%#x)",
+				i, len(jobs), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, l := range o.links {
+		var want []*fjob
+		for _, j := range jobs {
+			if slices.Contains(j.links, l) {
+				want = append(want, j)
+			}
+		}
+		if !slices.Equal(l.users, want) {
+			t.Fatalf("link %s: %d users, want the %d in-flight jobs crossing it in arrival order",
+				l.Name, len(l.users), len(want))
+		}
+	}
+}
+
+// TestFluidDifferential: after every arrival and completion of 24,000
+// seeded random steps, each in-flight job's rate from the
+// component-local re-solve equals the whole-network reference's bit for
+// bit, and each link's user list holds exactly its in-flight jobs. The
+// trace must exercise both narrow and whole-network re-solves.
+func TestFluidDifferential(t *testing.T) {
+	partial, whole := 0, 0
+	for seed := int64(1); seed <= 48; seed++ {
+		o := newFluidOps(rand.New(rand.NewSource(seed)))
+		for step := 0; step < 500; step++ {
+			o.step(t)
+		}
+		partial += o.partial
+		whole += o.whole
+	}
+	t.Logf("%d narrow and %d whole-network re-solves", partial, whole)
+	if partial == 0 || whole == 0 {
+		t.Fatalf("%d narrow and %d whole-network re-solves; the trace must reach both", partial, whole)
+	}
+}
+
+// FuzzFluid runs the TestFluidDifferential op interpreter on fuzz
+// input, checking rates and user lists after every op.
+func FuzzFluid(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fluidBytes(data)
+		o := newFluidOps(&src)
+		for step := 0; step < 512 && len(src) > 0; step++ {
+			o.step(t)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package numamig
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +56,27 @@ func TestCustomMachineShape(t *testing.T) {
 	sys := New(Config{Nodes: 2, CoresPerNode: 2, MemPerNode: 1 << 30})
 	if sys.Machine.NumNodes() != 2 || sys.Machine.NumCores() != 4 {
 		t.Fatal("custom shape ignored")
+	}
+}
+
+// TestNewRejectsZeroKswapdPeriod: with a zero kswapd period every
+// demotion daemon would re-arm at the instant it was polled, and Run
+// would loop forever inside one engine event, below the MaxSteps guard.
+// New panics at construction instead, naming the daemon and its period.
+func TestNewRejectsZeroKswapdPeriod(t *testing.T) {
+	p := DefaultParams()
+	p.KswapdPeriod = 0
+	msg := func() (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		New(Config{Nodes: 2, CoresPerNode: 1, MemPerNode: 1 << 26, Demotion: true, Params: &p})
+		return "New returned"
+	}()
+	if !strings.Contains(msg, "daemon kswapd0 has period 0ns") {
+		t.Fatalf("New with KswapdPeriod 0: %s, want a panic naming kswapd0 and its period", msg)
 	}
 }
 
