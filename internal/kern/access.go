@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"numamig/internal/model"
@@ -55,12 +56,12 @@ func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
 
 // faultRound is one classify-and-service pass of the bulk fault paths
 // over ascending page spans, under mmap_sem shared. Chunk by chunk it
-// classifies the spans' pages extent-at-a-time (absent, stale,
-// next-touch, NUMA-hint) and services them with aggregate costs. It
-// stops at the first page outside a VMA or without the access
-// permission, leaving that chunk unserviced, and reports the page's
-// address for the caller's SIGSEGV fallback. It returns the number of
-// pages serviced.
+// cuts the spans' pages at VMA boundaries, classifies them in one
+// batch read (absent, next-touch, NUMA-hint, stale) and services them
+// with aggregate costs. It stops at the first page outside a VMA or
+// without the access permission, leaving that chunk unclassified and
+// unserviced, and reports the page's address for the caller's SIGSEGV
+// fallback. It returns the number of pages serviced.
 func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool) {
 	sp := t.Proc.Space
 	t.Proc.MmapSem.RLock(t.P)
@@ -70,67 +71,36 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 		return 0, 0, false
 	}
 	// Walk the VMA list once per round instead of binary-searching it
-	// for every 4 KiB page: vmas is address-sorted, and pages are
-	// visited in ascending order, so a single cursor (vi) suffices.
-	// The cursor starts at the first covering VMA by binary search —
-	// an address space with thousands of live mappings must not pay
-	// a linear scan per fault.
+	// for every span: vmas is address-sorted, and pages are visited in
+	// ascending order, so a single cursor (vi) suffices. The cursor
+	// starts at the first covering VMA by binary search — an address
+	// space with thousands of live mappings must not pay a linear scan
+	// per fault. Once a page passes the check, every page up to its
+	// VMA's end (vmaEnd) does too, so the list is consulted again only
+	// when the walk reaches that end.
 	vmas := sp.VMAs()
 	vi := sort.Search(len(vmas), func(i int) bool { return vmas[i].End > lo.Base() })
+	vmaEnd := vm.VPN(0)
+	f := &t.scratch.faults
 	for ok {
 		ci := vm.ChunkIndex(lo)
 		cend := vm.VPN((ci + 1) * model.PTEChunkPages)
-		// Classify the pages of this chunk. The page-table cursor is
-		// fresh per chunk: servicing the previous chunk slept, and other
-		// tasks may have changed the table meanwhile.
-		ntPages := t.scratch.nt[:0]
-		numaPages := t.scratch.numa[:0]
-		absent := t.scratch.absent[:0]
-		stale := t.scratch.stale[:0]
-		cur := sp.PT.Cursor()
+		pieces := t.scratch.spans[:0]
 		for ok && lo < cend {
 			end := min(hi, cend)
 			for p := lo; p < end; {
-				for vi < len(vmas) && vmas[vi].End <= p.Base() {
-					vi++
-				}
-				if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
-					segvAt, segv = p.Base(), true
-					break
-				}
-				// Classify this VMA's span extent-at-a-time: unmapped
-				// spans (including whole missing chunks and huge chunks,
-				// which the 4 KiB walk treats as unmapped) arrive as gaps,
-				// everything else as maximal same-flag runs — no per-page
-				// work.
-				vEnd := min(vm.PageOf(vmas[vi].End-1)+1, end)
-				cur.Extents(p, vEnd, true, func(e vm.Ext) bool {
-					pEnd := e.Start + vm.VPN(e.N)
-					switch {
-					case vm.FlagsAllow(e.Flags, write):
-					case e.Flags&vm.PTEPresent == 0:
-						for q := e.Start; q < pEnd; q++ {
-							absent = append(absent, q)
-						}
-					case e.Flags&vm.PTENextTouch != 0:
-						for q := e.Start; q < pEnd; q++ {
-							ntPages = append(ntPages, q)
-						}
-					case e.Flags&vm.PTENumaHint != 0:
-						for q := e.Start; q < pEnd; q++ {
-							numaPages = append(numaPages, q)
-						}
-					default:
-						for q := e.Start; q < pEnd; q++ {
-							stale = append(stale, q)
-						}
+				if p >= vmaEnd {
+					for vi < len(vmas) && vmas[vi].End <= p.Base() {
+						vi++
 					}
-					return true
-				})
-				p = vEnd
-			}
-			if segv {
-				break
+					if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
+						return serviced, p.Base(), true
+					}
+					vmaEnd = vm.PageOf(vmas[vi].End-1) + 1
+				}
+				q := min(end, vmaEnd)
+				pieces = append(pieces, vm.Span{Lo: p, Hi: q})
+				p = q
 			}
 			if end < hi {
 				lo = end
@@ -138,22 +108,24 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 				lo, hi, ok = spans.next()
 			}
 		}
-		t.scratch.nt, t.scratch.numa = ntPages, numaPages
-		t.scratch.absent, t.scratch.stale = absent, stale
-		if segv {
-			return serviced, segvAt, true
+		t.scratch.spans = pieces
+		// The page-table cursor is fresh per chunk: servicing the
+		// previous chunk slept, and other tasks may have changed the
+		// table meanwhile.
+		f.Reset()
+		cur := sp.PT.Cursor()
+		cur.Classify(pieces, write, f)
+		if len(f.Absent)+len(f.Stale) > 0 {
+			serviced += len(f.Absent) + len(f.Stale)
+			t.serviceChunk(ci, f.Absent, f.Stale)
 		}
-		if len(absent)+len(stale) > 0 {
-			serviced += len(absent) + len(stale)
-			t.serviceChunk(ci, absent, stale)
+		if len(f.NextTouch) > 0 {
+			serviced += len(f.NextTouch)
+			t.ntServiceFaults(f.NextTouch)
 		}
-		if len(ntPages) > 0 {
-			serviced += len(ntPages)
-			t.ntServiceFaults(ntPages)
-		}
-		if len(numaPages) > 0 {
-			serviced += len(numaPages)
-			t.numaServiceFaults(numaPages)
+		if len(f.NumaHint) > 0 {
+			serviced += len(f.NumaHint)
+			t.numaServiceFaults(f.NumaHint)
 		}
 	}
 	return serviced, 0, false
@@ -175,22 +147,29 @@ func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 		t.P.Sleep(sim.Time(len(stale)) * k.P.FaultBase)
 		t.fixStale(stale)
 	}
+	if len(absent) == 0 {
+		return
+	}
+	// Another task may have faulted some of the pages in while this one
+	// waited for the chunk lock. As in fault, those still count as faults
+	// and pay the fault entry, but allocate nothing.
+	t.pageFaults(len(absent))
+	raced := len(absent)
+	absent = slices.DeleteFunc(absent, func(p vm.VPN) bool { return sp.PT.Get(p).Present() })
+	raced -= len(absent)
+	k.Stats.DemandAllocs += uint64(len(absent))
+	t.P.Sleep(sim.Time(len(absent))*(k.P.FaultBase+k.P.DemandZero) + sim.Time(raced)*k.P.FaultBase)
 	// Demand allocations. Pages arrive in ascending order, so
 	// consecutive ones usually share a VMA: cache the last hit instead
 	// of binary-searching per page.
-	if len(absent) > 0 {
-		t.pageFaults(len(absent))
-		k.Stats.DemandAllocs += uint64(len(absent))
-		t.P.Sleep(sim.Time(len(absent)) * (k.P.FaultBase + k.P.DemandZero))
-		var v *vm.VMA
-		for _, p := range absent {
-			if v == nil || !v.Contains(p.Base()) {
-				v = sp.Find(p.Base())
-			}
-			f := t.allocFrame(t.capTarget(t.placeTarget(v, p)))
-			sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
-			t.chargeTenant(f)
+	var v *vm.VMA
+	for _, p := range absent {
+		if v == nil || !v.Contains(p.Base()) {
+			v = sp.Find(p.Base())
 		}
+		f := t.allocFrame(t.capTarget(t.placeTarget(v, p)))
+		sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
+		t.chargeTenant(f)
 	}
 }
 
@@ -303,21 +282,13 @@ func (t *Task) Memcpy(dst, src vm.Addr, length int64) error {
 // dominantNode returns the node holding the most bytes of the range.
 func (t *Task) dominantNode(addr vm.Addr, length int64) topology.NodeID {
 	nn := t.Proc.K.M.NumNodes()
-	counts := t.scratch.nodeCount
-	if cap(counts) < nn {
-		counts = make([]int, nn)
-	}
-	counts = counts[:nn]
-	for i := range counts {
-		counts[i] = 0
-	}
+	counts := t.scratch.counts(nn)
 	sp := t.Proc.Space
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
 	sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
 		counts[e.Node] += e.N
 		return true
 	})
-	t.scratch.nodeCount = counts
 	best, bestN := t.Node(), -1
 	for n := 0; n < nn; n++ {
 		if c := counts[n]; c > bestN {

@@ -8,6 +8,7 @@ import (
 
 	"numamig/internal/model"
 	"numamig/internal/sim"
+	"numamig/internal/tenancy"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -559,6 +560,46 @@ func TestThreadedLazyMigrationScales(t *testing.T) {
 	speedup := float64(t1) / float64(t4)
 	if speedup < 1.3 || speedup > 2.5 {
 		t.Fatalf("4-thread lazy migration speedup = %.2f, want ~1.6 (paper: +50-60%%)", speedup)
+	}
+}
+
+// TestConcurrentFirstTouchAllocatesOnce: two tasks on different nodes
+// first-touch the same fresh mapping at once. The second classifies
+// every page absent, then waits on the first's chunk lock, and must
+// find the pages present once it holds the lock: both count the faults,
+// but each page is allocated and charged to the tenant once, so
+// unmapping frees every frame and empties the ledger.
+func TestConcurrentFirstTouchAllocatesOnce(t *testing.T) {
+	const pages = 64
+	h := newHarness(false)
+	ten := h.k.Ten.Admit(1, "t", tenancy.ClassBatch, 0)
+	h.proc.SetTenant(ten)
+	a, err := h.proc.Space.Map(pages*pg, vm.ProtRW, vm.DefaultPolicy(), 0, "buf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []topology.CoreID{1, 5} {
+		h.proc.Spawn(fmt.Sprintf("toucher%d", core), core, func(tk *Task) {
+			if _, err := tk.FaultIn(a, pages*pg, true); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := h.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.k.Stats
+	if st.Faults != 2*pages || st.DemandAllocs != pages || h.k.Phys.TotalAllocated() != pages || ten.Resident() != pages {
+		t.Fatalf("faults %d, demand allocs %d, frames %d, tenant pages %d; want %d faults and %d of the rest",
+			st.Faults, st.DemandAllocs, h.k.Phys.TotalAllocated(), ten.Resident(), 2*pages, pages)
+	}
+	h.run(t, 0, func(tk *Task) {
+		if err := tk.Munmap(a, pages*pg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n, r := h.k.Phys.TotalAllocated(), ten.Resident(); n != 0 || r != 0 {
+		t.Fatalf("after munmap %d frames stay allocated and the tenant holds %d pages; want 0 and 0", n, r)
 	}
 }
 

@@ -78,10 +78,19 @@ func (s *rectSpans) next() (lo, hi vm.VPN, ok bool) {
 	return lo, hi, ok
 }
 
+// appendSpans appends the rectangle's spans to dst.
+func (r Rect) appendSpans(dst []vm.Span) []vm.Span {
+	spans := r.spans()
+	for lo, hi, ok := spans.next(); ok; lo, hi, ok = spans.next() {
+		dst = append(dst, vm.Span{Lo: lo, Hi: hi})
+	}
+	return dst
+}
+
 // FaultInRect resolves all faulting pages of the rectangle (demand
 // allocation, kernel next-touch migration, NUMA hinting, stale-PTE
-// fixups) with the same extent-at-a-time classify-and-service rounds
-// as FaultIn, walking the rectangle's row spans instead of one range.
+// fixups) with the same chunk-at-a-time classify-and-service rounds as
+// FaultIn, walking the rectangle's row spans instead of one range.
 // A protection violation falls back to the single-address Touch path,
 // so user next-touch handlers run, and the scan repeats; a rectangle
 // that still faults after 16 such rounds is an error, as for FaultIn.
@@ -119,33 +128,7 @@ func (t *Task) TrafficRect(r Rect, kind AccessKind, write bool) {
 // cache-thrashing kernels whose memory volume exceeds the data footprint
 // (e.g. column-strided DGEMM re-reading its B operand).
 func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write bool) {
-	nn := t.Proc.K.M.NumNodes()
-	counts := t.scratch.nodeCount
-	if cap(counts) < nn {
-		counts = make([]int, nn)
-	}
-	counts = counts[:nn]
-	for i := range counts {
-		counts[i] = 0
-	}
-	order := t.scratch.nodeOrder[:0]
-	resident := 0
-	// Count resident pages per home node extent-at-a-time along the
-	// ascending row spans, so the first-appearance node order matches a
-	// per-page walk's.
-	cur := t.Proc.Space.PT.Cursor()
-	spans := r.spans()
-	for lo, hi, ok := spans.next(); ok; lo, hi, ok = spans.next() {
-		cur.Extents(lo, hi, false, func(e vm.Ext) bool {
-			if counts[e.Node] == 0 {
-				order = append(order, e.Node)
-			}
-			counts[e.Node] += e.N
-			resident += e.N
-			return true
-		})
-	}
-	t.scratch.nodeCount, t.scratch.nodeOrder = counts, order
+	counts, order, resident := t.countRect(r)
 	if resident == 0 || volume <= 0 {
 		return
 	}
@@ -153,6 +136,19 @@ func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write 
 	for _, node := range order {
 		t.chargeNodeTraffic(node, perPage*float64(counts[node]), kind)
 	}
+}
+
+// countRect counts the rectangle's resident pages per home node in one
+// batch read along its ascending row spans, so the first-appearance
+// node order matches a per-page walk's. The counts, the order and the
+// span list stay in task scratch.
+func (t *Task) countRect(r Rect) (counts []int, order []topology.NodeID, resident int) {
+	counts = t.scratch.counts(t.Proc.K.M.NumNodes())
+	t.scratch.spans = r.appendSpans(t.scratch.spans[:0])
+	cur := t.Proc.Space.PT.Cursor()
+	order, resident = cur.CountNodes(t.scratch.spans, counts, t.scratch.nodeOrder[:0])
+	t.scratch.nodeOrder = order
+	return counts, order, resident
 }
 
 // AccessRect faults the rectangle in and charges its traffic.
@@ -165,26 +161,20 @@ func (t *Task) AccessRect(r Rect, kind AccessKind, write bool) error {
 }
 
 // NodesOfRect returns the per-node resident page counts of a rectangle
-// plus the number of absent pages; drivers use it to cache block
-// placement summaries.
+// plus the number of its other pages, which are absent (a present page
+// without a frame, which no kernel path maps, counts there too); drivers
+// use it to cache block placement summaries.
 func (t *Task) NodesOfRect(r Rect) (map[topology.NodeID]int, int) {
-	counts := map[topology.NodeID]int{}
-	absent := 0
-	cur := t.Proc.Space.PT.Cursor()
-	spans := r.spans()
-	for lo, hi, ok := spans.next(); ok; lo, hi, ok = spans.next() {
-		// Gaps (withGaps) arrive with Node == -1 and cover both unmapped
-		// spans and installed-but-absent PTEs.
-		cur.Extents(lo, hi, true, func(e vm.Ext) bool {
-			if e.Flags&vm.PTEPresent == 0 {
-				absent += e.N
-			} else {
-				counts[e.Node] += e.N
-			}
-			return true
-		})
+	counts, order, resident := t.countRect(r)
+	byNode := make(map[topology.NodeID]int, len(order))
+	for _, node := range order {
+		byNode[node] = counts[node]
 	}
-	return counts, absent
+	pages := 0
+	for _, s := range t.scratch.spans {
+		pages += int(s.Hi - s.Lo)
+	}
+	return byNode, pages - resident
 }
 
 // PageSizeBytes re-exports the page size for drivers.

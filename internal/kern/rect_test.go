@@ -1,11 +1,13 @@
 package kern
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
+	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
@@ -349,6 +351,39 @@ func TestFaultInRectDidNotSettle(t *testing.T) {
 	if signals != 32 {
 		t.Fatalf("signals = %d, want 16 per path", signals)
 	}
+}
+
+// TestFaultWalkStopsAtAbuttingVMA: mprotect cuts a read-only range out
+// of a RW mapping inside one page-table chunk, leaving VMAs that abut
+// with no hole. The fault walk consults the VMA list only once it
+// passes the current VMA's end, so a write walk must still take SIGSEGV
+// at the first read-only page, on both bulk paths, and a read walk must
+// pass and service every page.
+func TestFaultWalkStopsAtAbuttingVMA(t *testing.T) {
+	const chunk = model.PTEChunkPages
+	h := newHarness(false)
+	h.run(t, 0, func(tk *Task) {
+		a, _ := tk.Mmap(3*chunk*pg, vm.ProtRW, vm.Bind(0), 0, "m")
+		base := vm.VPN((vm.ChunkIndex(vm.PageOf(a)) + 1) * chunk)
+		if err := tk.Mprotect((base + 100).Base(), 50*pg, vm.ProtRead); err != nil {
+			t.Fatal(err)
+		}
+		if n := h.proc.Space.NumVMAs(); n != 3 {
+			t.Fatalf("mprotect left %d VMAs, want 3", n)
+		}
+		r := Rect{Base: base.Base(), RowBytes: 2048, Stride: 4 * pg, Rows: 100}
+		wantSegv := ErrSegv{Addr: (base + 100).Base(), Write: true}
+		var segv ErrSegv
+		if _, err := tk.FaultInRect(r, true); !errors.As(err, &segv) || segv != wantSegv {
+			t.Fatalf("write FaultInRect across the read-only range: %v, want %v", err, wantSegv)
+		}
+		if _, err := tk.FaultIn(base.Base(), 400*pg, true); !errors.As(err, &segv) || segv != wantSegv {
+			t.Fatalf("write FaultIn across the read-only range: %v, want %v", err, wantSegv)
+		}
+		if n, err := tk.FaultInRect(r, false); err != nil || n != r.Rows {
+			t.Fatalf("read FaultInRect serviced %d (err %v), want %d", n, err, r.Rows)
+		}
+	})
 }
 
 // luRect maps an LU-shaped operand — a 4-node interleaved matrix, one

@@ -40,6 +40,10 @@ type Process struct {
 	numaBalancer NumaBalancer
 	tasks        []*Task
 	nextTID      int
+	// spare holds the scratch buffers of finished tasks for new ones,
+	// so short-lived threads (one per OpenMP region) reuse grown
+	// buffers instead of growing their own.
+	spare []taskScratch
 
 	// Read-only replication state (the §6 extension; see replicate.go).
 	replicas     map[vm.VPN]*replicaSet
@@ -122,12 +126,24 @@ type Task struct {
 
 // taskScratch holds the per-task reusable buffers of the bulk fault and
 // access paths, so a grid run's millions of fault rounds stop allocating
-// classification slices and per-node accumulators.
+// span lists, classification slices and per-node accumulators.
 type taskScratch struct {
-	absent, stale, nt, numa []vm.VPN
-	nodeBytes               []float64
-	nodeOrder               []topology.NodeID
-	nodeCount               []int
+	spans     []vm.Span
+	faults    vm.FaultClasses
+	nodeBytes []float64
+	nodeOrder []topology.NodeID
+	nodeCount []int
+}
+
+// counts returns the per-node page counter, sized to the machine and
+// zeroed.
+func (s *taskScratch) counts(nn int) []int {
+	if cap(s.nodeCount) < nn {
+		s.nodeCount = make([]int, nn)
+	}
+	s.nodeCount = s.nodeCount[:nn]
+	clear(s.nodeCount)
+	return s.nodeCount
 }
 
 // Spawn starts a new thread on the given core running fn. The thread is
@@ -155,8 +171,12 @@ func (pr *Process) Adopt(p *sim.Proc, core topology.CoreID) (*Task, func()) {
 }
 
 // addTask and removeTask keep the kernel's live-task count in step with
-// the process's task list.
+// the process's task list, and hand the scratch buffers of finished
+// tasks to new ones.
 func (pr *Process) addTask(t *Task) {
+	if n := len(pr.spare); n > 0 {
+		t.scratch, pr.spare = pr.spare[n-1], pr.spare[:n-1]
+	}
 	pr.tasks = append(pr.tasks, t)
 	pr.K.live++
 }
@@ -166,6 +186,8 @@ func (pr *Process) removeTask(t *Task) {
 		if x == t {
 			pr.tasks = append(pr.tasks[:i], pr.tasks[i+1:]...)
 			pr.K.live--
+			pr.spare = append(pr.spare, t.scratch)
+			t.scratch = taskScratch{}
 			return
 		}
 	}

@@ -295,14 +295,20 @@ func (t *PageTable) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) 
 }
 
 // Cursor walks a sequence of ascending, disjoint spans of a page table
-// through Extents — the strided-rectangle read path, where a 2 MiB
-// chunk holds dozens of one-page spans. It resolves each chunk once
-// (one chunk-map probe per chunk, not per span) and, within a compact
-// chunk, advances its run index linearly from where the previous span
-// ended instead of binary-searching again. It never changes the table.
-// A cursor caches table structure, so it is valid only until the table
-// is next mutated; a span that starts before the previous one ended
-// falls back to a fresh search.
+// — the strided-rectangle read path, where a 2 MiB chunk holds dozens
+// of one-page spans. It resolves each chunk once (one chunk-map probe
+// per chunk, not per span) and, within a compact chunk, advances its
+// run index linearly from where the previous span ended instead of
+// binary-searching again. It never changes the table. A cursor caches
+// table structure, so it is valid only until the table is next
+// mutated; a span that starts before the previous one ended falls back
+// to a fresh search.
+//
+// Besides Extents, a cursor has two batch reads over a span list,
+// Classify and CountNodes. They walk a flat chunk's PTE array by index
+// and a compact chunk's runs in order, with no Ext value and no
+// callback: a one-page span costs a few loads instead of an extent and
+// a call.
 type Cursor struct {
 	t  *PageTable
 	ci uint64 // index of the resolved chunk c (valid when resolved)
@@ -318,18 +324,32 @@ type Cursor struct {
 // Cursor returns a cursor over the table positioned before any span.
 func (t *PageTable) Cursor() Cursor { return Cursor{t: t} }
 
+// Span is the page range [Lo, Hi), one entry of the span lists the
+// batch reads walk.
+type Span struct{ Lo, Hi VPN }
+
+// chunk resolves chunk ci, probing the chunk map only when it differs
+// from the chunk resolved last.
+func (cur *Cursor) chunk(ci uint64) *Chunk {
+	if !cur.resolved || cur.ci != ci {
+		cur.ci, cur.c, cur.run, cur.resolved = ci, cur.t.chunks[ci], -1, true
+	}
+	return cur.c
+}
+
+// chunkStop returns where the part of [v, end) inside v's chunk ends.
+func chunkStop(v, end VPN) VPN {
+	return min(end, VPN((ChunkIndex(v)+1)*model.PTEChunkPages))
+}
+
 // Extents walks [start, end) exactly like PageTable.Extents. Successive
 // calls should pass ascending, disjoint spans to benefit from the
 // cursor's cached chunk and run position.
 func (cur *Cursor) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) {
 	for v := start; v < end; {
-		ci := ChunkIndex(v)
-		stop := min(end, VPN((ci+1)*model.PTEChunkPages))
-		if !cur.resolved || cur.ci != ci {
-			cur.ci, cur.c, cur.run, cur.resolved = ci, cur.t.chunks[ci], -1, true
-		}
+		stop := chunkStop(v, end)
 		var more bool
-		switch c := cur.c; {
+		switch c := cur.chunk(ChunkIndex(v)); {
 		case c == nil || c.Huge:
 			more = emitGap(withGaps, v, int(stop-v), fn)
 		case c.dense == nil:
@@ -350,31 +370,46 @@ func emitGap(withGaps bool, s VPN, n int, fn func(e Ext) bool) bool {
 	return !withGaps || n <= 0 || fn(Ext{Start: s, N: n, Node: -1})
 }
 
+// seekRun returns the index of the first run of the cursor's compact
+// chunk that ends past offset lo, starting from the run hint when lo
+// lies past the previous span.
+func (cur *Cursor) seekRun(lo uint16) int {
+	c := cur.c
+	if cur.run < 0 || lo < cur.next {
+		return c.findRun(lo)
+	}
+	i := cur.run
+	// Run offsets grow by at least one page per index, so a run starting
+	// exactly at lo sits d places past the hint at the latest; check that
+	// slot first, which finds the run in O(1) when the chunk holds
+	// single-page runs (interleaved memory).
+	if i < len(c.runs) {
+		if d := int(lo) - int(c.runs[i].off); d > 0 && i+d < len(c.runs) && c.runs[i+d].off == lo {
+			i += d
+		}
+	}
+	for ; i < len(c.runs) && c.runs[i].end() <= lo; i++ {
+	}
+	return i
+}
+
+// parkRun sets the run hint after a span that ended at offset hi, where
+// run i is the first run starting at or past hi.
+func (cur *Cursor) parkRun(i int, hi uint16) {
+	// Every run before i ends by hi, except possibly run i-1.
+	cur.run, cur.next = i, hi
+	if i > 0 && cur.c.runs[i-1].end() > hi {
+		cur.run = i - 1
+	}
+}
+
 // walkRuns walks [v, stop) inside the cursor's compact chunk, starting
-// from the run hint when the span lies past the previous one, and
-// leaves the hint at the run covering stop.
+// from the run hint, and leaves the hint at the run covering stop.
 func (cur *Cursor) walkRuns(v, stop VPN, withGaps bool, fn func(e Ext) bool) bool {
 	c := cur.c
 	base := VPN(cur.ci * model.PTEChunkPages)
 	lo, hi := uint16(v-base), uint16(stop-base)
-	var i int
-	if cur.run >= 0 && lo >= cur.next {
-		i = cur.run
-		// Run offsets grow by at least one page per index, so a run
-		// starting exactly at lo sits d places past the hint at the
-		// latest; check that slot first, which finds the run in O(1)
-		// when the chunk holds single-page runs (interleaved memory).
-		if i < len(c.runs) {
-			if d := int(lo) - int(c.runs[i].off); d > 0 && i+d < len(c.runs) && c.runs[i+d].off == lo {
-				i += d
-			}
-		}
-		for ; i < len(c.runs) && c.runs[i].end() <= lo; i++ {
-		}
-	} else {
-		i = c.findRun(lo)
-	}
-	at := lo
+	i, at := cur.seekRun(lo), lo
 	for ; i < len(c.runs) && c.runs[i].off < hi; i++ {
 		r := &c.runs[i]
 		s, e := max(r.off, lo), min(r.end(), hi)
@@ -392,12 +427,158 @@ func (cur *Cursor) walkRuns(v, stop VPN, withGaps bool, fn func(e Ext) bool) boo
 		}
 		at = e
 	}
-	// Every run before i ends by hi, except possibly run i-1.
-	cur.run, cur.next = i, hi
-	if i > 0 && c.runs[i-1].end() > hi {
-		cur.run = i - 1
-	}
+	cur.parkRun(i, hi)
 	return emitGap(withGaps, base+VPN(at), int(hi-at), fn)
+}
+
+// FaultClasses holds the pages of a walk that deny an access, filed by
+// the fault each takes; every class is in ascending page order.
+type FaultClasses struct {
+	// Absent pages are not present: unmapped pages, and every page of
+	// a missing or huge chunk, which the 4 KiB walk treats as unmapped.
+	Absent []VPN
+	// NextTouch and NumaHint pages are present and carry that mark; a
+	// page carrying both is a next-touch page.
+	NextTouch, NumaHint []VPN
+	// Stale pages are present and unmarked but lack the permission bit
+	// the access needs.
+	Stale []VPN
+}
+
+// Reset empties every class, keeping its storage.
+func (fc *FaultClasses) Reset() {
+	fc.Absent, fc.NextTouch, fc.NumaHint, fc.Stale = fc.Absent[:0], fc.NextTouch[:0], fc.NumaHint[:0], fc.Stale[:0]
+}
+
+// class returns the class a page with these flags joins for the access,
+// or nil when the flags allow it.
+func (fc *FaultClasses) class(flags uint8, write bool) *[]VPN {
+	switch {
+	case FlagsAllow(flags, write):
+		return nil
+	case flags&PTEPresent == 0:
+		return &fc.Absent
+	case flags&PTENextTouch != 0:
+		return &fc.NextTouch
+	case flags&PTENumaHint != 0:
+		return &fc.NumaHint
+	}
+	return &fc.Stale
+}
+
+// appendPages appends the pages of [lo, hi) to dst.
+func appendPages(dst []VPN, lo, hi VPN) []VPN {
+	for v := lo; v < hi; v++ {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// Classify appends every page of spans whose PTE denies the access
+// (FlagsAllow) to its class in fc. It reads flags only. Spans should
+// ascend and be disjoint, as for Extents; each class then ascends too.
+func (cur *Cursor) Classify(spans []Span, write bool, fc *FaultClasses) {
+	for _, s := range spans {
+		for v := s.Lo; v < s.Hi; {
+			stop := chunkStop(v, s.Hi)
+			switch c := cur.chunk(ChunkIndex(v)); {
+			case c == nil || c.Huge:
+				fc.Absent = appendPages(fc.Absent, v, stop)
+			case c.dense == nil:
+				cur.classifyRuns(v, stop, write, fc)
+			default:
+				for p := v; p < stop; p++ {
+					if cl := fc.class(c.dense[uint64(p)%model.PTEChunkPages].Flags, write); cl != nil {
+						*cl = append(*cl, p)
+					}
+				}
+			}
+			v = stop
+		}
+	}
+}
+
+// classifyRuns classifies [v, stop) inside the cursor's compact chunk:
+// the gaps between runs are absent, and a run files all its pages in
+// one class.
+func (cur *Cursor) classifyRuns(v, stop VPN, write bool, fc *FaultClasses) {
+	runs := cur.c.runs
+	base := VPN(cur.ci * model.PTEChunkPages)
+	lo, hi := uint16(v-base), uint16(stop-base)
+	i, at := cur.seekRun(lo), lo
+	for ; i < len(runs) && runs[i].off < hi; i++ {
+		r := &runs[i]
+		s, e := max(r.off, lo), min(r.end(), hi)
+		fc.Absent = appendPages(fc.Absent, base+VPN(at), base+VPN(s))
+		if cl := fc.class(r.flags, write); cl != nil {
+			*cl = appendPages(*cl, base+VPN(s), base+VPN(e))
+		}
+		at = e
+	}
+	cur.parkRun(i, hi)
+	fc.Absent = appendPages(fc.Absent, base+VPN(at), base+VPN(hi))
+}
+
+// CountNodes adds every present page of spans to counts[node], node
+// being the node of the page's frame, appends each node whose count was
+// zero to order, and returns order and the number of pages counted. It
+// dereferences one frame per page of a flat chunk and none in a compact
+// chunk, whose runs carry their node. A present page without a frame
+// backs no node, so it is not counted; no kernel path maps one. Spans
+// should ascend and be disjoint, as for Extents; order is then the
+// nodes' first appearance in page order.
+func (cur *Cursor) CountNodes(spans []Span, counts []int, order []topology.NodeID) ([]topology.NodeID, int) {
+	resident := 0
+	for _, s := range spans {
+		for v := s.Lo; v < s.Hi; {
+			stop := chunkStop(v, s.Hi)
+			switch c := cur.chunk(ChunkIndex(v)); {
+			case c == nil || c.Huge:
+			case c.dense == nil:
+				var n int
+				order, n = cur.countRuns(v, stop, counts, order)
+				resident += n
+			default:
+				for p := v; p < stop; p++ {
+					pte := &c.dense[uint64(p)%model.PTEChunkPages]
+					if pte.Flags&PTEPresent != 0 && pte.Frame != nil {
+						order = tally(counts, order, pte.Frame.Node, 1)
+						resident++
+					}
+				}
+			}
+			v = stop
+		}
+	}
+	return order, resident
+}
+
+// countRuns counts [v, stop) inside the cursor's compact chunk run by
+// run, like CountNodes.
+func (cur *Cursor) countRuns(v, stop VPN, counts []int, order []topology.NodeID) ([]topology.NodeID, int) {
+	runs := cur.c.runs
+	base := VPN(cur.ci * model.PTEChunkPages)
+	lo, hi := uint16(v-base), uint16(stop-base)
+	i, n := cur.seekRun(lo), 0
+	for ; i < len(runs) && runs[i].off < hi; i++ {
+		if r := &runs[i]; r.flags&PTEPresent != 0 && r.node >= 0 {
+			k := int(min(r.end(), hi) - max(r.off, lo))
+			order = tally(counts, order, topology.NodeID(r.node), k)
+			n += k
+		}
+	}
+	cur.parkRun(i, hi)
+	return order, n
+}
+
+// tally adds n pages to counts[node], first appending node to order if
+// its count was zero.
+func tally(counts []int, order []topology.NodeID, node topology.NodeID, n int) []topology.NodeID {
+	if counts[node] == 0 {
+		order = append(order, node)
+	}
+	counts[node] += n
+	return order
 }
 
 // frameNode returns the node backing a PTE, or -1 when it has no frame.

@@ -110,11 +110,94 @@ func (r *refTable) extents(start, end VPN, withGaps bool) []Ext {
 	return out
 }
 
+// fileRef is the reference classification: it appends the pages of
+// [lo, hi), all holding flags, to the class an access of them faults
+// into.
+func fileRef(fc *FaultClasses, flags uint8, write bool, lo, hi VPN) {
+	for v := lo; v < hi; v++ {
+		switch {
+		case FlagsAllow(flags, write):
+		case flags&PTEPresent == 0:
+			fc.Absent = append(fc.Absent, v)
+		case flags&PTENextTouch != 0:
+			fc.NextTouch = append(fc.NextTouch, v)
+		case flags&PTENumaHint != 0:
+			fc.NumaHint = append(fc.NumaHint, v)
+		default:
+			fc.Stale = append(fc.Stale, v)
+		}
+	}
+}
+
+// batchResult is what the batch reads report over one span list:
+// Classify for a read and for a write, and CountNodes over nodes 0..3.
+type batchResult struct {
+	Read, Write FaultClasses
+	Counts      []int
+	Order       []topology.NodeID
+	Resident    int
+}
+
+// add is the reference for the batch reads: it files and counts the
+// pages [lo, hi), all holding flags and backed on node (-1 for none).
+func (b *batchResult) add(lo, hi VPN, flags uint8, node topology.NodeID) {
+	fileRef(&b.Read, flags, false, lo, hi)
+	fileRef(&b.Write, flags, true, lo, hi)
+	if flags&PTEPresent != 0 && node >= 0 {
+		if b.Counts[node] == 0 {
+			b.Order = append(b.Order, node)
+		}
+		b.Counts[node] += int(hi - lo)
+		b.Resident += int(hi - lo)
+	}
+}
+
+// batch is the reference's batch reads over spans, page by page.
+func (r *refTable) batch(spans []Span) batchResult {
+	b := batchResult{Counts: make([]int, 4)}
+	for _, s := range spans {
+		for v := s.Lo; v < s.Hi; v++ {
+			e, node := r.m[v], topology.NodeID(-1)
+			if e.Frame != nil {
+				node = e.Frame.Node
+			}
+			b.add(v, v+1, e.Flags, node)
+		}
+	}
+	return b
+}
+
+// batchReads runs Classify, for a read and a write, and CountNodes over
+// spans, all through one cursor, so every read after the first starts
+// behind the cursor and takes its fresh-search fallback.
+func batchReads(pt *PageTable, spans []Span) batchResult {
+	b := batchResult{Counts: make([]int, 4)}
+	cur := pt.Cursor()
+	cur.Classify(spans, false, &b.Read)
+	cur.Classify(spans, true, &b.Write)
+	b.Order, b.Resident = cur.CountNodes(spans, b.Counts, nil)
+	return b
+}
+
+// randSpans draws an ascending, disjoint span list over [start, end):
+// spans of one to hundreds of pages (crossing chunk boundaries), a
+// third of them abutting their predecessor.
+func randSpans(rng *rand.Rand, start, end VPN) []Span {
+	var spans []Span
+	for v := start + VPN(rng.Intn(400)); v < end && len(spans) < 80; {
+		hi := min(v+VPN(1+rng.Intn([]int{3, 40, 700}[rng.Intn(3)])), end)
+		spans = append(spans, Span{v, hi})
+		v = hi + VPN(rng.Intn(3)*rng.Intn(200))
+	}
+	return spans
+}
+
 // compare asserts that the page table and the reference agree exactly
 // over [start, end): Extents, with and without gaps, reports the
-// reference's maximal extents, and Get returns the reference value of
-// every page.
-func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, tag string) {
+// reference's maximal extents, Get returns the reference value of every
+// page, and over a random span list drawn from rng the batch reads file
+// and count every page as the reference does.
+func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, rng *rand.Rand, tag string) {
 	t.Helper()
 	for _, withGaps := range []bool{false, true} {
 		var got []Ext
@@ -127,6 +210,10 @@ func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, tag str
 		if got, want := pt.Get(v), ref.m[v]; got != want {
 			t.Fatalf("%s: Get(%d) = %+v, reference %+v", tag, v, got, want)
 		}
+	}
+	spans := randSpans(rng, start, end)
+	if got, want := batchReads(pt, spans), ref.batch(spans); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: batch reads over %v =\n%+v\nreference\n%+v", tag, spans, got, want)
 	}
 }
 
@@ -185,8 +272,14 @@ func (b *byteSource) Intn(n int) int {
 	return v % n
 }
 
-// opSpan is the VPN range the interpreter works in: three chunks.
-const opSpan = 3 * model.PTEChunkPages
+// opSpan is the VPN range the interpreter works in: three chunks, each
+// missing until an op maps a page in it and again once an unmap clears
+// it. compare reads viewSpan, which adds a huge chunk the ops never
+// touch.
+const (
+	opSpan   = 3 * model.PTEChunkPages
+	viewSpan = opSpan + model.PTEChunkPages
+)
 
 // opTable drives a page table and the reference through the same op
 // stream — the interpreter shared by TestExtentDifferential and
@@ -203,7 +296,9 @@ func newOpTable(src opSource) *opTable {
 	for i := range frames {
 		frames[i] = &mem.Frame{Node: topology.NodeID(i), PFN: uint64(i)}
 	}
-	return &opTable{pt: NewPageTable(), ref: newRef(), src: src, frames: frames}
+	pt := NewPageTable()
+	pt.ChunkOrCreate(opSpan).Huge = true
+	return &opTable{pt: pt, ref: newRef(), src: src, frames: frames}
 }
 
 func (o *opTable) vpn() VPN { return VPN(o.src.Intn(opSpan)) }
@@ -311,22 +406,24 @@ func (o *opTable) step(t *testing.T) {
 // TestExtentDifferential drives the page table and the reference map
 // through 20k random ops — single-page and run installs, SetFlagsRange,
 // ArmRange with and without a skip, UnmapRange and Touch — checking
-// every returned count and, periodically, the whole visible state and
-// the encoding invariants. Chunks pick their encoding from their data
-// alone, and the trace must see both encodings.
+// every returned count and, periodically, the whole visible state
+// (compare: Extents, Get and the batch reads) and the encoding
+// invariants. Chunks pick their encoding from their data alone, and
+// the trace must see both encodings.
 func TestExtentDifferential(t *testing.T) {
 	o := newOpTable(rand.New(rand.NewSource(42)))
+	spanRng := rand.New(rand.NewSource(43))
 	compactSeen, flatSeen := 0, 0
 	for step := 0; step < 20000; step++ {
 		o.step(t)
 		if step%100 == 0 {
-			compare(t, o.pt, o.ref, 0, opSpan, "periodic")
+			compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "periodic")
 			c, f := checkChunks(t, o.pt)
 			compactSeen += c
 			flatSeen += f
 		}
 	}
-	compare(t, o.pt, o.ref, 0, opSpan, "final")
+	compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "final")
 	if compactSeen == 0 || flatSeen == 0 {
 		t.Fatalf("sampled %d compact and %d flat chunks; the trace must reach both encodings", compactSeen, flatSeen)
 	}
@@ -339,9 +436,10 @@ func FuzzPageTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
 		o := newOpTable(&src)
+		spanRng := rand.New(rand.NewSource(int64(len(data))))
 		for step := 0; step < 256 && len(src) > 0; step++ {
 			o.step(t)
-			compare(t, o.pt, o.ref, 0, opSpan, "fuzz")
+			compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "fuzz")
 			checkChunks(t, o.pt)
 		}
 	})
@@ -438,7 +536,8 @@ func TestExtentSparseFootprint(t *testing.T) {
 // compact, flat, missing and huge chunks: ascending span lists (the
 // rect walk's shape, adjacent and chunk-crossing spans included), spans
 // in random order (the fresh-search fallback) and walks that fn stops
-// early. Neither walk may change a chunk's encoding or create a chunk.
+// early. It pins the batch reads to the same Extents walks. No walk may
+// change a chunk's encoding or create a chunk.
 func TestCursorMatchesExtents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := make([]*mem.Frame, 4)
@@ -492,8 +591,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 	}
 	nChunks, nDense := pt.NumChunks(), pt.DenseChunks()
 
-	type walk struct{ lo, hi VPN }
-	collect := func(spans []walk, withGaps bool, limit int, cursor bool) []Ext {
+	collect := func(spans []Span, withGaps bool, limit int, cursor bool) []Ext {
 		var out []Ext
 		cur := pt.Cursor()
 		for _, s := range spans {
@@ -504,21 +602,28 @@ func TestCursorMatchesExtents(t *testing.T) {
 				return n != limit
 			}
 			if cursor {
-				cur.Extents(s.lo, s.hi, withGaps, fn)
+				cur.Extents(s.Lo, s.Hi, withGaps, fn)
 			} else {
-				pt.Extents(s.lo, s.hi, withGaps, fn)
+				pt.Extents(s.Lo, s.Hi, withGaps, fn)
 			}
 		}
 		return out
 	}
-	for iter := 0; iter < 3000; iter++ {
-		var spans []walk
-		for v := VPN(rng.Intn(400)); v < span && len(spans) < 80; {
-			n := VPN(1 + rng.Intn([]int{3, 40, 700}[rng.Intn(3)]))
-			hi := min(v+n, span)
-			spans = append(spans, walk{v, hi})
-			v = hi + VPN(rng.Intn(3)*rng.Intn(200)) // adjacent a third of the time
+	// The batch reads must file and count every page as the gap-walking
+	// extents of the same spans do: frameless present pages (node -1)
+	// are filed like any page but counted on no node.
+	fromExtents := func(spans []Span) batchResult {
+		b := batchResult{Counts: make([]int, len(frames))}
+		for _, s := range spans {
+			pt.Extents(s.Lo, s.Hi, true, func(e Ext) bool {
+				b.add(e.Start, e.Start+VPN(e.N), e.Flags, e.Node)
+				return true
+			})
 		}
+		return b
+	}
+	for iter := 0; iter < 3000; iter++ {
+		spans := randSpans(rng, 0, span)
 		if iter%4 == 3 {
 			rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
 		}
@@ -533,9 +638,16 @@ func TestCursorMatchesExtents(t *testing.T) {
 					iter, withGaps, limit, got, want)
 			}
 		}
+		if got, want := batchReads(pt, spans), fromExtents(spans); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: batch reads differ from per-span Extents over %v\nbatch:   %+v\nextents: %+v", iter, spans, got, want)
+		}
 	}
 	// Pin Extents itself page-for-page against Get once.
+	frameless := 0
 	pt.Extents(0, span, true, func(e Ext) bool {
+		if e.Flags&PTEPresent != 0 && e.Node < 0 {
+			frameless += e.N
+		}
 		for v := e.Start; v < e.Start+VPN(e.N); v++ {
 			p := pt.Get(v)
 			if p.Flags != e.Flags || (p.Frame != nil && p.Frame.Node != e.Node) {
@@ -544,6 +656,9 @@ func TestCursorMatchesExtents(t *testing.T) {
 		}
 		return true
 	})
+	if frameless == 0 {
+		t.Fatal("the table holds no frameless present page")
+	}
 	if pt.NumChunks() != nChunks || pt.DenseChunks() != nDense {
 		t.Fatalf("walks changed the table: %d chunks (%d flat), was %d (%d)",
 			pt.NumChunks(), pt.DenseChunks(), nChunks, nDense)
