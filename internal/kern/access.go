@@ -2,11 +2,8 @@ package kern
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"numamig/internal/model"
-	"numamig/internal/sim"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -26,152 +23,6 @@ const (
 	// effective remote cost scales with the NUMA factor (1.2-1.4).
 	Blocked
 )
-
-// FaultIn resolves every faulting page in [addr, addr+length): demand
-// allocation for absent pages, batched kernel next-touch migration for
-// marked pages, minor fixups for stale protections, and SIGSEGV delivery
-// for protection violations (which re-runs the scan afterwards, since
-// the user handler typically repairs whole regions). It returns the
-// number of pages that required service.
-func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
-	k := t.Proc.K
-	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	spans := rectSpans{lo: first, hi: last}
-	serviced := 0
-	for round := 0; round < 16; round++ {
-		n, segvAt, segv := t.faultRound(spans, write)
-		serviced += n
-		if !segv {
-			return serviced, nil
-		}
-		t.pageFaults(1)
-		t.P.Sleep(k.P.FaultBase)
-		if err := t.raiseSegv(segvAt, write); err != nil {
-			return serviced, err
-		}
-		serviced++
-	}
-	return serviced, fmt.Errorf("kern: FaultIn at %#x did not settle", addr)
-}
-
-// faultRound is one classify-and-service pass of the bulk fault paths
-// over ascending page spans, under mmap_sem shared. Chunk by chunk it
-// cuts the spans' pages at VMA boundaries, classifies them in one
-// batch read (absent, next-touch, NUMA-hint, stale) and services them
-// with aggregate costs. It stops at the first page outside a VMA or
-// without the access permission, leaving that chunk unclassified and
-// unserviced, and reports the page's address for the caller's SIGSEGV
-// fallback. It returns the number of pages serviced.
-func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool) {
-	sp := t.Proc.Space
-	t.Proc.MmapSem.RLock(t.P)
-	defer t.Proc.MmapSem.RUnlock()
-	lo, hi, ok := spans.next()
-	if !ok {
-		return 0, 0, false
-	}
-	// Walk the VMA list once per round instead of binary-searching it
-	// for every span: vmas is address-sorted, and pages are visited in
-	// ascending order, so a single cursor (vi) suffices. The cursor
-	// starts at the first covering VMA by binary search — an address
-	// space with thousands of live mappings must not pay a linear scan
-	// per fault. Once a page passes the check, every page up to its
-	// VMA's end (vmaEnd) does too, so the list is consulted again only
-	// when the walk reaches that end.
-	vmas := sp.VMAs()
-	vi := sort.Search(len(vmas), func(i int) bool { return vmas[i].End > lo.Base() })
-	vmaEnd := vm.VPN(0)
-	f := &t.scratch.faults
-	for ok {
-		ci := vm.ChunkIndex(lo)
-		cend := vm.VPN((ci + 1) * model.PTEChunkPages)
-		pieces := t.scratch.spans[:0]
-		for ok && lo < cend {
-			end := min(hi, cend)
-			for p := lo; p < end; {
-				if p >= vmaEnd {
-					for vi < len(vmas) && vmas[vi].End <= p.Base() {
-						vi++
-					}
-					if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
-						return serviced, p.Base(), true
-					}
-					vmaEnd = vm.PageOf(vmas[vi].End-1) + 1
-				}
-				q := min(end, vmaEnd)
-				pieces = append(pieces, vm.Span{Lo: p, Hi: q})
-				p = q
-			}
-			if end < hi {
-				lo = end
-			} else {
-				lo, hi, ok = spans.next()
-			}
-		}
-		t.scratch.spans = pieces
-		// The page-table cursor is fresh per chunk: servicing the
-		// previous chunk slept, and other tasks may have changed the
-		// table meanwhile.
-		f.Reset()
-		cur := sp.PT.Cursor()
-		cur.Classify(pieces, write, f)
-		if len(f.Absent)+len(f.Stale) > 0 {
-			serviced += len(f.Absent) + len(f.Stale)
-			t.serviceChunk(ci, f.Absent, f.Stale)
-		}
-		if len(f.NextTouch) > 0 {
-			serviced += len(f.NextTouch)
-			t.ntServiceFaults(f.NextTouch)
-		}
-		if len(f.NumaHint) > 0 {
-			serviced += len(f.NumaHint)
-			t.numaServiceFaults(f.NumaHint)
-		}
-	}
-	return serviced, 0, false
-}
-
-// serviceChunk handles the classified stale and absent pages of one PTE
-// chunk with aggregate costs equivalent to per-page fault handling.
-// Next-touch pages go through ntMigratePages (the shared migration
-// engine) instead. Caller holds mmap_sem shared.
-func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
-	k := t.Proc.K
-	sp := t.Proc.Space
-	cl := t.Proc.chunkLock(ci)
-	cl.Acquire(t.P)
-	defer cl.Release()
-
-	if len(stale) > 0 {
-		t.pageFaults(len(stale))
-		t.P.Sleep(sim.Time(len(stale)) * k.P.FaultBase)
-		t.fixStale(stale)
-	}
-	if len(absent) == 0 {
-		return
-	}
-	// Another task may have faulted some of the pages in while this one
-	// waited for the chunk lock. As in fault, those still count as faults
-	// and pay the fault entry, but allocate nothing.
-	t.pageFaults(len(absent))
-	raced := len(absent)
-	absent = slices.DeleteFunc(absent, func(p vm.VPN) bool { return sp.PT.Get(p).Present() })
-	raced -= len(absent)
-	k.Stats.DemandAllocs += uint64(len(absent))
-	t.P.Sleep(sim.Time(len(absent))*(k.P.FaultBase+k.P.DemandZero) + sim.Time(raced)*k.P.FaultBase)
-	// Demand allocations. Pages arrive in ascending order, so
-	// consecutive ones usually share a VMA: cache the last hit instead
-	// of binary-searching per page.
-	var v *vm.VMA
-	for _, p := range absent {
-		if v == nil || !v.Contains(p.Base()) {
-			v = sp.Find(p.Base())
-		}
-		f := t.allocFrame(t.capTarget(t.placeTarget(v, p)))
-		sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
-		t.chargeTenant(f)
-	}
-}
 
 // AccessRange models the application touching every byte of
 // [addr, addr+length) with the given pattern: faults are serviced first

@@ -3,8 +3,10 @@ package kern
 import (
 	"testing"
 
+	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/telemetry"
+	"numamig/internal/tenancy"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -139,6 +141,67 @@ func TestHugeRangeValidation(t *testing.T) {
 		}
 		if _, err := tk.MoveHugeRange(a, 4*pg, 1); err == nil {
 			t.Fatal("MoveHugeRange on small mapping accepted")
+		}
+	})
+}
+
+// TestMunmapFreesHugeUnits: unmapping a huge mapping returns each
+// unit whole, its representative frame and its 511-frame footprint,
+// whether the unit was first-touched there or moved since.
+func TestMunmapFreesHugeUnits(t *testing.T) {
+	for _, move := range []bool{false, true} {
+		h := newHarness(false)
+		h.run(t, 0, func(tk *Task) {
+			const bytes = 2 * model.HugePageSize
+			a, err := tk.MmapHuge(bytes, vm.Bind(0), "huge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tk.TouchHuge(a, bytes); err != nil {
+				t.Fatal(err)
+			}
+			if move {
+				if n, err := tk.MoveHugeRange(a, bytes, 3); err != nil || n != 2 {
+					t.Fatalf("moved %d huge units (err %v), want 2", n, err)
+				}
+			}
+			if err := tk.Munmap(a, bytes); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.k.Phys.TotalAllocated(); got != 0 {
+				t.Fatalf("move=%v: %d frames stay allocated after unmapping two huge units, want 0", move, got)
+			}
+		})
+	}
+}
+
+// TestHugeFallbackChargesTenant: a huge fault served with 512 base
+// pages allocates them through the 4 KiB demand step, so the tenant is
+// charged for every page and unmapping them empties the ledger.
+func TestHugeFallbackChargesTenant(t *testing.T) {
+	h := newSmallHarness(2, 768)
+	ten := h.k.Ten.Admit(1, "t", tenancy.ClassBatch, 0)
+	h.proc.SetTenant(ten)
+	h.run(t, 0, func(tk *Task) {
+		const bytes = 3 * model.HugePageSize // two units fit, the third falls back
+		a, err := tk.MmapHuge(bytes, vm.DefaultPolicy(), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.TouchHuge(a, bytes); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.k.Stats.HugeFallbacks; got != 1 {
+			t.Fatalf("%d huge fallbacks, want 1", got)
+		}
+		if got := ten.Resident(); got != model.PTEChunkPages {
+			t.Fatalf("tenant holds %d pages after the fallback, want its %d base pages", got, model.PTEChunkPages)
+		}
+		if err := tk.Munmap(a, bytes); err != nil {
+			t.Fatal(err)
+		}
+		if got := ten.Resident(); got != 0 {
+			t.Fatalf("tenant holds %d pages after the unmap, want 0", got)
 		}
 	})
 }
@@ -284,6 +347,41 @@ func TestWriteFaultCollapsesReplicas(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestReplicaCollapseMovesTenantCharge: a write that collapses a
+// replica set onto the writer's node moves the page there, and the
+// tenancy ledger follows it, so unmapping releases the page where it
+// lives and leaves no frame and no charge behind.
+func TestReplicaCollapseMovesTenantCharge(t *testing.T) {
+	h := newHarness(false)
+	ten := h.k.Ten.Admit(1, "t", tenancy.ClassBatch, 0)
+	h.proc.SetTenant(ten)
+	h.run(t, 0, func(tk *Task) {
+		a, _ := tk.Mmap(4*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+		if _, err := tk.FaultIn(a, 4*pg, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.ReplicateRange(a, 4*pg); err != nil {
+			t.Fatal(err)
+		}
+		tk.MigrateTo(5) // node 1
+		if err := tk.WriteReplicated(a); err != nil {
+			t.Fatal(err)
+		}
+		if got := tk.GetNode(a); got != 1 {
+			t.Fatalf("page after collapse on node %d, want writer's node 1", got)
+		}
+		if on0, on1 := ten.ResidentOn(0), ten.ResidentOn(1); on0 != 3 || on1 != 1 {
+			t.Fatalf("tenant holds %d pages on node 0 and %d on node 1, want 3 and 1", on0, on1)
+		}
+		if err := tk.Munmap(a, 4*pg); err != nil {
+			t.Fatal(err)
+		}
+		if n, r := h.k.Phys.TotalAllocated(), ten.Resident(); n != 0 || r != 0 {
+			t.Fatalf("after munmap %d frames stay allocated and the tenant holds %d pages; want 0 and 0", n, r)
+		}
+	})
 }
 
 // TestMunmapFreesReplicas: unmapping a replicated range frees the

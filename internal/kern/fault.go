@@ -2,9 +2,11 @@ package kern
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
-	"numamig/internal/mem"
 	"numamig/internal/migrate"
+	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/telemetry"
 	"numamig/internal/topology"
@@ -25,79 +27,136 @@ func (e ErrSegv) Error() string {
 	return fmt.Sprintf("kern: segmentation fault: %s at %#x", op, e.Addr)
 }
 
-// Touch performs one application access to addr, taking page faults as
-// needed (demand allocation, kernel next-touch migration, SIGSEGV
-// delivery). It is the single-address path; bulk accesses should use
-// AccessRange/FaultIn.
+// Touch performs one application access to addr: the hardware fast
+// path first, which sets the accessed/dirty bits (a compact run only
+// splits when it gains a new bit); on a miss the page-fault handler
+// over the one page, then a retry. It is the single-address path; bulk
+// accesses should use AccessRange/FaultIn.
 func (t *Task) Touch(addr vm.Addr, write bool) error {
+	vpn := vm.PageOf(addr)
 	for attempt := 0; attempt < 16; attempt++ {
-		// Hardware fast path: sets accessed/dirty (a compact run only
-		// splits when it gains a new bit).
-		if t.Proc.Space.PT.Touch(vm.PageOf(addr), write) {
+		if t.Proc.Space.PT.Touch(vpn, write) {
 			return nil
 		}
-		if err := t.fault(addr, write); err != nil {
+		if _, err := t.handleFaults(rectSpans{lo: vpn, hi: vpn + 1}, write, "Touch", addr); err != nil {
 			return err
 		}
 	}
 	return fmt.Errorf("kern: touch of %#x did not settle after 16 faults", addr)
 }
 
-// fault runs the page-fault handler once for addr. On return either the
-// PTE has been fixed, or a user SIGSEGV handler ran (the access must be
-// retried), or an error is returned.
-func (t *Task) fault(addr vm.Addr, write bool) error {
-	k := t.Proc.K
-	t.pageFaults(1)
-	t.P.Sleep(k.P.FaultBase)
+// FaultIn resolves every faulting page in [addr, addr+length): demand
+// allocation for absent pages, batched kernel next-touch migration for
+// marked pages, minor fixups for stale protections, and SIGSEGV delivery
+// for protection violations (which re-runs the scan afterwards, since
+// the user handler typically repairs whole regions). It returns the
+// number of pages that required service.
+func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
+	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
+	return t.handleFaults(rectSpans{lo: first, hi: last}, write, "FaultIn", addr)
+}
 
+// handleFaults is the page-fault handler behind Touch, FaultIn and
+// FaultInRect: rounds of faultRound over the spans, at most 16. A round
+// that stops at a protection violation takes the SIGSEGV path
+// (raiseSegv), and the next round scans the spans again. It returns the
+// number of pages serviced, a SIGSEGV counting as one; op and at name
+// the entry point in the error of a fault that does not settle.
+func (t *Task) handleFaults(spans rectSpans, write bool, op string, at vm.Addr) (int, error) {
+	serviced := 0
+	for round := 0; round < 16; round++ {
+		n, segvAt, segv := t.faultRound(spans, write)
+		serviced += n
+		if !segv {
+			return serviced, nil
+		}
+		if err := t.raiseSegv(segvAt, write); err != nil {
+			return serviced, err
+		}
+		serviced++
+	}
+	return serviced, fmt.Errorf("kern: %s at %#x did not settle", op, at)
+}
+
+// faultRound is one classify-and-service pass of the page-fault handler
+// over ascending page spans, under mmap_sem shared. Chunk by chunk it
+// cuts the spans' pages at VMA boundaries, classifies them in one
+// batch read (absent, next-touch, NUMA-hint, stale) and services them
+// with aggregate costs. It stops at the first page outside a VMA or
+// without the access permission, leaving that chunk unclassified and
+// unserviced, and reports the page's address for the SIGSEGV path. It
+// returns the number of pages serviced.
+func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool) {
 	sp := t.Proc.Space
 	t.Proc.MmapSem.RLock(t.P)
-	v := sp.Find(addr)
-	if v == nil {
-		t.Proc.MmapSem.RUnlock()
-		return t.raiseSegv(addr, write)
+	defer t.Proc.MmapSem.RUnlock()
+	lo, hi, ok := spans.next()
+	if !ok {
+		return 0, 0, false
 	}
-	if !v.Prot.Allows(write) {
-		t.Proc.MmapSem.RUnlock()
-		return t.raiseSegv(addr, write)
+	// Walk the VMA list once per round instead of binary-searching it
+	// for every span: vmas is address-sorted, and pages are visited in
+	// ascending order, so a single cursor (vi) suffices. The cursor
+	// starts at the first covering VMA by binary search — an address
+	// space with thousands of live mappings must not pay a linear scan
+	// per fault. Once a page passes the check, every page up to its
+	// VMA's end (vmaEnd) does too, so the list is consulted again only
+	// when the walk reaches that end.
+	vmas := sp.VMAs()
+	vi := sort.Search(len(vmas), func(i int) bool { return vmas[i].End > lo.Base() })
+	vmaEnd := vm.VPN(0)
+	f := &t.scratch.faults
+	for ok {
+		ci := vm.ChunkIndex(lo)
+		cend := vm.VPN((ci + 1) * model.PTEChunkPages)
+		pieces := t.scratch.spans[:0]
+		for ok && lo < cend {
+			end := min(hi, cend)
+			for p := lo; p < end; {
+				if p >= vmaEnd {
+					for vi < len(vmas) && vmas[vi].End <= p.Base() {
+						vi++
+					}
+					if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
+						return serviced, p.Base(), true
+					}
+					vmaEnd = vm.PageOf(vmas[vi].End-1) + 1
+				}
+				q := min(end, vmaEnd)
+				pieces = append(pieces, vm.Span{Lo: p, Hi: q})
+				p = q
+			}
+			if end < hi {
+				lo = end
+			} else {
+				lo, hi, ok = spans.next()
+			}
+		}
+		t.scratch.spans = pieces
+		// The page-table cursor is fresh per chunk: servicing the
+		// previous chunk slept, and other tasks may have changed the
+		// table meanwhile.
+		f.Reset()
+		cur := sp.PT.Cursor()
+		cur.Classify(pieces, write, f)
+		if len(f.Absent)+len(f.Stale) > 0 {
+			serviced += len(f.Absent) + len(f.Stale)
+			t.serviceChunk(ci, f.Absent, f.Stale)
+		}
+		if len(f.NextTouch) > 0 {
+			serviced += len(f.NextTouch)
+			t.ntServiceFaults(f.NextTouch)
+		}
+		if len(f.NumaHint) > 0 {
+			serviced += len(f.NumaHint)
+			t.numaServiceFaults(f.NumaHint)
+		}
 	}
-
-	vpn := vm.PageOf(addr)
-	cl := t.Proc.chunkLock(vm.ChunkIndex(vpn))
-	cl.Acquire(t.P)
-	pte := sp.PT.Get(vpn)
-	nextTouch := false
-	numaHint := false
-	switch {
-	case vm.FlagsAllow(pte.Flags, write):
-		// Raced with another thread that already fixed it.
-	case pte.Flags&vm.PTEPresent == 0:
-		t.demandAlloc(v, vpn)
-	case pte.Flags&vm.PTENextTouch != 0:
-		// Serviced below, after the chunk lock is dropped: the engine
-		// takes the chunk lock itself.
-		nextTouch = true
-	case pte.Flags&vm.PTENumaHint != 0:
-		// AutoNUMA hinting fault: serviced below (the service path
-		// takes the chunk lock itself).
-		numaHint = true
-	default:
-		t.fixStale([]vm.VPN{vpn})
-	}
-	cl.Release()
-	if nextTouch {
-		t.ntMigratePages([]vm.VPN{vpn})
-	}
-	if numaHint {
-		t.numaHintFaults([]vm.VPN{vpn})
-	}
-	t.Proc.MmapSem.RUnlock()
-	return nil
+	return serviced, 0, false
 }
 
 // pageFaults counts n page faults and publishes them as one PageFault
-// event: the entry of every fault path, single-page or bulk.
+// event: the entry of every fault path.
 func (t *Task) pageFaults(n int) {
 	k := t.Proc.K
 	k.Stats.Faults += uint64(n)
@@ -107,6 +166,44 @@ func (t *Task) pageFaults(n int) {
 			Node:  t.Node(), Dst: telemetry.NoNode,
 			Task: t.P.ID(), Pages: n,
 		})
+	}
+}
+
+// serviceChunk handles the classified stale and absent pages of one PTE
+// chunk with aggregate costs equivalent to per-page fault handling.
+// Next-touch and NUMA-hint pages go through ntServiceFaults and
+// numaServiceFaults instead. Caller holds mmap_sem shared.
+func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
+	k := t.Proc.K
+	sp := t.Proc.Space
+	cl := t.Proc.chunkLock(ci)
+	cl.Acquire(t.P)
+	defer cl.Release()
+
+	if len(stale) > 0 {
+		t.pageFaults(len(stale))
+		t.P.Sleep(sim.Time(len(stale)) * k.P.FaultBase)
+		t.fixStale(stale)
+	}
+	if len(absent) == 0 {
+		return
+	}
+	// Another task may have faulted some of the pages in while this one
+	// waited for the chunk lock. Those still count as faults and pay the
+	// fault entry, but allocate nothing.
+	t.pageFaults(len(absent))
+	raced := len(absent)
+	absent = slices.DeleteFunc(absent, func(p vm.VPN) bool { return sp.PT.Get(p).Present() })
+	raced -= len(absent)
+	t.P.Sleep(sim.Time(len(absent))*(k.P.FaultBase+k.P.DemandZero) + sim.Time(raced)*k.P.FaultBase)
+	// Pages arrive in ascending order, so consecutive ones usually share
+	// a VMA: cache the last hit instead of binary-searching per page.
+	var v *vm.VMA
+	for _, p := range absent {
+		if v == nil || !v.Contains(p.Base()) {
+			v = sp.Find(p.Base())
+		}
+		t.demandPage(v, p)
 	}
 }
 
@@ -147,16 +244,21 @@ func (t *Task) fixStale(pages []vm.VPN) {
 	}
 }
 
-// demandAlloc services a not-present fault: allocate per policy near the
-// toucher (first-touch), zero, map. The entry is installed through the
-// extent layer, so a stream of sequential demand faults grows one run.
-func (t *Task) demandAlloc(v *vm.VMA, vpn vm.VPN) {
+// demandPage maps a fresh frame at p for a first touch: the page's
+// mempolicy target, redirected by the tenancy cap (capTarget), then the
+// allocation, the PTE install and the tenant charge at the node the
+// frame landed on. It is the one demand-allocation step of the 4 KiB
+// fault path and the huge-page fallback; the entry is installed through
+// the extent layer, so a stream of sequential demand faults grows one
+// run. The caller holds p's chunk lock and charges the fault costs.
+func (t *Task) demandPage(v *vm.VMA, p vm.VPN) {
 	k := t.Proc.K
 	k.Stats.DemandAllocs++
-	f := t.allocFrame(t.capTarget(t.placeTarget(v, vpn)))
-	t.P.Sleep(k.P.DemandZero)
-	t.Proc.Space.PT.Install(vpn, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
-	t.chargeTenant(f)
+	f := k.AllocFrame(t.capTarget(t.placeTarget(v, p)))
+	t.Proc.Space.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
+	if ten := t.Proc.Tenant; ten != nil {
+		k.Ten.Charge(ten, f.Node, 1)
+	}
 	// Pages populated after a next-touch mark need no mark themselves:
 	// first-touch already places them locally.
 }
@@ -182,14 +284,6 @@ func (t *Task) capTarget(target topology.NodeID) topology.NodeID {
 	return target
 }
 
-// chargeTenant charges one freshly allocated frame to the process's
-// tenant, at the node the page actually landed on.
-func (t *Task) chargeTenant(f *mem.Frame) {
-	if ten := t.Proc.Tenant; ten != nil {
-		t.Proc.K.Ten.Charge(ten, f.Node, 1)
-	}
-}
-
 // placeTarget resolves a page's effective mempolicy (VMA policy, then
 // the process default) to its preferred node through the placement
 // layer: the one policy-resolution entry point for every fault path.
@@ -197,35 +291,20 @@ func (t *Task) placeTarget(v *vm.VMA, p vm.VPN) topology.NodeID {
 	return t.Proc.K.Placer.Place(v.Pol, t.Proc.Space.DefaultPol, p, t.Node())
 }
 
-// allocFrame allocates a frame on target through the placement layer,
-// which falls back along the zonelist when the target cannot take it.
-func (t *Task) allocFrame(target topology.NodeID) *mem.Frame {
-	return t.Proc.K.AllocFrame(target)
-}
-
-// ntServiceFaults charges the page faults that delivered a batch of
-// next-touch pages (the bulk fault paths classify without faulting per
-// page), then migrates them through the shared engine.
+// ntServiceFaults services the Migrate-on-next-touch faults of one PTE
+// chunk's pages, which the fault round classified without faulting per
+// page: it charges their page faults, then runs the paper's kernel
+// next-touch implementation (Fig. 2) through the shared migration
+// engine on the lazy channel. The engine migrates remote pages to the
+// toucher's node, clears the mark, and restores access; already-local
+// pages only pay the restore cost. Caller holds mmap_sem shared and no
+// chunk locks.
 func (t *Task) ntServiceFaults(pages []vm.VPN) {
 	k := t.Proc.K
 	t.pageFaults(len(pages))
-	t.P.InCat(CatNTCtl, func() {
-		t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
-	})
-	t.ntMigratePages(pages)
-}
-
-// ntMigratePages services Migrate-on-next-touch faults for a set of
-// pages (all within one PTE chunk when called from the bulk fault path):
-// the paper's kernel next-touch implementation (Fig. 2), routed through
-// the shared migration engine on the lazy channel. The engine migrates
-// remote pages to the toucher's node, clears the mark, and restores
-// access; already-local pages only pay the restore cost. Caller holds
-// mmap_sem shared and no chunk locks.
-func (t *Task) ntMigratePages(pages []vm.VPN) {
-	k := t.Proc.K
-	dst := t.Node()
 	defer t.P.PushCat(CatNTCtl)()
+	t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
+	dst := t.Node()
 	ops := make([]migrate.Op, len(pages))
 	for i, p := range pages {
 		ops[i] = migrate.Op{VPN: p, Dst: dst}
@@ -239,10 +318,25 @@ func (t *Task) ntMigratePages(pages []vm.VPN) {
 	k.Stats.NTLocalSkips += uint64(res.Local)
 }
 
-// raiseSegv delivers SIGSEGV to the process handler, or returns ErrSegv
-// if none is installed.
+// raiseSegv is the SIGSEGV path of the page-fault handler, taken where
+// a fault round stopped at an access outside any VMA or denied by its
+// protection. It enters the fault (pageFaults, FaultBase), then
+// re-checks the VMA under mmap_sem shared: a concurrent mprotect may
+// have repaired the mapping meanwhile, and then no signal is raised —
+// the handler's next round services the page like any other. Otherwise
+// it delivers SIGSEGV to the process handler, or returns ErrSegv if
+// none is installed.
 func (t *Task) raiseSegv(addr vm.Addr, write bool) error {
 	k := t.Proc.K
+	t.pageFaults(1)
+	t.P.Sleep(k.P.FaultBase)
+	t.Proc.MmapSem.RLock(t.P)
+	v := t.Proc.Space.Find(addr)
+	repaired := v != nil && v.Prot.Allows(write)
+	t.Proc.MmapSem.RUnlock()
+	if repaired {
+		return nil
+	}
 	k.Stats.Sigsegvs++
 	if t.Proc.sigHandler == nil {
 		return ErrSegv{Addr: addr, Write: write}

@@ -6,7 +6,6 @@ import (
 	"numamig/internal/migrate"
 	"numamig/internal/model"
 	"numamig/internal/sim"
-	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -84,14 +83,7 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 		cl := t.Proc.chunkLock(ci)
 		cl.Acquire(t.P)
 		if !populated(c) {
-			k.Stats.Faults++
-			if k.bus.Active(telemetry.TopicPageFault) {
-				k.bus.Publish(telemetry.Event{
-					Topic: telemetry.TopicPageFault,
-					Node:  t.Node(), Dst: telemetry.NoNode,
-					Task: t.P.ID(), Pages: 1,
-				})
-			}
+			t.pageFaults(1)
 			t.P.Sleep(k.P.FaultBase)
 			// Key policy interleaving on the huge-unit index, not the
 			// base VPN: chunk bases are multiples of 512, so a VPN key
@@ -115,20 +107,18 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 }
 
 // hugeFallback serves one huge fault with 512 base pages when no node
-// can host a contiguous 2 MiB unit: each page allocates through the
-// normal placement path (so the pages may spread over several nodes),
-// at per-page demand-zero cost and without the huge unit's TLB win.
-// Caller holds the chunk lock.
+// can host a contiguous 2 MiB unit: each page takes the 4 KiB fault
+// path's demand-allocation step (so the pages may spread over several
+// nodes, and a tenant is charged for them), at per-page demand-zero
+// cost and without the huge unit's TLB win. Caller holds the chunk
+// lock.
 func (t *Task) hugeFallback(v *vm.VMA, base vm.VPN) {
 	k := t.Proc.K
 	k.Stats.HugeFallbacks++
-	k.Stats.DemandAllocs += model.PTEChunkPages
-	sp := t.Proc.Space
 	for p := base; p < base+model.PTEChunkPages; p++ {
-		f := t.allocFrame(t.placeTarget(v, p))
-		sp.PT.Install(p, vm.PTE{Frame: f, Flags: vm.PTEPresent | vm.PTEAccessed | v.Prot.Flags()})
+		t.demandPage(v, p)
 	}
-	sp.PT.Chunk(base).HugeFallback = true
+	t.Proc.Space.PT.Chunk(base).HugeFallback = true
 	t.P.Sleep(sim.Time(model.PTEChunkPages) * k.P.DemandZero)
 }
 

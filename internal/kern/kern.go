@@ -252,10 +252,7 @@ func (k *Kernel) AllocHugeFrame(target topology.NodeID) *mem.Frame {
 
 // FreeHugeFrame releases a huge unit's representative frame and its
 // 511-frame footprint.
-func (k *Kernel) FreeHugeFrame(f *mem.Frame) {
-	k.Phys.Free(f)
-	k.Phys.ReleaseFootprint(f.Node, model.PTEChunkPages-1)
-}
+func (k *Kernel) FreeHugeFrame(f *mem.Frame) { k.Phys.FreeHuge(f) }
 
 // NoteMigration records one migrated-in page on dst.
 func (k *Kernel) NoteMigration(dst topology.NodeID) { k.Phys.NoteMigration(dst) }

@@ -135,6 +135,66 @@ func TestSegvHandlerRepairsAndRetries(t *testing.T) {
 	}
 }
 
+// TestSegvRecheckSeesConcurrentRepair: a fault round stops at a
+// PROT_NONE page while another task's mprotect is about to make it
+// writable again. The SIGSEGV path re-checks the VMA under mmap_sem
+// after the fault entry, waits there for the repair, and raises no
+// signal, whichever bulk entry point took the fault.
+func TestSegvRecheckSeesConcurrentRepair(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fault func(tk *Task, a vm.Addr) error
+	}{
+		{"FaultIn", func(tk *Task, a vm.Addr) error {
+			_, err := tk.FaultIn(a, 4*pg, true)
+			return err
+		}},
+		{"FaultInRect", func(tk *Task, a vm.Addr) error {
+			_, err := tk.FaultInRect(Rect{Base: a, RowBytes: 4 * pg, Rows: 1}, true)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(false)
+			signals := 0
+			h.proc.OnSegv(func(*Task, SigInfo) { signals++ })
+			var a vm.Addr
+			h.run(t, 0, func(tk *Task) {
+				a, _ = tk.Mmap(4*pg, vm.ProtRW, vm.Bind(0), 0, "buf")
+				if _, err := tk.FaultIn(a, 4*pg, true); err != nil {
+					t.Fatal(err)
+				}
+				if err := tk.Mprotect(a, 4*pg, vm.ProtNone); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The repair takes mmap_sem for write after its syscall
+			// entry (SyscallBase + MprotectBase, 0.95 µs). The fault
+			// round runs half a FaultBase before that, and its re-check
+			// half a FaultBase after it, while the repair holds the
+			// lock.
+			p := h.k.P
+			h.proc.Spawn("repair", 4, func(tk *Task) {
+				if err := tk.Mprotect(a, 4*pg, vm.ProtRW); err != nil {
+					t.Error(err)
+				}
+			})
+			h.proc.Spawn("fault", 8, func(tk *Task) {
+				tk.P.Sleep(p.SyscallBase + p.MprotectBase - p.FaultBase/2)
+				if err := c.fault(tk, a); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := h.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if signals != 0 || h.k.Stats.Sigsegvs != 0 {
+				t.Fatalf("%d signals delivered, %d SIGSEGVs counted; want 0 and 0", signals, h.k.Stats.Sigsegvs)
+			}
+		})
+	}
+}
+
 func TestKernelNextTouchMigratesToToucher(t *testing.T) {
 	h := newHarness(true)
 	h.run(t, 0, func(tk *Task) {

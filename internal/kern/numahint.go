@@ -11,11 +11,12 @@ import (
 
 // Automatic NUMA balancing substrate: the kernel half of
 // internal/autonuma. The scanner daemon calls ArmNumaHints to strip
-// access from mapped pages (the simulated change_prot_numa); the fault
-// paths in fault.go/access.go funnel the resulting hinting faults into
-// numaHintFaults, which restores access, consults the registered
-// NumaBalancer for placement decisions, and routes the resulting
-// promotions through the shared migration engine on the lazy channel.
+// access from mapped pages (the simulated change_prot_numa); the
+// page-fault handler (fault.go) funnels the resulting hinting faults
+// into numaServiceFaults, which restores access, consults the
+// registered NumaBalancer for placement decisions, and routes the
+// resulting promotions through the shared migration engine on the lazy
+// channel.
 
 // NumaBalancer is the placement-policy hook consulted on NUMA hinting
 // faults. Implemented by internal/autonuma.Balancer; registered per
@@ -128,64 +129,47 @@ func (pr *Process) ArmNumaHints(p *sim.Proc, cursor vm.VPN, max int) (int, vm.VP
 	return armed, next
 }
 
-// numaServiceFaults charges the page faults that delivered a batch of
-// hint-marked pages (the bulk fault path classifies without faulting
-// per page), then services them.
+// numaServiceFaults services the NUMA hinting faults of one PTE
+// chunk's pages, which the fault round classified without faulting per
+// page. It charges their page faults, then clears the hint mark and
+// restores access under the chunk lock — the kernel fixes the PTE
+// before trying to migrate, so the toucher never blocks on the copy —
+// then hands the observed (page, node) pairs to the balancer and runs
+// its promotion orders through the shared engine on the lazy channel.
+// Caller holds mmap_sem shared and no chunk locks.
 func (t *Task) numaServiceFaults(pages []vm.VPN) {
 	k := t.Proc.K
-	t.pageFaults(len(pages))
-	t.P.InCat(CatNumaHint, func() {
-		t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
-	})
-	t.numaHintFaults(pages)
-}
-
-// numaHintFaults services NUMA hinting faults for a set of pages (all
-// within one PTE chunk when called from the bulk fault path): clear the
-// hint mark and restore access under the chunk lock — the kernel fixes
-// the PTE before trying to migrate, so the toucher never blocks on the
-// copy — then hand the observed (page, node) pairs to the balancer and
-// run its promotion orders through the shared engine on the lazy
-// channel. Caller holds mmap_sem shared and no chunk locks.
-func (t *Task) numaHintFaults(pages []vm.VPN) {
-	k := t.Proc.K
 	sp := t.Proc.Space
+	t.pageFaults(len(pages))
 	defer t.P.PushCat(CatNumaHint)()
+	t.P.Sleep(sim.Time(len(pages)) * k.P.FaultBase)
 
 	faulted := make([]vm.VPN, 0, len(pages))
 	src := make([]topology.NodeID, 0, len(pages))
-	for i := 0; i < len(pages); {
-		ci := vm.ChunkIndex(pages[i])
-		j := i + 1
-		for j < len(pages) && vm.ChunkIndex(pages[j]) == ci {
-			j++
+	cl := t.Proc.chunkLock(vm.ChunkIndex(pages[0]))
+	cl.Acquire(t.P)
+	for _, pg := range pages {
+		pte := sp.PT.Get(pg)
+		if !pte.Present() || pte.Flags&vm.PTENumaHint == 0 {
+			continue // raced: another thread already serviced it
 		}
-		cl := t.Proc.chunkLock(ci)
-		cl.Acquire(t.P)
-		for _, pg := range pages[i:j] {
-			pte := sp.PT.Get(pg)
-			if !pte.Present() || pte.Flags&vm.PTENumaHint == 0 {
-				continue // raced: another thread already serviced it
-			}
-			pte.Flags = pte.Flags&^(vm.PTENumaHint|vm.PTERead|vm.PTEWrite) | sp.Find(pg.Base()).Prot.Flags()
-			_, replicated := t.Proc.replicas[pg]
-			if replicated {
-				// A page armed before it was replicated: restore access
-				// but keep the replica set's write protection, and never
-				// report it — promoting the primary would free a frame
-				// the set still references.
-				pte.Flags &^= vm.PTEWrite
-			}
-			sp.PT.Install(pg, pte)
-			if replicated {
-				continue
-			}
-			faulted = append(faulted, pg)
-			src = append(src, pte.Frame.Node)
+		pte.Flags = pte.Flags&^(vm.PTENumaHint|vm.PTERead|vm.PTEWrite) | sp.Find(pg.Base()).Prot.Flags()
+		_, replicated := t.Proc.replicas[pg]
+		if replicated {
+			// A page armed before it was replicated: restore access but
+			// keep the replica set's write protection, and never report
+			// it — promoting the primary would free a frame the set
+			// still references.
+			pte.Flags &^= vm.PTEWrite
 		}
-		cl.Release()
-		i = j
+		sp.PT.Install(pg, pte)
+		if replicated {
+			continue
+		}
+		faulted = append(faulted, pg)
+		src = append(src, pte.Frame.Node)
 	}
+	cl.Release()
 	if len(faulted) == 0 {
 		return
 	}

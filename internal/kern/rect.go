@@ -1,8 +1,6 @@
 package kern
 
 import (
-	"fmt"
-
 	"numamig/internal/model"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
@@ -89,30 +87,14 @@ func (r Rect) appendSpans(dst []vm.Span) []vm.Span {
 
 // FaultInRect resolves all faulting pages of the rectangle (demand
 // allocation, kernel next-touch migration, NUMA hinting, stale-PTE
-// fixups) with the same chunk-at-a-time classify-and-service rounds as
-// FaultIn, walking the rectangle's row spans instead of one range.
-// A protection violation falls back to the single-address Touch path,
-// so user next-touch handlers run, and the scan repeats; a rectangle
-// that still faults after 16 such rounds is an error, as for FaultIn.
+// fixups and SIGSEGV delivery) with the page-fault handler FaultIn
+// runs, walking the rectangle's row spans instead of one range.
 // Returns the number of serviced pages.
 func (t *Task) FaultInRect(r Rect, write bool) (int, error) {
 	if r.empty() {
 		return 0, nil
 	}
-	spans := r.spans()
-	serviced := 0
-	for round := 0; round < 16; round++ {
-		n, segvAt, segv := t.faultRound(spans, write)
-		serviced += n
-		if !segv {
-			return serviced, nil
-		}
-		if err := t.Touch(segvAt, write); err != nil {
-			return serviced, err
-		}
-		serviced++
-	}
-	return serviced, fmt.Errorf("kern: FaultInRect at %#x did not settle", r.Base)
+	return t.handleFaults(r.spans(), write, "FaultInRect", r.Base)
 }
 
 // TrafficRect charges the memory traffic of reading/writing the

@@ -56,7 +56,7 @@ func spanPages(t testing.TB, r Rect) []vm.VPN {
 
 // refFaultInRect is the per-page reference for FaultInRect: the page
 // list, one VMA lookup and one PTE read per page, the same per-chunk
-// batching and SIGSEGV fallback.
+// batching and SIGSEGV path.
 func refFaultInRect(t *Task, r Rect, write bool) (int, error) {
 	sp := t.Proc.Space
 	pages := r.pages()
@@ -112,7 +112,7 @@ func refFaultInRect(t *Task, r Rect, write bool) (int, error) {
 		if !haveSegv {
 			return serviced, nil
 		}
-		if err := t.Touch(segvAt, write); err != nil {
+		if err := t.raiseSegv(segvAt, write); err != nil {
 			return serviced, err
 		}
 		serviced++

@@ -138,7 +138,9 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 
 // collapseReplicas tears down the replica set of page p, keeping the
 // copy on keep (the writer's node) and restoring the VMA's protection.
-// Called from the write-fault path (fixStale).
+// The page moves to the kept frame's node, and the tenancy ledger,
+// which charged the home frame, moves with it. Called from the
+// write-fault path (fixStale).
 func (pr *Process) collapseReplicas(p vm.VPN, keep topology.NodeID) {
 	rs, ok := pr.replicas[p]
 	if !ok {
@@ -147,7 +149,7 @@ func (pr *Process) collapseReplicas(p vm.VPN, keep topology.NodeID) {
 	k := pr.K
 	kept := rs.frames[keep]
 	if kept == nil {
-		// No local copy: keep the home frame.
+		// No local copy: keep the lowest node's frame.
 		for _, f := range rs.frames {
 			if f != nil {
 				kept = f
@@ -160,6 +162,7 @@ func (pr *Process) collapseReplicas(p vm.VPN, keep topology.NodeID) {
 			k.Phys.Free(f)
 		}
 	}
+	pr.NotePageMove(rs.home, kept.Node)
 	delete(pr.replicas, p)
 	pte := pr.Space.PT.Get(p)
 	pte.Frame = kept

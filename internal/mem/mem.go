@@ -290,6 +290,13 @@ func (p *Phys) Free(f *Frame) {
 	s.free = append(s.free, f)
 }
 
+// FreeHuge returns a 2 MiB unit to its node's pool: the representative
+// frame and the footprint reserved with it (AllocFootprint).
+func (p *Phys) FreeHuge(f *Frame) {
+	p.Free(f)
+	p.ReleaseFootprint(f.Node, model.PTEChunkPages-1)
+}
+
 // AllocFootprint reserves n frames' worth of memory on the node without
 // materializing frame objects; used for huge-page footprints where one
 // representative Frame stands for 512 small frames.

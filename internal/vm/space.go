@@ -65,8 +65,8 @@ type Space struct {
 	// releases, called immediately after the frame returns to Phys —
 	// the instant the allocator's gauges are consistent — so per-owner
 	// ledgers (the tenancy layer) can uncharge at exactly the
-	// granularity mem.Phys sees. Huge-chunk frames do not notify (their
-	// footprint accounting runs through Alloc/ReleaseFootprint).
+	// granularity mem.Phys sees. Huge units do not notify: they return
+	// to Phys whole, frame and footprint, through Phys.FreeHuge.
 	OnFree func(*mem.Frame)
 }
 
@@ -171,7 +171,7 @@ func (s *Space) freeRange(start, end Addr) {
 			continue
 		}
 		if c.Huge && c.HugeFrame != nil {
-			s.Phys.Free(c.HugeFrame)
+			s.Phys.FreeHuge(c.HugeFrame)
 			c.HugeFrame = nil
 			c.HugeFlags = 0
 		}
