@@ -255,7 +255,7 @@ func Example_adaptiveRateLimit() {
 		Params:     &p,
 	})
 	sys.EnableAutoNUMA(numamig.AutoNUMAConfig{})
-	ctrl := sys.EnableAdaptiveRateLimit(numamig.AdaptiveRateLimitConfig{})
+	ctrl := sys.EnableAdaptiveRateLimit()
 	err := sys.Run(func(t *numamig.Task) {
 		cold := numamig.MustAlloc(t, 640*numamig.PageSize, numamig.Preferred(0))
 		if err := cold.Prefault(t); err != nil {

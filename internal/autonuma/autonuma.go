@@ -51,27 +51,15 @@ import (
 
 	"numamig/internal/kern"
 	"numamig/internal/migrate"
-	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
 
-// Config tunes the balancer. Zero values fall back to the kernel's
-// model.Params (NumaScan*/NumaFault* knobs).
+// Config selects the balancer's optional behaviours. The scan and
+// fault knobs come from the kernel's model.Params (NumaScan*,
+// NumaFault*).
 type Config struct {
-	// ScanPeriod is the initial delay between scanner ticks.
-	ScanPeriod sim.Time
-	// ScanPeriodMin/Max bound the adaptive period.
-	ScanPeriodMin sim.Time
-	ScanPeriodMax sim.Time
-	// ScanPages is the soft bound on pages examined per tick.
-	ScanPages int
-	// FaultThreshold is the decayed per-node fault count a task must
-	// reach on a node's memory before pages are promoted off it.
-	FaultThreshold float64
-	// FaultDecay multiplies the fault counters once per tick.
-	FaultDecay float64
 	// FollowThreshold, when positive, enables thread-follows-memory: if
 	// a task's decayed fault share on one remote node exceeds the
 	// threshold (0..1], the thread migrates to that node instead of
@@ -84,34 +72,6 @@ type Config struct {
 	// different nodes, like the kernel's last-CPU/PID check in
 	// should_numa_migrate_memory.
 	NoLastToucher bool
-}
-
-func (c Config) withDefaults(p *model.Params) Config {
-	if c.ScanPeriod == 0 {
-		c.ScanPeriod = p.NumaScanPeriod
-	}
-	if c.ScanPeriodMin == 0 {
-		c.ScanPeriodMin = p.NumaScanPeriodMin
-	}
-	if c.ScanPeriodMax == 0 {
-		c.ScanPeriodMax = p.NumaScanPeriodMax
-	}
-	if c.ScanPages == 0 {
-		c.ScanPages = p.NumaScanPages
-	}
-	if c.FaultThreshold == 0 {
-		c.FaultThreshold = p.NumaFaultThreshold
-	}
-	if c.FaultDecay == 0 {
-		c.FaultDecay = p.NumaFaultDecay
-	}
-	if c.ScanPeriod < c.ScanPeriodMin {
-		c.ScanPeriod = c.ScanPeriodMin
-	}
-	if c.ScanPeriod > c.ScanPeriodMax {
-		c.ScanPeriod = c.ScanPeriodMax
-	}
-	return c
 }
 
 // Stats counts balancer activity.
@@ -164,13 +124,16 @@ type Balancer struct {
 // retires itself on the first poll after the process's last thread
 // exits.
 func Enable(proc *kern.Process, cfg Config) *Balancer {
+	p := &proc.K.P
 	b := &Balancer{
-		Proc:  proc,
-		Cfg:   cfg.withDefaults(&proc.K.P),
-		tasks: map[int]*taskStats{},
-		last:  map[vm.VPN]lastTouch{},
+		Proc: proc,
+		Cfg:  cfg,
+		// Params can come from outside, so clamp the initial period
+		// into the adaptive bounds.
+		period: min(max(p.NumaScanPeriod, p.NumaScanPeriodMin), p.NumaScanPeriodMax),
+		tasks:  map[int]*taskStats{},
+		last:   map[vm.VPN]lastTouch{},
 	}
-	b.period = b.Cfg.ScanPeriod
 	proc.SetNumaBalancer(b)
 	proc.K.Hub().Register(b)
 	return b
@@ -204,6 +167,7 @@ func (b *Balancer) Poll() kern.TickVerdict {
 // Run is one scanner tick: decay statistics, adapt the period to the
 // fault traffic of the last window, arm the next window of pages.
 func (b *Balancer) Run(p *sim.Proc) {
+	kp := &b.Proc.K.P
 	b.decay()
 	// Adapt to the fault traffic of the last window — but only once
 	// a window has actually been sampled: before the first arming
@@ -213,23 +177,23 @@ func (b *Balancer) Run(p *sim.Proc) {
 			// Quiet window: everything local, back off
 			// (numa_scan_period growth) so a converged workload stops
 			// paying for sampling.
-			if b.period < b.Cfg.ScanPeriodMax {
+			if b.period < kp.NumaScanPeriodMax {
 				b.period *= 2
-				if b.period > b.Cfg.ScanPeriodMax {
-					b.period = b.Cfg.ScanPeriodMax
+				if b.period > kp.NumaScanPeriodMax {
+					b.period = kp.NumaScanPeriodMax
 				}
 				b.Stats.Backoffs++
 			}
 		} else {
 			// Remote traffic: rescan aggressively.
 			b.period /= 2
-			if b.period < b.Cfg.ScanPeriodMin {
-				b.period = b.Cfg.ScanPeriodMin
+			if b.period < kp.NumaScanPeriodMin {
+				b.period = kp.NumaScanPeriodMin
 			}
 		}
 	}
 	b.remote = 0
-	armed, next := b.Proc.ArmNumaHints(p, b.cursor, b.Cfg.ScanPages)
+	armed, next := b.Proc.ArmNumaHints(p, b.cursor, kp.NumaScanPages)
 	b.cursor = next
 	b.Stats.ScanTicks++
 	b.Stats.PagesArmed += uint64(armed)
@@ -237,10 +201,11 @@ func (b *Balancer) Run(p *sim.Proc) {
 
 // decay ages every task's fault history by one tick.
 func (b *Balancer) decay() {
+	factor := b.Proc.K.P.NumaFaultDecay
 	for _, ts := range b.tasks {
 		ts.total = 0
 		for i := range ts.memFaults {
-			ts.memFaults[i] *= b.Cfg.FaultDecay
+			ts.memFaults[i] *= factor
 			ts.total += ts.memFaults[i]
 		}
 	}
@@ -263,6 +228,7 @@ func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeI
 	}
 	dst := t.Node()
 	allowDst := b.Proc.K.Placer.AllowPromotion(dst)
+	threshold := b.Proc.K.P.NumaFaultThreshold
 	var ops []migrate.Op
 	for i, pg := range pages {
 		// Last-toucher history: every hinting fault extends or resets
@@ -284,7 +250,7 @@ func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeI
 		}
 		b.Stats.RemoteFaults++
 		b.remote++
-		if ts.memFaults[src[i]] < b.Cfg.FaultThreshold {
+		if ts.memFaults[src[i]] < threshold {
 			continue
 		}
 		if !b.Cfg.NoLastToucher && lt.streak < 2 {
@@ -312,7 +278,7 @@ func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeI
 // task's fault history, when thread-follows-memory is enabled and that
 // share clears the threshold.
 func (b *Balancer) shouldFollow(ts *taskStats, here topology.NodeID) (topology.NodeID, bool) {
-	if b.Cfg.FollowThreshold <= 0 || ts.total < b.Cfg.FaultThreshold {
+	if b.Cfg.FollowThreshold <= 0 || ts.total < b.Proc.K.P.NumaFaultThreshold {
 		return 0, false
 	}
 	best, bestF := topology.NodeID(0), 0.0

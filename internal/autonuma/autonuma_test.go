@@ -32,7 +32,7 @@ func TestConvergence(t *testing.T) {
 	// buffer once, plus threshold warm-up and one re-arm round for the
 	// pages the threshold filter let through unpromoted. Give it 8 full
 	// coverage rounds before declaring failure.
-	cover := (pages + bal.Cfg.ScanPages - 1) / bal.Cfg.ScanPages
+	cover := (pages + sys.Kernel.P.NumaScanPages - 1) / sys.Kernel.P.NumaScanPages
 	maxPeriods := 8 * cover
 
 	const want = pages * 9 / 10
@@ -42,7 +42,7 @@ func TestConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.MigrateTo(sys.Machine.Nodes[3].Cores[0]) // farthest node, no hints
-		deadline := tk.P.Now() + sim.Time(maxPeriods)*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + sim.Time(maxPeriods)*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
 			sweep(t, tk, buf)
 			hist, absent := buf.NodeHistogram(tk)
@@ -112,7 +112,7 @@ func TestScanPeriodBackoff(t *testing.T) {
 			t.Fatal(err)
 		}
 		// All-local accesses from node 0: every window is quiet.
-		deadline := tk.P.Now() + 20*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + 20*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
 			sweep(t, tk, buf)
 		}
@@ -120,8 +120,8 @@ func TestScanPeriodBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bal.Period() != bal.Cfg.ScanPeriodMax {
-		t.Fatalf("period %v after quiet run, want backed off to %v", bal.Period(), bal.Cfg.ScanPeriodMax)
+	if bal.Period() != sys.Kernel.P.NumaScanPeriodMax {
+		t.Fatalf("period %v after quiet run, want backed off to %v", bal.Period(), sys.Kernel.P.NumaScanPeriodMax)
 	}
 	if bal.Stats.Backoffs == 0 {
 		t.Fatal("no backoffs recorded")
@@ -146,7 +146,7 @@ func TestThreadFollowsMemory(t *testing.T) {
 		if err := buf.Prefault(tk); err != nil { // memory lives on node 2
 			t.Fatal(err)
 		}
-		deadline := tk.P.Now() + 16*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + 16*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline && tk.Node() != 2 {
 			sweep(t, tk, buf)
 		}
@@ -206,7 +206,7 @@ func pingPong(t *testing.T, cfg autonuma.Config) autonuma.Stats {
 		core := sys.Machine.Nodes[node].Cores[0]
 		sys.Proc.Spawn(fmt.Sprintf("pingpong%d", i), core, func(tk *numamig.Task) {
 			ready.Wait(tk.P)
-			deadline := tk.P.Now() + 24*bal.Cfg.ScanPeriodMax
+			deadline := tk.P.Now() + 24*sys.Kernel.P.NumaScanPeriodMax
 			for tk.P.Now() < deadline {
 				sweep(t, tk, buf)
 			}
@@ -253,7 +253,7 @@ func TestSingleOwnerStillConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.MigrateTo(sys.Machine.Nodes[3].Cores[0])
-		deadline := tk.P.Now() + 16*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + 16*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
 			sweep(t, tk, buf)
 		}
@@ -275,7 +275,7 @@ func TestSingleOwnerStillConverges(t *testing.T) {
 // there too, or balancing is silently inert for Rect-based workloads.
 func TestRectFaultPathServicesHints(t *testing.T) {
 	sys := numamig.New(numamig.Config{})
-	bal := sys.EnableAutoNUMA(autonuma.Config{})
+	sys.EnableAutoNUMA(autonuma.Config{})
 	err := sys.Run(func(tk *numamig.Task) {
 		buf := numamig.MustAlloc(tk, 256*pg, numamig.Bind(0))
 		if err := buf.Prefault(tk); err != nil {
@@ -283,7 +283,7 @@ func TestRectFaultPathServicesHints(t *testing.T) {
 		}
 		rect := numamig.Rect{Base: buf.Base, RowBytes: 16 * pg, Stride: 16 * pg, Rows: 16}
 		tk.MigrateTo(sys.Machine.Nodes[2].Cores[0])
-		deadline := tk.P.Now() + 16*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + 16*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
 			if err := tk.AccessRect(rect, numamig.Blocked, false); err != nil {
 				t.Fatal(err)
@@ -307,7 +307,7 @@ func TestRectFaultPathServicesHints(t *testing.T) {
 // frame the set still references and strip its write protection).
 func TestReplicatedPagesNotArmed(t *testing.T) {
 	sys := numamig.New(numamig.Config{})
-	bal := sys.EnableAutoNUMA(autonuma.Config{})
+	sys.EnableAutoNUMA(autonuma.Config{})
 	err := sys.Run(func(tk *numamig.Task) {
 		buf := numamig.MustAlloc(tk, 64*pg, numamig.Bind(0))
 		if err := buf.Prefault(tk); err != nil {
@@ -317,7 +317,7 @@ func TestReplicatedPagesNotArmed(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.MigrateTo(sys.Machine.Nodes[3].Cores[0])
-		deadline := tk.P.Now() + 8*bal.Cfg.ScanPeriodMax
+		deadline := tk.P.Now() + 8*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
 			if err := tk.ReadReplicated(buf.Base, buf.Size, numamig.Blocked); err != nil {
 				t.Fatal(err)

@@ -14,16 +14,18 @@
 //   - RateLimitDrop events mean the bucket is turning away promotions
 //     the balancer asked for — the limit is the bottleneck — so the
 //     controller widens it (multiplicative increase, doubling toward
-//     Max);
-//   - a run of DecayAfterIdle consecutive periods with no drops and no
+//     maxMBps);
+//   - a run of decayAfterIdle consecutive periods with no drops and no
 //     upward tier traffic means nothing wants promoting at the current
-//     limit — so the controller decays it (halving toward Min),
+//     limit — so the controller decays it (halving toward minMBps),
 //     reclaiming the headroom. Requiring a run, not a single period,
 //     keeps bursty demand (hint-fault batches arrive on scan periods,
 //     not continuously) from cancelling every widen one period later;
 //   - a period with promotions but no drops is steady state: hold.
 //
-// Starting from Min, the controller only ever holds bandwidth the
+// The control period is 2 x Params.KswapdPeriod, so the controller
+// reacts one octave slower than the daemons that generate its signals.
+// Starting from minMBps, the controller only ever holds bandwidth the
 // workload demonstrably asked for, so its slow-tier residency meets or
 // beats every static positive limit while keeping the cap that an
 // uncapped (limit-off) configuration gives up.
@@ -35,25 +37,17 @@ import (
 	"numamig/internal/telemetry"
 )
 
-// Config tunes the adaptive rate-limit controller. Zero values select
-// the defaults noted on each field.
-type Config struct {
-	// Period is the control interval (default: 2 x Params.KswapdPeriod,
-	// so the controller reacts one octave slower than the daemons that
-	// generate its signals).
-	Period sim.Time
-	// MinMBps floors the limit (default 1). Must stay positive: at
-	// limit <= 0 the kernel bypasses the token bucket entirely and the
-	// controller would go signal-blind.
-	MinMBps float64
-	// MaxMBps caps the limit (default 1024).
-	MaxMBps float64
-	// InitialMBps is the starting limit (default MinMBps).
-	InitialMBps float64
-	// DecayAfterIdle is how many consecutive signal-free periods must
-	// pass before one decay step (default 4).
-	DecayAfterIdle int
-}
+const (
+	// minMBps floors the limit and is its starting value. It must stay
+	// positive: at limit <= 0 the kernel bypasses the token bucket
+	// entirely and the controller would go signal-blind.
+	minMBps = 1
+	// maxMBps caps the limit.
+	maxMBps = 1024
+	// decayAfterIdle is how many consecutive signal-free periods must
+	// pass before one decay step.
+	decayAfterIdle = 4
+)
 
 // Stats summarises one controller's run.
 type Stats struct {
@@ -68,7 +62,6 @@ type Stats struct {
 // Controller is one running adaptive rate-limit daemon.
 type Controller struct {
 	k   *kern.Kernel
-	cfg Config
 	cur float64
 
 	drops   uint64 // RateLimitDrop events since the last tick
@@ -83,23 +76,8 @@ type Controller struct {
 // the kernel exists; the daemon retires itself once every application
 // thread has exited, so the engine drains normally. The controller
 // owns Params.PromoteRateLimitMBps from the first tick on.
-func EnableAdaptiveRateLimit(k *kern.Kernel, cfg Config) *Controller {
-	if cfg.Period <= 0 {
-		cfg.Period = 2 * k.P.KswapdPeriod
-	}
-	if cfg.MinMBps <= 0 {
-		cfg.MinMBps = 1
-	}
-	if cfg.MaxMBps < cfg.MinMBps {
-		cfg.MaxMBps = 1024
-	}
-	if cfg.InitialMBps < cfg.MinMBps {
-		cfg.InitialMBps = cfg.MinMBps
-	}
-	if cfg.DecayAfterIdle <= 0 {
-		cfg.DecayAfterIdle = 4
-	}
-	c := &Controller{k: k, cfg: cfg, cur: cfg.InitialMBps}
+func EnableAdaptiveRateLimit(k *kern.Kernel) *Controller {
+	c := &Controller{k: k, cur: minMBps}
 	k.P.PromoteRateLimitMBps = c.cur
 	bus := k.Bus()
 	bus.Subscribe(telemetry.TopicRateLimitDrop, func(ev telemetry.Event) {
@@ -119,8 +97,9 @@ func (c *Controller) Limit() float64 { return c.cur }
 
 // daemon is the control loop: one AIMD decision per period.
 func (c *Controller) daemon(p *sim.Proc) {
+	period := 2 * c.k.P.KswapdPeriod
 	for {
-		p.Sleep(c.cfg.Period)
+		p.Sleep(period)
 		if c.k.LiveThreads() == 0 {
 			c.Stats.FinalMBps = c.cur
 			return
@@ -140,8 +119,8 @@ func (c *Controller) tick() {
 	case drops > 0:
 		// The bucket is the bottleneck: widen.
 		c.cur *= 2
-		if c.cur > c.cfg.MaxMBps {
-			c.cur = c.cfg.MaxMBps
+		if c.cur > maxMBps {
+			c.cur = maxMBps
 		}
 		c.Stats.Widens++
 		c.idle = 0
@@ -149,10 +128,10 @@ func (c *Controller) tick() {
 		// No demand this period. Decay only after a run of them, so a
 		// bursty promoter (hint faults arrive on scan periods) does not
 		// lose its widened limit between batches.
-		if c.idle++; c.idle >= c.cfg.DecayAfterIdle {
+		if c.idle++; c.idle >= decayAfterIdle {
 			c.cur /= 2
-			if c.cur < c.cfg.MinMBps {
-				c.cur = c.cfg.MinMBps
+			if c.cur < minMBps {
+				c.cur = minMBps
 			}
 			c.Stats.Narrows++
 			c.idle = 0

@@ -23,7 +23,7 @@ func newTestKernel(t *testing.T) (*sim.Engine, *kern.Kernel) {
 // drops widen multiplicatively, idle periods decay, steady state holds.
 func TestAIMDDecisions(t *testing.T) {
 	_, k := newTestKernel(t)
-	c := &Controller{k: k, cfg: Config{MinMBps: 1, MaxMBps: 8, DecayAfterIdle: 2}, cur: 1}
+	c := &Controller{k: k, cur: minMBps}
 
 	c.drops = 3 // bottlenecked: widen 1 -> 2
 	c.tick()
@@ -40,51 +40,51 @@ func TestAIMDDecisions(t *testing.T) {
 		t.Fatalf("steady state changed the limit: cur = %g", c.cur)
 	}
 
-	// One idle period: the decay hysteresis must hold the limit, so a
-	// bursty promoter does not lose its widened bucket between batches.
+	// A run of idle periods one short of decayAfterIdle: the decay
+	// hysteresis must hold the limit, so a bursty promoter does not lose
+	// its widened bucket between batches.
 	c.drops, c.upPages = 0, 0
-	c.tick()
-	if c.cur != 2 || c.Stats.Narrows != 0 {
-		t.Fatalf("a single idle period decayed the limit: cur = %g", c.cur)
+	for i := 0; i < decayAfterIdle-1; i++ {
+		c.tick()
 	}
-	// Second consecutive idle period hits DecayAfterIdle: 2 -> 1.
+	if c.cur != 2 || c.Stats.Narrows != 0 {
+		t.Fatalf("%d idle periods decayed the limit: cur = %g", decayAfterIdle-1, c.cur)
+	}
+	// The next consecutive idle period completes the run: 2 -> 1.
 	c.tick()
 	if c.cur != 1 || c.Stats.Narrows != 1 {
 		t.Fatalf("after the idle run: cur = %g narrows = %d, want 1 and 1", c.cur, c.Stats.Narrows)
 	}
 
-	c.drops = 1 // widen repeatedly: must clamp at MaxMBps
-	for i := 0; i < 6; i++ {
+	c.drops = 1 // widen repeatedly: must clamp at maxMBps
+	for i := 0; i < 12; i++ {
 		c.tick()
 		c.drops = 1
 	}
-	if c.cur != 8 {
-		t.Fatalf("limit escaped MaxMBps: %g", c.cur)
+	if c.cur != maxMBps {
+		t.Fatalf("limit escaped maxMBps: %g", c.cur)
 	}
 
-	c.drops, c.upPages = 0, 0 // decay repeatedly: must clamp at MinMBps
-	for i := 0; i < 12; i++ {
+	c.drops, c.upPages = 0, 0 // decay repeatedly: must clamp at minMBps
+	for i := 0; i < 12*decayAfterIdle; i++ {
 		c.tick()
 	}
-	if c.cur != 1 {
-		t.Fatalf("limit escaped MinMBps: %g", c.cur)
+	if c.cur != minMBps {
+		t.Fatalf("limit escaped minMBps: %g", c.cur)
 	}
-	if c.Stats.PeakMBps != 8 {
-		t.Fatalf("PeakMBps = %g, want 8", c.Stats.PeakMBps)
+	if c.Stats.PeakMBps != maxMBps {
+		t.Fatalf("PeakMBps = %g, want %d", c.Stats.PeakMBps, maxMBps)
 	}
 }
 
-// TestEnableDefaultsAndRetirement checks the zero-config defaults, the
-// bus subscriptions, and that the daemon retires once the engine has no
+// TestEnableDefaultsAndRetirement checks the initial limit, the bus
+// subscriptions, and that the daemon retires once the engine has no
 // live application threads (so Engine.Run drains).
 func TestEnableDefaultsAndRetirement(t *testing.T) {
 	eng, k := newTestKernel(t)
-	c := EnableAdaptiveRateLimit(k, Config{})
-	if c.cfg.Period != 2*k.P.KswapdPeriod {
-		t.Errorf("default Period = %v, want 2x KswapdPeriod %v", c.cfg.Period, 2*k.P.KswapdPeriod)
-	}
-	if c.cfg.MinMBps != 1 || c.cfg.MaxMBps != 1024 || c.cur != 1 {
-		t.Errorf("defaults: min %g max %g cur %g, want 1/1024/1", c.cfg.MinMBps, c.cfg.MaxMBps, c.cur)
+	c := EnableAdaptiveRateLimit(k)
+	if c.cur != 1 {
+		t.Errorf("initial limit %g, want 1", c.cur)
 	}
 	if k.P.PromoteRateLimitMBps != 1 {
 		t.Errorf("enable did not install the initial limit: %g", k.P.PromoteRateLimitMBps)

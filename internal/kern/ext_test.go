@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"strings"
 	"testing"
 
 	"numamig/internal/model"
@@ -202,6 +203,73 @@ func TestHugeFallbackChargesTenant(t *testing.T) {
 		}
 		if got := ten.Resident(); got != 0 {
 			t.Fatalf("tenant holds %d pages after the unmap, want 0", got)
+		}
+	})
+}
+
+// TestBaseFaultInHugeMapping: the 4 KiB fault handler refuses the
+// pages of a huge mapping that it reads as absent, with an error naming
+// TouchHuge and before it allocates anything: a present 2 MiB unit
+// (which the 4 KiB walk reads as absent pages) and a unit never
+// touched alike. The present base pages of a fallback chunk are still
+// served.
+func TestBaseFaultInHugeMapping(t *testing.T) {
+	for _, touched := range []bool{false, true} {
+		h := newHarness(false)
+		h.run(t, 0, func(tk *Task) {
+			a, err := tk.MmapHuge(model.HugePageSize, vm.Bind(0), "huge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if touched {
+				if _, err := tk.TouchHuge(a, model.HugePageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := h.k.Phys.TotalAllocated()
+			for _, fault := range []struct {
+				name string
+				do   func() error
+			}{
+				{"FaultIn", func() error { _, err := tk.FaultIn(a, 4*pg, false); return err }},
+				{"Touch", func() error { return tk.Touch(a+pg, true) }},
+				{"AccessRange", func() error { return tk.AccessRange(a, 4*pg, Stream, false) }},
+			} {
+				if err := fault.do(); err == nil || !strings.Contains(err.Error(), "TouchHuge") {
+					t.Errorf("touched=%v: %s on a huge mapping returned %v, want an error naming TouchHuge", touched, fault.name, err)
+				}
+				if got := h.k.Phys.TotalAllocated(); got != before {
+					t.Errorf("touched=%v: %s allocated %d frames", touched, fault.name, got-before)
+				}
+			}
+			if _, err := tk.TouchHuge(a, model.HugePageSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Munmap(a, model.HugePageSize); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.k.Phys.TotalAllocated(); got != 0 {
+				t.Errorf("touched=%v: %d frames stay allocated after the unmap, want 0", touched, got)
+			}
+		})
+	}
+
+	h := newSmallHarness(2, 768)
+	h.run(t, 0, func(tk *Task) {
+		const bytes = 3 * model.HugePageSize // two units fit, the third falls back
+		a, err := tk.MmapHuge(bytes, vm.DefaultPolicy(), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.TouchHuge(a, bytes); err != nil {
+			t.Fatal(err)
+		}
+		fallback := a + 2*model.HugePageSize
+		if tk.HugeNode(fallback) != -1 {
+			t.Fatal("the third unit did not fall back to base pages")
+		}
+		if err := tk.AccessRange(fallback, 4*pg, Stream, true); err != nil {
+			t.Fatalf("access to a fallback chunk's base pages: %v", err)
 		}
 	})
 }

@@ -50,8 +50,11 @@ func (t *Task) Touch(addr vm.Addr, write bool) error {
 // marked pages, minor fixups for stale protections, and SIGSEGV delivery
 // for protection violations (which re-runs the scan afterwards, since
 // the user handler typically repairs whole regions). It returns the
-// number of pages that required service.
+// number of pages that required service. A zero length faults nothing.
 func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
+	if length == 0 {
+		return 0, nil
+	}
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
 	return t.handleFaults(rectSpans{lo: first, hi: last}, write, "FaultIn", addr)
 }
@@ -65,8 +68,11 @@ func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
 func (t *Task) handleFaults(spans rectSpans, write bool, op string, at vm.Addr) (int, error) {
 	serviced := 0
 	for round := 0; round < 16; round++ {
-		n, segvAt, segv := t.faultRound(spans, write)
+		n, segvAt, segv, err := t.faultRound(spans, write)
 		serviced += n
+		if err != nil {
+			return serviced, err
+		}
 		if !segv {
 			return serviced, nil
 		}
@@ -84,15 +90,17 @@ func (t *Task) handleFaults(spans rectSpans, write bool, op string, at vm.Addr) 
 // batch read (absent, next-touch, NUMA-hint, stale) and services them
 // with aggregate costs. It stops at the first page outside a VMA or
 // without the access permission, leaving that chunk unclassified and
-// unserviced, and reports the page's address for the SIGSEGV path. It
-// returns the number of pages serviced.
-func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool) {
+// unserviced, and reports the page's address for the SIGSEGV path. An
+// absent page of a huge mapping is an error: only TouchHuge faults in
+// its 2 MiB units, and the 4 KiB walk reads a present unit as absent
+// pages too. It returns the number of pages serviced.
+func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.Addr, segv bool, err error) {
 	sp := t.Proc.Space
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
 	lo, hi, ok := spans.next()
 	if !ok {
-		return 0, 0, false
+		return 0, 0, false, nil
 	}
 	// Walk the VMA list once per round instead of binary-searching it
 	// for every span: vmas is address-sorted, and pages are visited in
@@ -118,7 +126,7 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 						vi++
 					}
 					if vi >= len(vmas) || vmas[vi].Start > p.Base() || !vmas[vi].Prot.Allows(write) {
-						return serviced, p.Base(), true
+						return serviced, p.Base(), true, nil
 					}
 					vmaEnd = vm.PageOf(vmas[vi].End-1) + 1
 				}
@@ -139,6 +147,12 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 		f.Reset()
 		cur := sp.PT.Cursor()
 		cur.Classify(pieces, write, f)
+		// Huge mappings are 2 MiB-aligned and followed by a guard gap,
+		// so every VMA that shares a chunk with a huge one is a piece of
+		// the same mapping: the VMA of the chunk's last piece tells.
+		if len(f.Absent) > 0 && vmas[vi].Flags&vm.VMAHuge != 0 {
+			return serviced, 0, false, fmt.Errorf("kern: 4 KiB fault at %#x in a huge mapping; fault its 2 MiB unit in with TouchHuge", f.Absent[0].Base())
+		}
 		if len(f.Absent)+len(f.Stale) > 0 {
 			serviced += len(f.Absent) + len(f.Stale)
 			t.serviceChunk(ci, f.Absent, f.Stale)
@@ -152,7 +166,7 @@ func (t *Task) faultRound(spans rectSpans, write bool) (serviced int, segvAt vm.
 			t.numaServiceFaults(f.NumaHint)
 		}
 	}
-	return serviced, 0, false
+	return serviced, 0, false, nil
 }
 
 // pageFaults counts n page faults and publishes them as one PageFault

@@ -19,8 +19,9 @@ import (
 // 2 MiB instead of 512 per-page control operations.
 //
 // Huge mappings are managed at page-table-chunk granularity and are
-// intentionally separate from the 4 KiB fault paths; use TouchHuge /
-// MoveHugeRange on them.
+// intentionally separate from the 4 KiB fault paths, which return an
+// error for a page of a huge mapping they read as absent; use
+// TouchHuge / MoveHugeRange on them.
 
 // MmapHuge creates an anonymous mapping backed by 2 MiB huge pages.
 func (t *Task) MmapHuge(length int64, pol vm.Policy, label string) (vm.Addr, error) {

@@ -847,3 +847,83 @@ func TestGetMempolicyRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// TestZeroLengthCallsChangeNothing: like Linux, a zero-length madvise,
+// mprotect or mbind returns 0 and changes nothing, and so does a
+// zero-length replication or fault-in; none of them acts on the page
+// at addr.
+func TestZeroLengthCallsChangeNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		prep func(tk *Task, a vm.Addr) error // optional: gives the call something to act on
+		call func(tk *Task, a vm.Addr) (int, error)
+	}{
+		{name: "madvise", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.Madvise(a+100, 0, AdvMigrateOnNextTouch)
+		}},
+		{name: "mprotect", call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Mprotect(a+pg+100, 0, vm.ProtNone)
+		}},
+		{name: "mbind", call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Mbind(a+100, 0, vm.Bind(1), MbindMove)
+		}},
+		{name: "replicate", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.ReplicateRange(a+2*pg+5, 0)
+		}},
+		{name: "faultin", prep: func(tk *Task, a vm.Addr) error {
+			_, err := tk.Madvise(a, pg, AdvMigrateOnNextTouch)
+			return err
+		}, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.FaultIn(a+100, 0, false)
+		}},
+	}
+	type pageState struct {
+		flags uint8
+		node  int
+	}
+	for _, c := range cases {
+		h := newHarness(false)
+		snapshot := func(a vm.Addr) (int, []pageState) {
+			pages := make([]pageState, 8)
+			for i := range pages {
+				pte := h.proc.Space.PT.Get(vm.PageOf(a + vm.Addr(i)*pg))
+				pages[i] = pageState{flags: pte.Flags, node: -1}
+				if pte.Present() {
+					pages[i].node = int(pte.Frame.Node)
+				}
+			}
+			return len(h.proc.Space.VMAs()), pages
+		}
+		h.run(t, 0, func(tk *Task) {
+			a, err := tk.Mmap(8*pg, vm.ProtRW, vm.DefaultPolicy(), 0, "buf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tk.FaultIn(a, 8*pg, true); err != nil {
+				t.Fatal(err)
+			}
+			if c.prep != nil {
+				if err := c.prep(tk, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vmas, pages := snapshot(a)
+			n, err := c.call(tk, a)
+			if n != 0 || err != nil {
+				t.Errorf("%s: zero length returned %d, %v; want 0, nil", c.name, n, err)
+			}
+			gotVMAs, gotPages := snapshot(a)
+			if gotVMAs != vmas {
+				t.Errorf("%s: zero length left %d VMAs, want %d", c.name, gotVMAs, vmas)
+			}
+			for i := range pages {
+				if gotPages[i] != pages[i] {
+					t.Errorf("%s: page %d went from %+v to %+v", c.name, i, pages[i], gotPages[i])
+				}
+			}
+			if len(h.proc.replicas) != 0 {
+				t.Errorf("%s: zero length created %d replica sets", c.name, len(h.proc.replicas))
+			}
+		})
+	}
+}

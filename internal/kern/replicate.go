@@ -50,7 +50,7 @@ func (pr *Process) replicaFor(v vm.VPN, node topology.NodeID) *mem.Frame {
 // ReplicateRange creates read-only replicas of every resident page of
 // [addr, addr+length) on every node. The pages are write-protected; the
 // next write collapses the replicas. Returns the number of page-copies
-// created.
+// created; a zero length creates none.
 func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 	k := t.Proc.K
 	pr := t.Proc
@@ -60,6 +60,9 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 	}
 	k.Stats.Syscalls++
 	t.P.Sleep(k.P.SyscallBase + k.P.MadviseBase)
+	if length == 0 {
+		return 0, nil
+	}
 	pr.MmapSem.RLock(t.P)
 	defer pr.MmapSem.RUnlock()
 	if pr.replicas == nil {

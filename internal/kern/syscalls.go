@@ -61,11 +61,14 @@ func (t *Task) Munmap(addr vm.Addr, length int64) error {
 // and strips now-forbidden hardware bits from present PTEs, then flushes
 // TLBs. Replicated pages stay write-protected, so a write still
 // collapses their set. Used by the user-space next-touch implementation
-// (§3.2).
+// (§3.2). A zero length changes nothing, as on Linux.
 func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	t.P.Sleep(k.P.SyscallBase + k.P.MprotectBase)
+	if length == 0 {
+		return nil
+	}
 	t.Proc.MmapSem.Lock(t.P)
 	defer t.Proc.MmapSem.Unlock()
 	end := vm.PageCeil(addr + vm.Addr(length))
@@ -85,12 +88,15 @@ func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 // Madvise applies advice to [addr, addr+length). For
 // AdvMigrateOnNextTouch it sets the next-touch PTE bit on present pages
 // and removes their access bits (they will fault on next touch); the TLB
-// is flushed once (§3.3).
+// is flushed once (§3.3). A zero length changes nothing, as on Linux.
 func (t *Task) Madvise(addr vm.Addr, length int64, adv Advice) (int, error) {
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	defer t.P.PushCat(CatMadvise)()
 	t.P.Sleep(k.P.SyscallBase + k.P.MadviseBase)
+	if length == 0 {
+		return 0, nil
+	}
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
 	if t.Proc.Space.Find(addr) == nil {
@@ -148,11 +154,15 @@ const (
 
 // Mbind sets the policy of an address range. With MbindMove, pages that
 // no longer satisfy the policy are migrated immediately (through the
-// same batched path as move_pages).
+// same batched path as move_pages). A zero length changes nothing, as
+// on Linux.
 func (t *Task) Mbind(addr vm.Addr, length int64, pol vm.Policy, flags ...MbindFlags) error {
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	t.P.Sleep(k.P.SyscallBase + k.P.MmapBase)
+	if length == 0 {
+		return nil
+	}
 	var fl MbindFlags
 	for _, f := range flags {
 		fl |= f

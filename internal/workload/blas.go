@@ -39,13 +39,12 @@ func (p BLAS3Policy) String() string {
 	return "invalid"
 }
 
-// BLAS3Config parameterizes a Figure 8 point: `Threads` independent
-// C = A*B multiplications of N x N float matrices, one per core.
+// BLAS3Config parameterizes a Figure 8 point: independent C = A*B
+// multiplications of N x N float matrices, one per core of the
+// paper's host.
 type BLAS3Config struct {
-	N       int
-	Threads int // 0 = one per core (16)
-	Policy  BLAS3Policy
-	Seed    int64
+	N      int
+	Policy BLAS3Policy
 }
 
 // blas3Phases splits each multiplication into phases so concurrent
@@ -58,13 +57,7 @@ func RunBLAS3(cfg BLAS3Config) (sim.Time, error) {
 	if cfg.N <= 0 {
 		return 0, fmt.Errorf("workload: bad BLAS3 N=%d", cfg.N)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	sys := numamig.New(numamig.Config{Seed: cfg.Seed})
-	if cfg.Threads == 0 {
-		cfg.Threads = sys.Machine.NumCores()
-	}
+	sys := numamig.New(numamig.Config{})
 	cache := cachesim.NewGroup(sys.Machine.NumNodes(), sys.Machine.Nodes[0].L3Bytes)
 
 	matBytes := int64(cfg.N) * int64(cfg.N) * luElem
@@ -81,7 +74,7 @@ func RunBLAS3(cfg BLAS3Config) (sim.Time, error) {
 	err := sys.Run(func(master *kern.Task) {
 		// Main thread allocates and initializes all matrices:
 		// first-touch places everything on node 0.
-		bufs := make([][3]*numamig.Buffer, cfg.Threads)
+		bufs := make([][3]*numamig.Buffer, sys.Machine.NumCores())
 		for i := range bufs {
 			for m := 0; m < 3; m++ {
 				b := numamig.MustAlloc(master, matBytes, numamig.FirstTouch())
@@ -107,14 +100,7 @@ func RunBLAS3(cfg BLAS3Config) (sim.Time, error) {
 			}
 		}
 		start := master.P.Now()
-		team := sys.TeamOn(func() []numamig.CoreID {
-			cs := make([]numamig.CoreID, cfg.Threads)
-			for i := range cs {
-				cs[i] = numamig.CoreID(i % sys.Machine.NumCores())
-			}
-			return cs
-		}()...)
-		team.Parallel(master, func(t *kern.Task, tid int) {
+		sys.TeamAll().Parallel(master, func(t *kern.Task, tid int) {
 			blas3Thread(t, sys, cache, bufs[tid], cfg.N)
 		})
 		dur = master.P.Now() - start
@@ -182,16 +168,13 @@ func blas3Thread(t *kern.Task, sys *numamig.System, cache *cachesim.Group, m [3]
 	}
 }
 
-// BLAS1Config parameterizes the §4.5 BLAS1 check: `Threads` independent
-// DAXPY streams of n-float vectors.
+// BLAS1Config parameterizes the §4.5 BLAS1 check: independent DAXPY
+// streams of N-float vectors, one per core of the paper's host.
 type BLAS1Config struct {
-	N       int // vector length in floats
-	Threads int
+	N int // vector length in floats
 	// NextTouch migrates vectors to their threads before streaming;
 	// false keeps the interleaved static placement.
 	NextTouch bool
-	Seed      int64
-	Repeats   int // sweeps over the vectors (default 4)
 }
 
 // RunBLAS1 returns the execution time of the concurrent DAXPY sweeps.
@@ -199,19 +182,11 @@ type BLAS1Config struct {
 // latency, so the balanced interleaved placement is already as good as
 // local placement, and migration only adds cost.
 func RunBLAS1(cfg BLAS1Config) (sim.Time, error) {
+	const repeats = 4 // sweeps over each thread's vectors
 	if cfg.N <= 0 {
 		return 0, fmt.Errorf("workload: bad BLAS1 N=%d", cfg.N)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 4
-	}
-	sys := numamig.New(numamig.Config{Seed: cfg.Seed})
-	if cfg.Threads == 0 {
-		cfg.Threads = sys.Machine.NumCores()
-	}
+	sys := numamig.New(numamig.Config{})
 	vecBytes := int64(cfg.N) * luElem
 	var kernelNT *core.KernelNT
 	if cfg.NextTouch {
@@ -223,7 +198,7 @@ func RunBLAS1(cfg BLAS1Config) (sim.Time, error) {
 		for i := range nodes {
 			nodes[i] = numamig.NodeID(i)
 		}
-		bufs := make([][2]*numamig.Buffer, cfg.Threads)
+		bufs := make([][2]*numamig.Buffer, sys.Machine.NumCores())
 		for i := range bufs {
 			for v := 0; v < 2; v++ {
 				b := numamig.MustAlloc(master, vecBytes, numamig.Interleave(nodes...))
@@ -239,17 +214,10 @@ func RunBLAS1(cfg BLAS1Config) (sim.Time, error) {
 			}
 		}
 		start := master.P.Now()
-		team := sys.TeamOn(func() []numamig.CoreID {
-			cs := make([]numamig.CoreID, cfg.Threads)
-			for i := range cs {
-				cs[i] = numamig.CoreID(i % sys.Machine.NumCores())
-			}
-			return cs
-		}()...)
-		team.Parallel(master, func(t *kern.Task, tid int) {
+		sys.TeamAll().Parallel(master, func(t *kern.Task, tid int) {
 			x, y := bufs[tid][0], bufs[tid][1]
 			flops := 2 * float64(cfg.N)
-			for rep := 0; rep < cfg.Repeats; rep++ {
+			for rep := 0; rep < repeats; rep++ {
 				if err := t.AccessRange(x.Base, x.Size, kern.Stream, false); err != nil {
 					panic(err)
 				}

@@ -87,15 +87,10 @@ type PhaseShiftConfig struct {
 	// the paper's single-rotation scenario (one move to the farthest
 	// node); 0 means a full rotation visiting every non-home node.
 	Hops int
-	// Sweeps is the number of whole-buffer sweeps per phase (0: 16).
-	Sweeps int
 	// Seed drives the simulation (0: 1).
 	Seed int64
 	// Policy selects the placement machinery.
 	Policy PhasePolicy
-	// Auto overrides balancer knobs for PhaseAutoNUMA (zero: defaults
-	// from model.Params).
-	Auto autonuma.Config
 }
 
 func (c PhaseShiftConfig) withDefaults() PhaseShiftConfig {
@@ -107,9 +102,6 @@ func (c PhaseShiftConfig) withDefaults() PhaseShiftConfig {
 	}
 	if c.Hops == 0 {
 		c.Hops = c.Nodes - 1
-	}
-	if c.Sweeps == 0 {
-		c.Sweeps = 16
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -156,6 +148,7 @@ type PhaseShiftResult struct {
 
 // PhaseShift builds a fresh deterministic System and runs the workload.
 func PhaseShift(cfg PhaseShiftConfig) (PhaseShiftResult, error) {
+	const sweeps = 16 // whole-buffer sweeps per phase
 	cfg = cfg.withDefaults()
 	var res PhaseShiftResult
 	sys := numamig.New(numamig.Config{Nodes: cfg.Nodes, CoresPerNode: cfg.Cores, Seed: cfg.Seed})
@@ -171,7 +164,7 @@ func PhaseShift(cfg PhaseShiftConfig) (PhaseShiftResult, error) {
 	case PhaseLazyUser:
 		mgr = sys.NewManager(core.LazyUser, true)
 	case PhaseAutoNUMA:
-		bal = sys.EnableAutoNUMA(cfg.Auto)
+		bal = sys.EnableAutoNUMA(autonuma.Config{})
 	}
 
 	targets := cfg.targets()
@@ -193,7 +186,7 @@ func PhaseShift(cfg PhaseShiftConfig) (PhaseShiftResult, error) {
 			} else {
 				t.MigrateTo(core0)
 			}
-			for s := 0; s < cfg.Sweeps; s++ {
+			for s := 0; s < sweeps; s++ {
 				if err := buf.Access(t, numamig.Blocked, false); err != nil {
 					panic(err)
 				}
@@ -208,7 +201,7 @@ func PhaseShift(cfg PhaseShiftConfig) (PhaseShiftResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Bytes = int64(cfg.Hops) * int64(cfg.Sweeps) * size
+	res.Bytes = int64(cfg.Hops) * sweeps * size
 	res.Stats = sys.Stats()
 	res.MigratedMB = sys.MigratedBytes() / 1e6
 	if bal != nil {

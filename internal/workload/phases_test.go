@@ -24,7 +24,7 @@ func TestPhasePolicyStrings(t *testing.T) {
 
 func TestPhaseShiftPolicies(t *testing.T) {
 	run := func(pol PhasePolicy) PhaseShiftResult {
-		r, err := PhaseShift(PhaseShiftConfig{Nodes: 4, Pages: 256, Policy: pol, Sweeps: 8})
+		r, err := PhaseShift(PhaseShiftConfig{Nodes: 4, Pages: 256, Policy: pol})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}

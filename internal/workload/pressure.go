@@ -44,19 +44,12 @@ type PressureConfig struct {
 	// Imbalance is the fraction of the cold set preferred onto node 0
 	// (0: 1.0); the rest interleaves over the other nodes.
 	Imbalance float64
-	// HotPages is the hot working-set size (0: NodePages/4).
-	HotPages int
-	// Epochs is the number of measure epochs; each applies the policy
-	// once and sweeps the hot set twice (0: 12).
-	Epochs int
 	// Seed drives the simulation (0: 1).
 	Seed int64
 	// Policy selects the hot-set migration machinery.
 	Policy PhasePolicy
 	// Demotion starts the kswapd-style demotion daemons.
 	Demotion bool
-	// Auto overrides balancer knobs for PhaseAutoNUMA.
-	Auto autonuma.Config
 }
 
 func (c PressureConfig) withDefaults() PressureConfig {
@@ -74,12 +67,6 @@ func (c PressureConfig) withDefaults() PressureConfig {
 	}
 	if c.Imbalance == 0 {
 		c.Imbalance = 1.0
-	}
-	if c.HotPages == 0 {
-		c.HotPages = c.NodePages / 4
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 12
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -112,6 +99,7 @@ type PressureResult struct {
 // Pressure builds a fresh deterministic overcommitted System and runs
 // the workload.
 func Pressure(cfg PressureConfig) (PressureResult, error) {
+	const epochs = 12 // measured epochs: one policy step and two hot-set sweeps each
 	cfg = cfg.withDefaults()
 	var res PressureResult
 	if cfg.Nodes < 2 {
@@ -120,11 +108,12 @@ func Pressure(cfg PressureConfig) (PressureResult, error) {
 	if cfg.Policy == PhaseLazyUser {
 		return res, fmt.Errorf("workload: pressure does not support the lazy-user policy")
 	}
+	hotPages := cfg.NodePages / 4
 	total := int(cfg.Overcommit * float64(cfg.NodePages))
-	cold := total - cfg.HotPages
+	cold := total - hotPages
 	if cold < 0 {
 		return res, fmt.Errorf("workload: hot set (%d pages) exceeds total allocation (%d pages)",
-			cfg.HotPages, total)
+			hotPages, total)
 	}
 	if total > cfg.Nodes*cfg.NodePages {
 		return res, fmt.Errorf("workload: overcommit %.2f does not fit the machine (%d > %d pages)",
@@ -144,7 +133,7 @@ func Pressure(cfg PressureConfig) (PressureResult, error) {
 	case PhaseLazyKernel:
 		nt = sys.NewKernelNT()
 	case PhaseAutoNUMA:
-		bal = sys.EnableAutoNUMA(cfg.Auto)
+		bal = sys.EnableAutoNUMA(autonuma.Config{})
 	}
 
 	others := make([]topology.NodeID, 0, cfg.Nodes-1)
@@ -172,13 +161,13 @@ func Pressure(cfg PressureConfig) (PressureResult, error) {
 		// Hot set: bound to the farthest node, so localizing it requires
 		// pulling pages into whatever room demotion frees on node 0.
 		far := topology.NodeID(cfg.Nodes - 1)
-		hot := numamig.MustAlloc(t, int64(cfg.HotPages)*model.PageSize, numamig.Bind(far))
+		hot := numamig.MustAlloc(t, int64(hotPages)*model.PageSize, numamig.Bind(far))
 		if err := hot.Prefault(t); err != nil {
 			panic(err)
 		}
 
 		start := t.P.Now()
-		for e := 0; e < cfg.Epochs; e++ {
+		for e := 0; e < epochs; e++ {
 			switch cfg.Policy {
 			case PhaseSync:
 				if err := hot.MoveTo(t, 0, true); err != nil {
@@ -197,14 +186,14 @@ func Pressure(cfg PressureConfig) (PressureResult, error) {
 		}
 		res.Dur = t.P.Now() - start
 		res.HotHist, res.Absent = hot.NodeHistogram(t)
-		if cfg.HotPages > 0 {
-			res.HotLocal = float64(res.HotHist[t.Node()]) / float64(cfg.HotPages)
+		if hotPages > 0 {
+			res.HotLocal = float64(res.HotHist[t.Node()]) / float64(hotPages)
 		}
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Bytes = int64(cfg.Epochs) * 2 * int64(cfg.HotPages) * model.PageSize
+	res.Bytes = epochs * 2 * int64(hotPages) * model.PageSize
 	res.Stats = sys.Stats()
 	res.Demoted = res.Stats.PagesDemoted
 	res.MigratedMB = sys.MigratedBytes() / 1e6

@@ -102,7 +102,7 @@ func TestPressureConfigValidation(t *testing.T) {
 	if _, err := Pressure(PressureConfig{Overcommit: 8}); err == nil {
 		t.Error("overcommit beyond the whole machine accepted")
 	}
-	if _, err := Pressure(PressureConfig{HotPages: 4096, Overcommit: 1.2}); err == nil {
+	if _, err := Pressure(PressureConfig{Overcommit: 0.2}); err == nil {
 		t.Error("hot set larger than the total allocation accepted")
 	}
 }

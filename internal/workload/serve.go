@@ -57,22 +57,22 @@ type ServeConfig struct {
 	Tenants int
 	// Rounds is measured probe rounds per tenant (0: 8).
 	Rounds int
-	// WorkPages is each tenant's working buffer in pages (0: 128).
-	WorkPages int
-	// ProbePages is the measured probe window in pages (0: 32).
-	ProbePages int
-	// LSCapPages / BatchCapPages are the per-class fast-tier caps
-	// (0: 256 / 64). The defaults put latency-sensitive tenants fully
-	// under cap and batch tenants at half their working set.
-	LSCapPages    int
-	BatchCapPages int
-	// MeanGap is the mean inter-arrival gap (0: 2 x KswapdPeriod).
-	MeanGap sim.Time
 	// Seed drives the simulation and the arrival schedule (0: 1).
 	Seed int64
 }
 
-func (c ServeConfig) withDefaults(p *model.Params) ServeConfig {
+// Each tenant's shape, in pages: its working buffer, the measured
+// probe window, and the per-class fast-tier caps. The caps put
+// latency-sensitive tenants fully under cap and batch tenants at half
+// their working set.
+const (
+	serveWorkPages     = 128
+	serveProbePages    = 32
+	serveLSCapPages    = 256
+	serveBatchCapPages = 64
+)
+
+func (c ServeConfig) withDefaults() ServeConfig {
 	if c.FastNodes == 0 {
 		c.FastNodes = 2
 	}
@@ -93,21 +93,6 @@ func (c ServeConfig) withDefaults(p *model.Params) ServeConfig {
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 8
-	}
-	if c.WorkPages == 0 {
-		c.WorkPages = 128
-	}
-	if c.ProbePages == 0 {
-		c.ProbePages = 32
-	}
-	if c.LSCapPages == 0 {
-		c.LSCapPages = 256
-	}
-	if c.BatchCapPages == 0 {
-		c.BatchCapPages = 64
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 2 * p.KswapdPeriod
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -146,8 +131,7 @@ type ServeResult struct {
 // Serve builds a deterministic DRAM+CXL System and runs the
 // multi-tenant open-system workload with the demotion daemons on.
 func Serve(cfg ServeConfig) (ServeResult, error) {
-	p := model.Default()
-	cfg = cfg.withDefaults(&p)
+	cfg = cfg.withDefaults()
 	var res ServeResult
 	if cfg.FastNodes < 2 {
 		return res, fmt.Errorf("workload: serve needs >= 2 DRAM nodes, got %d", cfg.FastNodes)
@@ -159,10 +143,8 @@ func Serve(cfg ServeConfig) (ServeResult, error) {
 	if nodes > 8 {
 		return res, fmt.Errorf("workload: serve machine has %d nodes, topology supports <= 8", nodes)
 	}
-	if cfg.ProbePages > cfg.WorkPages {
-		return res, fmt.Errorf("workload: probe window (%d pages) exceeds the working buffer (%d)", cfg.ProbePages, cfg.WorkPages)
-	}
 
+	p := model.Default()
 	p.TierClasses = []model.TierClass{{Name: "dram"}, model.CXLTier()}
 	p.NodeTier = make([]int, nodes)
 	nodeMem := make([]int64, nodes)
@@ -188,7 +170,7 @@ func Serve(cfg ServeConfig) (ServeResult, error) {
 	ledger := sys.Kernel.Ten
 	slowNode := topology.NodeID(cfg.FastNodes)
 
-	sched := tenancy.NewSchedule(cfg.Seed, cfg.MeanGap)
+	sched := tenancy.NewSchedule(cfg.Seed, 2*p.KswapdPeriod) // mean inter-arrival gap
 	fastCores := cfg.FastNodes * cfg.Cores
 
 	err := sys.Run(func(t *numamig.Task) {
@@ -203,9 +185,9 @@ func Serve(cfg ServeConfig) (ServeResult, error) {
 				t.P.Sleep(sched.Gap())
 			}
 			class := tenancy.Class(i % 2)
-			capPages := cfg.BatchCapPages
+			capPages := serveBatchCapPages
 			if class == tenancy.ClassLatencySensitive {
-				capPages = cfg.LSCapPages
+				capPages = serveLSCapPages
 			}
 			name := fmt.Sprintf("tenant%d", i)
 			ten := ledger.Admit(i, name, class, capPages)
@@ -237,7 +219,7 @@ func Serve(cfg ServeConfig) (ServeResult, error) {
 	res.Stats = sys.Stats()
 	res.MigratedMB = sys.MigratedBytes() / 1e6
 	res.Dur = sys.Now()
-	res.Bytes = int64(cfg.Tenants) * int64(cfg.Rounds) * int64(cfg.ProbePages) * model.PageSize
+	res.Bytes = int64(cfg.Tenants) * int64(cfg.Rounds) * serveProbePages * model.PageSize
 	return res, nil
 }
 
@@ -246,14 +228,14 @@ func Serve(cfg ServeConfig) (ServeResult, error) {
 // It returns pages still mapped at the end (always 0: the buffer is
 // freed before return).
 func serveTenant(t *numamig.Task, cfg *ServeConfig, bus *telemetry.Bus, ten *tenancy.Tenant, slowNode topology.NodeID) int {
-	buf := numamig.MustAlloc(t, int64(cfg.WorkPages)*model.PageSize, numamig.FirstTouch())
+	buf := numamig.MustAlloc(t, serveWorkPages*model.PageSize, numamig.FirstTouch())
 	if err := buf.Prefault(t); err != nil {
 		panic(err)
 	}
 
-	probeBytes := int64(cfg.ProbePages) * model.PageSize
+	probeBytes := int64(serveProbePages * model.PageSize)
 	headBase := buf.Base
-	tailBase := buf.Base + numamig.Addr(int64(cfg.WorkPages-cfg.ProbePages)*model.PageSize)
+	tailBase := buf.Base + numamig.Addr((serveWorkPages-serveProbePages)*model.PageSize)
 	myNode := t.Node()
 
 	for r := 0; r < cfg.Rounds; r++ {
@@ -289,7 +271,7 @@ func serveTenant(t *numamig.Task, cfg *ServeConfig, bus *telemetry.Bus, ten *ten
 		bus.Publish(telemetry.Event{
 			Topic: telemetry.TopicClassLatency,
 			Node:  myNode, Dst: telemetry.NoNode,
-			Task: ten.ID, Pages: cfg.ProbePages,
+			Task: ten.ID, Pages: serveProbePages,
 			Dur: t.P.Now() - start, Value: float64(ten.Class),
 		})
 	}

@@ -97,7 +97,7 @@ func TestTelemetryMatchesCountersTiering(t *testing.T) {
 	get, restore := observeRuns(t)
 	defer restore()
 	_, err := Tiering(TieringConfig{
-		NodePages: 512, Epochs: 6, Sweeps: 2, Hysteresis: true,
+		NodePages: 512, Hysteresis: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,19 +63,8 @@ type TieredConfig struct {
 	// Hysteresis enables promotion hysteresis (the model default);
 	// false zeroes Params.PromotionHysteresisPeriods.
 	Hysteresis bool
-	// DemoteEpochs is the cold phase: sweeps of a small hot keepalive
-	// while the untouched working buffer ages onto the slow tier
-	// (0: 12).
-	DemoteEpochs int
-	// PromoteEpochs is the hot phase: sweeps of the window over the
-	// demoted region, promoting it back up (0: 12).
-	PromoteEpochs int
-	// Sweeps is whole-buffer sweeps per epoch (0: 4).
-	Sweeps int
 	// Seed drives the simulation (0: 1).
 	Seed int64
-	// Auto overrides balancer knobs (zero: defaults from model.Params).
-	Auto autonuma.Config
 }
 
 func (c TieredConfig) withDefaults() TieredConfig {
@@ -93,15 +82,6 @@ func (c TieredConfig) withDefaults() TieredConfig {
 	}
 	if c.SlowRatio == 0 {
 		c.SlowRatio = 1.0
-	}
-	if c.DemoteEpochs == 0 {
-		c.DemoteEpochs = 12
-	}
-	if c.PromoteEpochs == 0 {
-		c.PromoteEpochs = 12
-	}
-	if c.Sweeps == 0 {
-		c.Sweeps = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -161,6 +141,7 @@ type TieredResult struct {
 // demote-then-promote workload with AutoNUMA and the demotion daemons
 // on.
 func Tiered(cfg TieredConfig) (TieredResult, error) {
+	const demoteEpochs, promoteEpochs, sweeps = 12, 12, 4 // phase lengths; sweeps per epoch
 	cfg = cfg.withDefaults()
 	var res TieredResult
 	if cfg.FastNodes < 2 {
@@ -199,10 +180,10 @@ func Tiered(cfg TieredConfig) (TieredResult, error) {
 		Demotion:     true,
 		Params:       &p,
 	})
-	bal := sys.EnableAutoNUMA(cfg.Auto)
+	bal := sys.EnableAutoNUMA(autonuma.Config{})
 	var ctrl *control.Controller
 	if cfg.Adaptive {
-		ctrl = sys.EnableAdaptiveRateLimit(control.Config{})
+		ctrl = sys.EnableAdaptiveRateLimit()
 	}
 	win := telemetry.NewWindows(sys.Bus(), 5*p.KswapdPeriod, sys.SlowTierResident)
 
@@ -254,8 +235,8 @@ func Tiered(cfg TieredConfig) (TieredResult, error) {
 
 		// Demote phase: the working buffer is cold; kswapd ages it and
 		// demotes it to the next tier down.
-		for e := 0; e < cfg.DemoteEpochs; e++ {
-			for s := 0; s < cfg.Sweeps; s++ {
+		for e := 0; e < demoteEpochs; e++ {
+			for s := 0; s < sweeps; s++ {
 				if err := hot.Access(t, numamig.Blocked, false); err != nil {
 					panic(err)
 				}
@@ -274,8 +255,8 @@ func Tiered(cfg TieredConfig) (TieredResult, error) {
 		// Promote phase: the window over the demoted region turns hot;
 		// AutoNUMA pulls it back up through the rate-limited bucket.
 		start := t.P.Now()
-		for e := 0; e < cfg.PromoteEpochs; e++ {
-			for s := 0; s < cfg.Sweeps; s++ {
+		for e := 0; e < promoteEpochs; e++ {
+			for s := 0; s < sweeps; s++ {
 				if err := t.AccessRange(winBase, winSize, numamig.Blocked, false); err != nil {
 					panic(err)
 				}
@@ -303,7 +284,7 @@ func Tiered(cfg TieredConfig) (TieredResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Bytes = int64(cfg.PromoteEpochs) * int64(cfg.Sweeps) * int64(windowPages) * model.PageSize
+	res.Bytes = promoteEpochs * sweeps * int64(windowPages) * model.PageSize
 	res.SlowResident = sys.SlowTierResident()
 	res.Stats = sys.Stats()
 	res.RateLimited = res.Stats.PromoteRateLimited

@@ -36,23 +36,6 @@ type TieringConfig struct {
 	Cores int
 	// NodePages is per-node memory in 4 KiB frames (0: 1024 = 4 MiB).
 	NodePages int
-	// WorkPages sizes the rotating working buffer, interleaved over the
-	// non-zero nodes at first touch (0: NodePages/2).
-	WorkPages int
-	// HotPages is the rotating hot-window size (0: NodePages/8).
-	HotPages int
-	// StepPages is how far the window slides per epoch (0: HotPages/2).
-	StepPages int
-	// ColdPages is node-0 ballast, preferred onto node 0 and touched
-	// once, that keeps the node at its watermarks (0: NodePages*3/4).
-	ColdPages int
-	// BindPages is strict-bind(0) ballast exercising the nodemask gate
-	// (0: NodePages/16).
-	BindPages int
-	// Epochs is the number of sweep-then-slide rounds (0: 24).
-	Epochs int
-	// Sweeps is whole-window sweeps per epoch (0: 6).
-	Sweeps int
 	// Seed drives the simulation (0: 1).
 	Seed int64
 	// Hysteresis enables promotion hysteresis (the model default);
@@ -61,8 +44,6 @@ type TieringConfig struct {
 	// window (Params.FlipWindowPeriods) stays at its default either
 	// way, so the two configurations measure the same telemetry.
 	Hysteresis bool
-	// Auto overrides balancer knobs (zero: defaults from model.Params).
-	Auto autonuma.Config
 }
 
 func (c TieringConfig) withDefaults() TieringConfig {
@@ -74,27 +55,6 @@ func (c TieringConfig) withDefaults() TieringConfig {
 	}
 	if c.NodePages == 0 {
 		c.NodePages = 1024
-	}
-	if c.WorkPages == 0 {
-		c.WorkPages = c.NodePages / 2
-	}
-	if c.HotPages == 0 {
-		c.HotPages = c.NodePages / 8
-	}
-	if c.StepPages == 0 {
-		c.StepPages = c.HotPages / 2
-	}
-	if c.ColdPages == 0 {
-		c.ColdPages = c.NodePages * 3 / 4
-	}
-	if c.BindPages == 0 {
-		c.BindPages = c.NodePages / 16
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 24
-	}
-	if c.Sweeps == 0 {
-		c.Sweeps = 6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -133,20 +93,19 @@ type TieringResult struct {
 // Tiering builds a fresh deterministic System and runs the
 // rotating-hot-set workload with AutoNUMA and the demotion daemons on.
 func Tiering(cfg TieringConfig) (TieringResult, error) {
+	const epochs, sweeps = 24, 6 // sweep-then-slide rounds, whole-window sweeps per round
 	cfg = cfg.withDefaults()
 	var res TieringResult
 	if cfg.Nodes < 2 {
 		return res, fmt.Errorf("workload: tiering needs >= 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.HotPages > cfg.WorkPages {
-		return res, fmt.Errorf("workload: hot window (%d pages) exceeds the working buffer (%d pages)",
-			cfg.HotPages, cfg.WorkPages)
-	}
-	total := cfg.WorkPages + cfg.ColdPages + cfg.BindPages
-	if total > cfg.Nodes*cfg.NodePages {
-		return res, fmt.Errorf("workload: allocation does not fit the machine (%d > %d pages)",
-			total, cfg.Nodes*cfg.NodePages)
-	}
+	// Buffer sizes in pages. They total at most 1.3125 nodes, so they
+	// fit any machine of two or more nodes.
+	workPages := cfg.NodePages / 2
+	hotPages := cfg.NodePages / 8
+	stepPages := hotPages / 2 // how far the hot window slides per epoch
+	coldPages := cfg.NodePages * 3 / 4
+	bindPages := cfg.NodePages / 16
 	p := model.Default()
 	if !cfg.Hysteresis {
 		p.PromotionHysteresisPeriods = 0
@@ -159,7 +118,7 @@ func Tiering(cfg TieringConfig) (TieringResult, error) {
 		Demotion:     true,
 		Params:       &p,
 	})
-	bal := sys.EnableAutoNUMA(cfg.Auto)
+	bal := sys.EnableAutoNUMA(autonuma.Config{})
 
 	others := make([]topology.NodeID, 0, cfg.Nodes-1)
 	for n := 1; n < cfg.Nodes; n++ {
@@ -168,34 +127,34 @@ func Tiering(cfg TieringConfig) (TieringResult, error) {
 	err := sys.Run(func(t *numamig.Task) {
 		// Strict-bind ballast: cold for the whole run; the nodemask gate
 		// must keep it on node 0 no matter how pressured the node gets.
-		bind := numamig.MustAlloc(t, int64(cfg.BindPages)*model.PageSize, numamig.Bind(0))
+		bind := numamig.MustAlloc(t, int64(bindPages)*model.PageSize, numamig.Bind(0))
 		if err := bind.Prefault(t); err != nil {
 			panic(err)
 		}
 		// Cold ballast: drives node 0 to its watermarks (the placement
 		// layer spills the overflow), touched once.
-		cold := numamig.MustAlloc(t, int64(cfg.ColdPages)*model.PageSize, numamig.Preferred(0))
+		cold := numamig.MustAlloc(t, int64(coldPages)*model.PageSize, numamig.Preferred(0))
 		if err := cold.Prefault(t); err != nil {
 			panic(err)
 		}
 		// Working buffer: starts remote, interleaved over the other
 		// nodes; the rotating hot window is promoted in by AutoNUMA.
-		work := numamig.MustAlloc(t, int64(cfg.WorkPages)*model.PageSize, numamig.Interleave(others...))
+		work := numamig.MustAlloc(t, int64(workPages)*model.PageSize, numamig.Interleave(others...))
 		if err := work.Prefault(t); err != nil {
 			panic(err)
 		}
 
-		span := cfg.WorkPages - cfg.HotPages + 1
-		winSize := int64(cfg.HotPages) * model.PageSize
+		span := workPages - hotPages + 1
+		winSize := int64(hotPages) * model.PageSize
 		var winBase numamig.Addr
 		start := t.P.Now()
-		for e := 0; e < cfg.Epochs; e++ {
+		for e := 0; e < epochs; e++ {
 			off := 0
-			if span > 1 && cfg.StepPages > 0 {
-				off = (e * cfg.StepPages) % span
+			if span > 1 && stepPages > 0 {
+				off = (e * stepPages) % span
 			}
 			winBase = work.Base + numamig.Addr(off)*model.PageSize
-			for s := 0; s < cfg.Sweeps; s++ {
+			for s := 0; s < sweeps; s++ {
 				if err := t.AccessRange(winBase, winSize, numamig.Blocked, false); err != nil {
 					panic(err)
 				}
@@ -210,8 +169,8 @@ func Tiering(cfg TieringConfig) (TieringResult, error) {
 				onHome++
 			}
 		}
-		if cfg.HotPages > 0 {
-			res.HotLocal = float64(onHome) / float64(cfg.HotPages)
+		if hotPages > 0 {
+			res.HotLocal = float64(onHome) / float64(hotPages)
 		}
 		for _, n := range t.GetNodes(work.Base, work.Size) {
 			if n < 0 {
@@ -228,7 +187,7 @@ func Tiering(cfg TieringConfig) (TieringResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Bytes = int64(cfg.Epochs) * int64(cfg.Sweeps) * int64(cfg.HotPages) * model.PageSize
+	res.Bytes = epochs * sweeps * int64(hotPages) * model.PageSize
 	res.Stats = sys.Stats()
 	res.Flips = res.Stats.PromoteDemoteFlips
 	res.Demoted = res.Stats.PagesDemoted

@@ -73,10 +73,4 @@ func TestTieringConfigValidation(t *testing.T) {
 	if _, err := Tiering(TieringConfig{Nodes: 1}); err == nil {
 		t.Error("single-node tiering accepted")
 	}
-	if _, err := Tiering(TieringConfig{HotPages: 4096, WorkPages: 64}); err == nil {
-		t.Error("hot window larger than the working buffer accepted")
-	}
-	if _, err := Tiering(TieringConfig{ColdPages: 1 << 20}); err == nil {
-		t.Error("allocation beyond the whole machine accepted")
-	}
 }

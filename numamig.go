@@ -147,7 +147,7 @@
 // adapts: remote faults shrink it, all-local windows back it off.
 //
 //	sys := numamig.New(numamig.Config{})
-//	bal := sys.EnableAutoNUMA(autonuma.Config{})  // defaults from Params
+//	bal := sys.EnableAutoNUMA(autonuma.Config{})  // knobs from Params
 //	err := sys.Run(func(t *numamig.Task) {
 //	    buf := numamig.MustAlloc(t, 1<<22, numamig.Bind(0))
 //	    buf.Prefault(t)
@@ -331,11 +331,6 @@ type Config struct {
 	// missing entries keep MemPerNode). Tiered machines use it to give
 	// CXL expander nodes their own capacity.
 	NodeMem []int64
-	// L3PerNode is the per-socket shared cache; 0 means 2 MiB.
-	L3PerNode int64
-	// Backed allocates real bytes for every frame so data integrity can
-	// be verified; keep false for large experiments.
-	Backed bool
 	// Seed drives all simulated randomness (default 1).
 	Seed int64
 	// Demotion starts the per-node kswapd-style demotion daemons: when
@@ -371,9 +366,6 @@ func New(cfg Config) *System {
 	if cfg.MemPerNode == 0 {
 		cfg.MemPerNode = 8 << 30
 	}
-	if cfg.L3PerNode == 0 {
-		cfg.L3PerNode = 2 << 20
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -384,14 +376,15 @@ func New(cfg Config) *System {
 	eng := sim.NewEngine(cfg.Seed)
 	m := cfg.Machine
 	if m == nil {
-		m = topology.Grid(cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode, cfg.L3PerNode)
+		const l3PerNode = 2 << 20 // the paper's Opteron: 2 MiB of L3 per socket
+		m = topology.Grid(cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode, l3PerNode)
 		for i, b := range cfg.NodeMem {
 			if i < len(m.Nodes) && b > 0 {
 				m.Nodes[i].MemBytes = b
 			}
 		}
 	}
-	k := kern.New(eng, m, p, cfg.Backed)
+	k := kern.New(eng, m, p, false)
 	if cfg.Demotion {
 		k.EnableDemotion()
 	}
@@ -450,10 +443,6 @@ func (s *System) Now() Time { return s.Eng.Now() }
 // migration engine and placement layer publish.
 func (s *System) Bus() *telemetry.Bus { return s.Kernel.Bus() }
 
-// AdaptiveRateLimitConfig tunes EnableAdaptiveRateLimit; the zero value
-// selects the defaults documented on control.Config.
-type AdaptiveRateLimitConfig = control.Config
-
 // RateLimitController is the running adaptive-rate-limit daemon.
 type RateLimitController = control.Controller
 
@@ -461,8 +450,8 @@ type RateLimitController = control.Controller
 // controller (internal/control): a simulated daemon that widens
 // Params.PromoteRateLimitMBps when the token bucket drops promotions
 // and decays it when nothing wants promoting. Call before Run.
-func (s *System) EnableAdaptiveRateLimit(cfg AdaptiveRateLimitConfig) *RateLimitController {
-	return control.EnableAdaptiveRateLimit(s.Kernel, cfg)
+func (s *System) EnableAdaptiveRateLimit() *RateLimitController {
+	return control.EnableAdaptiveRateLimit(s.Kernel)
 }
 
 // Stats returns the kernel statistics.
@@ -496,15 +485,16 @@ func (s *System) NewUserNT(patched bool) *UserNT {
 // NewKernelNT creates the kernel next-touch driver.
 func (s *System) NewKernelNT() *KernelNT { return core.NewKernelNT(s.Proc) }
 
-// AutoNUMAConfig tunes EnableAutoNUMA; the zero value takes every knob
-// from the system's Params (NumaScan*/NumaFault*).
+// AutoNUMAConfig selects EnableAutoNUMA's two optional behaviours; the
+// scan and fault knobs come from the system's Params
+// (NumaScan*/NumaFault*).
 type AutoNUMAConfig = autonuma.Config
 
 // EnableAutoNUMA turns on automatic NUMA balancing for the app process:
 // it registers the balancer's hinting-fault hook and starts the scanner
 // daemon. No application hints are needed afterwards; pages (and, with
 // cfg.FollowThreshold set, threads) follow the observed access pattern.
-// The returned balancer exposes knobs and Stats.
+// The returned balancer exposes its Stats and scan period.
 func (s *System) EnableAutoNUMA(cfg AutoNUMAConfig) *autonuma.Balancer {
 	return autonuma.Enable(s.Proc, cfg)
 }
