@@ -10,7 +10,7 @@ import (
 // The daemon hub batches periodic kernel-thread ticks. Without it,
 // every kswapd and AutoNUMA scanner is a parked proc with its own wake
 // event — on a 1024-node machine that is a thousand queue entries per
-// period even when every node is idle, and the bucket queue spends the
+// period even when every node is idle, and the event queue spends the
 // scenario shuffling them. The hub keeps one timer event per distinct
 // deadline instead: daemons register on a deadline bucket, a single
 // engine callback drains every bucket due at that instant, and only
@@ -122,16 +122,24 @@ func (h *DaemonHub) Len() int { return h.n }
 
 // push queues d's next poll at when. A deadline at or before now would
 // be drained again by the tick that set it, looping inside one engine
-// event, so it panics instead.
+// event, so it panics instead. A re-armed deadline is now plus a
+// period, which daemons with one period share, so it lands on or after
+// the tail: push compares with the tail first, and only an earlier
+// deadline pays a binary search.
 func (h *DaemonHub) push(when sim.Time, d HubDaemon) {
 	if when <= h.eng.Now() {
 		panic(fmt.Sprintf("kern: daemon %s has period %v; its next tick must come after now", d.Name(), d.Period()))
 	}
 	h.n++
-	i := sort.Search(len(h.buckets), func(i int) bool { return h.buckets[i].when >= when })
-	if i < len(h.buckets) && h.buckets[i].when == when {
-		h.buckets[i].ds = append(h.buckets[i].ds, d)
-		return
+	i := len(h.buckets)
+	if i > 0 && h.buckets[i-1].when >= when {
+		if i--; h.buckets[i].when > when {
+			i = sort.Search(i, func(j int) bool { return h.buckets[j].when >= when })
+		}
+		if h.buckets[i].when == when {
+			h.buckets[i].ds = append(h.buckets[i].ds, d)
+			return
+		}
 	}
 	var b *hubBucket
 	if n := len(h.free); n > 0 {

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -116,5 +117,59 @@ func TestHubRejectsNonPositivePeriod(t *testing.T) {
 				t.Fatalf("Register returned: %v, want the panic from Register: %v", registered, tc.atRegister)
 			}
 		})
+	}
+}
+
+// TestHubPushKeepsDeadlineOrder: push files deadlines later than the
+// tail, equal to it, earlier than it, and equal to a middle bucket, in
+// seeded random order. After every push the bucket deadlines ascend
+// strictly and each bucket holds its daemons in push order.
+func TestHubPushKeepsDeadlineOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 20; trial++ {
+		h := NewDaemonHub(sim.NewEngine(1))
+		want := map[sim.Time][]HubDaemon{}
+		ds := make([]testDaemon, 200)
+		for i := range ds {
+			d := &ds[i]
+			d.name = fmt.Sprint("d", i)
+			n := len(h.buckets)
+			var when sim.Time
+			switch k := rng.Intn(4); {
+			case n == 0 || k == 0: // later than the tail
+				when = 1 + sim.Time(rng.Intn(10))
+				if n > 0 {
+					when += h.buckets[n-1].when
+				}
+			case k == 1: // equal to the tail
+				when = h.buckets[n-1].when
+			case k == 2: // equal to any bucket, mostly a middle one
+				when = h.buckets[rng.Intn(n)].when
+			default: // earlier than the tail, new or not
+				when = 1 + sim.Time(rng.Int63n(int64(h.buckets[n-1].when)))
+			}
+			h.push(when, d)
+			want[when] = append(want[when], d)
+
+			if len(h.buckets) != len(want) || h.n != i+1 {
+				t.Fatalf("trial %d push %d: %d buckets holding %d daemons, want %d holding %d",
+					trial, i, len(h.buckets), h.n, len(want), i+1)
+			}
+			for j, b := range h.buckets {
+				if j > 0 && b.when <= h.buckets[j-1].when {
+					t.Fatalf("trial %d push %d: bucket %d at %v after bucket at %v", trial, i, j, b.when, h.buckets[j-1].when)
+				}
+				w := want[b.when]
+				if len(b.ds) != len(w) {
+					t.Fatalf("trial %d push %d: bucket at %v holds %d daemons, want %d", trial, i, b.when, len(b.ds), len(w))
+				}
+				for k := range w {
+					if b.ds[k] != w[k] {
+						t.Fatalf("trial %d push %d: bucket at %v holds %s at %d, want %s",
+							trial, i, b.when, b.ds[k].Name(), k, w[k].Name())
+					}
+				}
+			}
+		}
 	}
 }

@@ -3,26 +3,23 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 )
 
 // event is a scheduled occurrence: either waking a process or running a
-// callback in engine context (callbacks must not block).
+// callback in engine context (callbacks must not block). seq orders the
+// heap's events for one instant; only heap events carry one.
 type event struct {
-	p  *Proc
-	fn func()
+	t   Time
+	seq uint64
+	p   *Proc
+	fn  func()
 }
 
-// bucket holds every event scheduled for one instant, in scheduling
-// (FIFO) order. Coalescing simultaneous events into one heap node keeps
-// the heap small when many daemons share a wake period, and the FIFO
-// drain preserves the (time, schedule-sequence) order the previous
-// binary-heap implementation guaranteed: within a bucket, append order
-// is exactly sequence order, and across buckets times strictly increase.
-type bucket struct {
-	t  Time
-	ev []event
-	i  int // next event to drain
+// before orders heap events by (time, schedule sequence).
+func (a *event) before(b *event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event simulator. All processes run in
@@ -30,23 +27,28 @@ type bucket struct {
 // them (or the engine itself) executes at any instant, so simulated code
 // needs no synchronization and runs are reproducible.
 //
-// The event queue is a hand-rolled min-heap of time buckets: one bucket
-// per distinct timestamp, events appended in scheduling order. Scheduling
-// an event at an already-pending instant is an O(1) append (no heap
-// sift), drained buckets are recycled through a free list, and no
-// interface boxing occurs on the hot path.
+// Events drain in (time, schedule-sequence) order from two value queues.
+// An event for a later instant goes on a min-heap keyed by (time, seq).
+// An event for the current instant (wakes, yields, event fires and lock
+// grants, and any past time, which clamps to now) is appended to a FIFO
+// with no sift and no sequence number. Every heap event for now was
+// scheduled before the clock reached now, so it precedes the whole FIFO:
+// next pops those first, then drains the FIFO, and only then advances
+// the clock to the heap minimum. Neither queue allocates once its
+// backing array has grown, and no interface boxing occurs on the hot
+// path.
 type Engine struct {
-	now     Time
-	buckets map[Time]*bucket
-	heap    []*bucket // min-heap on t; excludes cur
-	cur     *bucket   // bucket currently draining (earliest time)
-	npend   int       // events not yet drained
-	freeb   []*bucket
+	now  Time
+	heap []event // events after now, min-heap on (t, seq)
+	fifo []event // events at now, in schedule order
+	head int     // next fifo event to drain
+	seq  uint64  // sequence of the last heap push
 
 	yield    chan struct{}
 	live     map[*Proc]struct{}
 	nextID   int
 	failure  error
+	stopping bool // Run failed: every resumed proc exits
 	nsteps   uint64
 	MaxSteps uint64 // optional runaway guard; 0 = unlimited
 
@@ -57,11 +59,11 @@ type Engine struct {
 // NewEngine returns an engine with the given deterministic seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		buckets: make(map[Time]*bucket, 64),
-		heap:    make([]*bucket, 0, 64),
-		yield:   make(chan struct{}),
-		live:    make(map[*Proc]struct{}),
-		Rand:    rand.New(rand.NewSource(seed)),
+		heap:  make([]event, 0, 64),
+		fifo:  make([]event, 0, 64),
+		yield: make(chan struct{}),
+		live:  make(map[*Proc]struct{}),
+		Rand:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -72,53 +74,16 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
 func (e *Engine) schedule(t Time, p *Proc, fn func()) {
-	if t < e.now {
-		t = e.now
+	if t <= e.now {
+		e.fifo = append(e.fifo, event{p: p, fn: fn})
+		return
 	}
-	// Wakes, yields, event fires and lock grants land on the instant
-	// being drained, whose bucket is cur: skip the index lookup.
-	b := e.cur
-	if b == nil || b.t != t {
-		b = e.buckets[t]
-		if b == nil {
-			b = e.getBucket(t)
-			e.buckets[t] = b
-			e.pushBucket(b)
-		}
-	}
-	b.ev = append(b.ev, event{p: p, fn: fn})
-	e.npend++
-}
-
-// getBucket takes a bucket from the free list (retaining its event
-// backing array) or allocates one.
-func (e *Engine) getBucket(t Time) *bucket {
-	if n := len(e.freeb); n > 0 {
-		b := e.freeb[n-1]
-		e.freeb[n-1] = nil
-		e.freeb = e.freeb[:n-1]
-		b.t = t
-		b.i = 0
-		b.ev = b.ev[:0]
-		return b
-	}
-	return &bucket{t: t, ev: make([]event, 0, 8)}
-}
-
-func (e *Engine) putBucket(b *bucket) {
-	if len(e.freeb) < 64 {
-		e.freeb = append(e.freeb, b)
-	}
-}
-
-// pushBucket inserts b into the time min-heap. Bucket times are
-// distinct (one bucket per instant), so no tie-break is needed.
-func (e *Engine) pushBucket(b *bucket) {
-	h := append(e.heap, b)
+	e.seq++
+	h := append(e.heap, event{t: t, seq: e.seq, p: p, fn: fn})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h[parent].t <= h[i].t {
+		if !h[i].before(&h[parent]) {
 			break
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -127,60 +92,60 @@ func (e *Engine) pushBucket(b *bucket) {
 	e.heap = h
 }
 
-// popBucket removes and returns the earliest bucket.
-func (e *Engine) popBucket() *bucket {
+// pop removes and returns the heap's earliest event.
+func (e *Engine) pop() event {
 	h := e.heap
-	b := h[0]
+	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
+	last := h[n]
+	h[n] = event{}
 	h = h[:n]
 	e.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && h[l].t < h[s].t {
-			s = l
-		}
-		if r < n && h[r].t < h[s].t {
-			s = r
-		}
-		if s == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return b
+	h[i] = last
+	return top
 }
 
-// next returns the earliest pending event. The draining bucket stays in
-// the timestamp index until empty, so an event scheduled at the current
-// instant (by the event being processed) lands in the same bucket and
-// fires this instant, after everything already queued — exactly the
-// sequence-number order of the previous implementation.
+// next returns the earliest pending event, advancing the clock when the
+// current instant is exhausted.
 func (e *Engine) next() (event, bool) {
-	for {
-		if e.cur == nil {
-			if len(e.heap) == 0 {
-				return event{}, false
-			}
-			e.cur = e.popBucket()
-		}
-		b := e.cur
-		if b.i < len(b.ev) {
-			ev := b.ev[b.i]
-			b.ev[b.i] = event{}
-			b.i++
-			e.npend--
-			return ev, true
-		}
-		delete(e.buckets, b.t)
-		e.putBucket(b)
-		e.cur = nil
+	if len(e.heap) > 0 && e.heap[0].t == e.now {
+		return e.pop(), true
 	}
+	if e.head < len(e.fifo) {
+		ev := e.fifo[e.head]
+		e.fifo[e.head] = event{}
+		if e.head++; e.head == len(e.fifo) {
+			e.fifo, e.head = e.fifo[:0], 0
+		}
+		return ev, true
+	}
+	if len(e.heap) == 0 {
+		return event{}, false
+	}
+	ev := e.pop()
+	e.now = ev.t
+	return ev, true
 }
+
+func (e *Engine) pending() bool { return e.head < len(e.fifo) || len(e.heap) > 0 }
 
 // dispatch outcomes: who got the execution token.
 const (
@@ -208,7 +173,6 @@ func (e *Engine) dispatch(self *Proc) int {
 			return dispatchDrained
 		}
 		e.nsteps++
-		e.now = e.cur.t
 		if ev.fn != nil {
 			ev.fn()
 			continue
@@ -246,14 +210,15 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	go func() {
 		<-p.resume
 		defer func() {
-			if r := recover(); r != nil && e.failure == nil {
+			if r := recover(); r != nil && e.failure == nil && !e.stopping {
 				e.failure = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
 			}
 			delete(e.live, p)
-			p.done = true
 			e.yield <- struct{}{}
 		}()
-		fn(p)
+		if !e.stopping {
+			fn(p)
+		}
 	}()
 	e.schedule(e.now, p, nil)
 	return p
@@ -264,18 +229,19 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // blocked with no pending events (deadlock). The loop only sees the
 // token when no proc can continue: once handed to a proc, the token
 // wanders proc-to-proc through dispatch until the queue drains, a guard
-// trips, or a proc finishes.
+// trips, or a proc finishes. A failed Run stops every unfinished proc
+// before it returns.
 func (e *Engine) Run() error {
-	for e.failure == nil && e.npend > 0 {
+	for e.failure == nil && e.pending() {
 		if e.MaxSteps > 0 && e.nsteps >= e.MaxSteps {
-			return fmt.Errorf("sim: exceeded %d steps at t=%v", e.MaxSteps, e.now)
+			return e.unwind(fmt.Errorf("sim: exceeded %d steps at t=%v", e.MaxSteps, e.now))
 		}
 		if e.dispatch(nil) == dispatchHanded {
 			<-e.yield
 		}
 	}
 	if e.failure != nil {
-		return e.failure
+		return e.unwind(e.failure)
 	}
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))
@@ -283,9 +249,37 @@ func (e *Engine) Run() error {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
-		return fmt.Errorf("sim: deadlock at t=%v: %d blocked procs %v", e.now, len(names), names)
+		return e.unwind(fmt.Errorf("sim: deadlock at t=%v: %d blocked procs %v", e.now, len(names), names))
 	}
 	return nil
+}
+
+// unwind ends every unfinished proc, in spawn order, and returns err.
+// Each is resumed once with stopping set, exits through runtime.Goexit
+// in park (or skips its body if it never started), runs its deferred
+// calls, and hands the token back. Procs spawned by those deferred
+// calls are ended too, so no goroutine outlives a failed Run.
+func (e *Engine) unwind(err error) error {
+	e.stopping = true
+	for len(e.live) > 0 {
+		ps := make([]*Proc, 0, len(e.live))
+		for p := range e.live {
+			ps = append(ps, p)
+		}
+		sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
+		for _, p := range ps {
+			p.resume <- struct{}{}
+			<-e.yield
+		}
+	}
+	return err
+}
+
+// exitIfStopping ends the calling proc's goroutine once Run has failed.
+func (e *Engine) exitIfStopping() {
+	if e.stopping {
+		runtime.Goexit()
+	}
 }
 
 // MustRun runs the simulation and panics on error. Intended for examples

@@ -8,7 +8,6 @@ type Proc struct {
 	id     int
 	name   string
 	resume chan struct{}
-	done   bool
 
 	acct *Acct
 	cats []string // category stack for cost accounting
@@ -32,14 +31,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 // events itself: when its own wake is the next proc event (the common
 // consecutive-sleep case) it continues with no goroutine switch at all,
 // and otherwise it hands the token straight to the next runnable proc.
+// Once Run has failed, park ends the goroutine instead (see unwind).
 func (p *Proc) park() {
-	switch p.eng.dispatch(p) {
+	e := p.eng
+	e.exitIfStopping()
+	switch e.dispatch(p) {
 	case dispatchSelf:
 		return
 	case dispatchDrained:
-		p.eng.yield <- struct{}{} // return the token to Run
+		e.yield <- struct{}{} // return the token to Run
 	}
 	<-p.resume
+	e.exitIfStopping()
 }
 
 // wake schedules p to resume at the current time (FIFO among same-time

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// Property: the bucket queue drains in strict (time, schedule-sequence)
+// Property: the event queue drains in strict (time, schedule-sequence)
 // order — absolute times nondecreasing, and FIFO among events scheduled
 // for the same instant — including events scheduled mid-drain for the
-// instant currently draining (they append to the draining bucket and
-// run this instant, after everything already pending there) and across
-// free-list bucket recycling. The drain loop below is exactly what
+// instant currently draining (they join the same-instant FIFO and run
+// this instant, after everything already pending there) and across
+// drain-and-refill waves. The drain loop below is exactly what
 // Engine.dispatch does, minus the token handoff.
 func TestBucketQueueOrderProperty(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
@@ -38,8 +38,7 @@ func TestBucketQueueOrderProperty(t *testing.T) {
 			})
 		}
 
-		// Several waves so the queue fully drains and refills, cycling
-		// buckets through the free list.
+		// Several waves so the queue fully drains and refills.
 		total := 0
 		for wave := 0; wave < 5; wave++ {
 			for i := 0; i < 200; i++ {
@@ -51,7 +50,6 @@ func TestBucketQueueOrderProperty(t *testing.T) {
 					break
 				}
 				e.nsteps++
-				e.now = e.cur.t
 				ev.fn()
 			}
 			total = len(drained)

@@ -10,7 +10,8 @@ import (
 // through an arbitrary op stream decoded from the fuzz input and
 // checks it against a naive reference counter after every op: per-node
 // residency, totals, the fast-tier aggregate, cap-violation counts,
-// and the Exit drain all have independent shadow implementations here.
+// OverCapOn's answer on every node, and the Exit drain all have
+// independent shadow implementations here.
 // Inputs are clamped to the ledger's documented domain (non-negative
 // deltas, releases bounded by residency) — the panics on violations of
 // that domain are asserted separately in TestLedgerPanics.
@@ -97,6 +98,13 @@ func FuzzLedger(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x20\x00\x00\x01\x00\x01\x00\x03\x18\x01\x01\x01\x3f" +
 		"\x03\x01\x01\x02\x04\x00\x00\x00\x02\x00\x01\x08\x04\x00\x00\x00"))
 	f.Add([]byte("\x00\x00\x00\x08\x01\x00\x01\x28\x04\x00\x00\x00"))
+	// One tenant crossing its cap both ways through Charge, Release and
+	// Move, then exiting at the cap; two at-cap tenants where
+	// OverCapOn must answer the first-admitted.
+	f.Add([]byte("\x00\x00\x00\x10\x01\x00\x00\x10\x02\x00\x00\x01\x01\x00\x01\x01" +
+		"\x03\x02\x00\x02\x03\x02\x02\x00\x04\x00\x00\x00"))
+	f.Add([]byte("\x00\x00\x00\x04\x00\x00\x00\x04\x01\x01\x00\x04\x01\x00\x01\x04" +
+		"\x01\x00\x00\x01\x04\x00\x00\x00\x02\x00\x00\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := NewLedger(nil, fuzzTierOf)
@@ -206,6 +214,31 @@ func FuzzLedger(f *testing.F) {
 
 			if l.CapViolations != refViolations {
 				t.Fatalf("op %d: ledger counts %d cap violations, reference %d", op, l.CapViolations, refViolations)
+			}
+			atCap := 0
+			for _, id := range live {
+				if r := refs[id]; r.capPages > 0 && r.fast() >= r.capPages {
+					atCap++
+				}
+			}
+			if l.atCap != atCap {
+				t.Fatalf("op %d: ledger counts %d tenants at cap, reference %d", op, l.atCap, atCap)
+			}
+			for n := topology.NodeID(0); n < fuzzNodes; n++ {
+				want := -1
+				for _, id := range live {
+					if r := refs[id]; r.capPages > 0 && r.fast() >= r.capPages && r.resident[n] > 0 {
+						want = id
+						break
+					}
+				}
+				got := -1
+				if ten := l.OverCapOn(n); ten != nil {
+					got = ten.ID
+				}
+				if got != want {
+					t.Fatalf("op %d: OverCapOn(%d) is tenant %d, reference first-admitted scan %d (-1: none)", op, n, got, want)
+				}
 			}
 		}
 

@@ -80,7 +80,8 @@ type Tenant struct {
 	// Class is the tenant's priority class.
 	Class Class
 	// CapPages is the fast-tier residency cap in pages; <= 0 means
-	// uncapped.
+	// uncapped. Admit sets it and no code writes it after: the ledger's
+	// count of tenants at their cap relies on that.
 	CapPages int
 
 	resident map[topology.NodeID]int
@@ -102,6 +103,11 @@ func (t *Tenant) ResidentOn(n topology.NodeID) int { return t.resident[n] }
 // Live reports whether the tenant has been admitted and not yet exited.
 func (t *Tenant) Live() bool { return t.live }
 
+// atCap reports whether t is live and sits at or past its cap.
+func (t *Tenant) atCap() bool {
+	return t.live && t.CapPages > 0 && t.fast >= t.CapPages
+}
+
 // Ledger is one System's tenant accounting: residency per tenant per
 // node, fast-tier cap enforcement state, and the tenant lifecycle
 // telemetry.
@@ -111,6 +117,7 @@ type Ledger struct {
 
 	tenants []*Tenant // admission order; exited tenants stay for accounting
 	byID    map[int]*Tenant
+	atCap   int // live tenants at or past their cap (Tenant.atCap)
 
 	// Admitted / Exited count tenant lifecycle transitions.
 	Admitted int
@@ -167,10 +174,24 @@ func (t *Tenant) WouldBreach(pages int) bool {
 	return t.CapPages > 0 && t.fast+pages > t.CapPages
 }
 
+// addFast changes the tenant's fast-tier residency by delta, keeping
+// the at-cap count in step.
+func (l *Ledger) addFast(t *Tenant, delta int) {
+	was := t.atCap()
+	t.fast += delta
+	if now := t.atCap(); now != was {
+		if now {
+			l.atCap++
+		} else {
+			l.atCap--
+		}
+	}
+}
+
 // chargeFast folds pages fast-tier pages into the tenant and returns
 // how many of them landed beyond the cap.
 func (l *Ledger) chargeFast(t *Tenant, pages int) int {
-	t.fast += pages
+	l.addFast(t, pages)
 	if t.CapPages <= 0 || t.fast <= t.CapPages {
 		return 0
 	}
@@ -227,7 +248,7 @@ func (l *Ledger) Release(t *Tenant, node topology.NodeID, pages int) {
 	t.resident[node] -= pages
 	t.total -= pages
 	if l.tierOf(node) == 0 {
-		t.fast -= pages
+		l.addFast(t, -pages)
 	}
 	l.publish(telemetry.Event{
 		Topic: telemetry.TopicTenantResident,
@@ -255,7 +276,7 @@ func (l *Ledger) Move(t *Tenant, src, dst topology.NodeID, pages int) {
 	t.resident[dst] += pages
 	srcFast, dstFast := l.tierOf(src) == 0, l.tierOf(dst) == 0
 	if srcFast && !dstFast {
-		t.fast -= pages
+		l.addFast(t, -pages)
 	}
 	if dstFast && !srcFast {
 		if over := l.chargeFast(t, pages); over > 0 {
@@ -283,6 +304,9 @@ func (l *Ledger) Exit(t *Tenant) int {
 	if !t.live {
 		panic("tenancy: exit of non-live tenant")
 	}
+	if t.atCap() {
+		l.atCap--
+	}
 	t.live = false
 	residual := t.total
 	t.resident = make(map[topology.NodeID]int)
@@ -299,10 +323,14 @@ func (l *Ledger) Exit(t *Tenant) int {
 // OverCapOn returns the first-admitted live tenant sitting at or past
 // its fast-tier cap with pages resident on node, or nil. The per-node
 // kswapd daemons use it to pick the tenant whose cold pages the
-// background cap-reclaim pass demotes.
+// background cap-reclaim pass demotes. With no tenant at its cap, the
+// common case on every idle kswapd poll, it returns nil without a scan.
 func (l *Ledger) OverCapOn(node topology.NodeID) *Tenant {
+	if l.atCap == 0 {
+		return nil
+	}
 	for _, t := range l.tenants {
-		if t.live && t.CapPages > 0 && t.fast >= t.CapPages && t.resident[node] > 0 {
+		if t.atCap() && t.resident[node] > 0 {
 			return t
 		}
 	}
