@@ -319,7 +319,7 @@ func TestReplicatedPagesNotArmed(t *testing.T) {
 		tk.MigrateTo(sys.Machine.Nodes[3].Cores[0])
 		deadline := tk.P.Now() + 8*sys.Kernel.P.NumaScanPeriodMax
 		for tk.P.Now() < deadline {
-			if err := tk.ReadReplicated(buf.Base, buf.Size, numamig.Blocked); err != nil {
+			if err := tk.AccessRange(buf.Base, buf.Size, numamig.Blocked, false); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -359,13 +359,7 @@ func runReplication(s Scenario) Result {
 		sys.Proc.Spawn(fmt.Sprintf("reader%d", n), core, func(t *numamig.Task) {
 			ready.Wait(t.P)
 			for sweep := 0; sweep < sweeps; sweep++ {
-				var err error
-				if s.Mode == "replicated" {
-					err = t.ReadReplicated(buf.Base, size, numamig.Blocked)
-				} else {
-					err = t.AccessRange(buf.Base, size, numamig.Blocked, false)
-				}
-				if err != nil {
+				if err := t.AccessRange(buf.Base, size, numamig.Blocked, false); err != nil {
 					panic(err)
 				}
 			}

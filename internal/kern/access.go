@@ -27,8 +27,9 @@ const (
 // AccessRange models the application touching every byte of
 // [addr, addr+length) with the given pattern: faults are serviced first
 // (demand paging, next-touch migration, signal handling), then the
-// resident pages generate memory traffic from their home nodes through
-// the interconnect, sharing bandwidth with all concurrent activity.
+// resident pages generate memory traffic from the nodes serving them
+// through the interconnect, sharing bandwidth with all concurrent
+// activity. A read of a replicated page is served by the reader's copy.
 func (t *Task) AccessRange(addr vm.Addr, length int64, kind AccessKind, write bool) error {
 	if length <= 0 {
 		return nil
@@ -36,57 +37,99 @@ func (t *Task) AccessRange(addr vm.Addr, length int64, kind AccessKind, write bo
 	if _, err := t.FaultIn(addr, length, write); err != nil {
 		return err
 	}
-	k := t.Proc.K
-	sp := t.Proc.Space
-
-	nn := k.M.NumNodes()
-	bytesByNode := t.scratch.nodeBytes
-	if cap(bytesByNode) < nn {
-		bytesByNode = make([]float64, nn)
-	}
-	bytesByNode = bytesByNode[:nn]
-	for i := range bytesByNode {
-		bytesByNode[i] = 0
-	}
-	order := t.scratch.nodeOrder[:0]
-	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
+	pt := t.Proc.Space.PT
 	end := addr + vm.Addr(length)
+	first, last := vm.PageOf(addr), vm.PageOf(end-1)+1
 	mark := uint8(vm.PTEAccessed)
 	if write {
 		mark |= vm.PTEDirty
 	}
-	// Mark run-at-a-time, then sum the traffic per home node from the
-	// extent walk. Per-page byte overlaps are whole numbers, so summing
-	// them per extent yields the identical float64 total, and the
-	// first-appearance node order of an ascending walk is unchanged.
-	sp.PT.SetFlagsRange(first, last, mark, 0)
-	sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
-		lo, hi := e.Start.Base(), (e.Start + vm.VPN(e.N)).Base()
-		if lo < addr {
-			lo = addr
+	pt.SetFlagsRange(first, last, mark, 0)
+	t.scratch.spans = append(t.scratch.spans[:0], vm.Span{Lo: first, Hi: last})
+	counts, order, _ := t.census(t.scratch.spans, !write)
+	// Each page is 4096 bytes on the node serving it, less the bytes of
+	// the first and last page that lie outside the range. The totals are
+	// whole numbers, so every node's float64 is exact.
+	clip := func(p vm.VPN) topology.NodeID {
+		pte := pt.Get(p)
+		if !pte.Present() || pte.Frame == nil {
+			return -1
 		}
-		if hi > end {
-			hi = end
+		if write {
+			return pte.Frame.Node
 		}
-		if bytesByNode[e.Node] == 0 {
-			order = append(order, e.Node)
-		}
-		bytesByNode[e.Node] += float64(hi - lo)
-		return true
-	})
-	t.scratch.nodeBytes, t.scratch.nodeOrder = bytesByNode, order
+		node, _ := t.Proc.servingNode(p, pte.Frame.Node, t.Node())
+		return node
+	}
+	headNode, head := clip(first), int64(addr-first.Base())
+	tailNode, tail := clip(last-1), int64(last.Base()-end)
 	for _, node := range order {
-		t.chargeNodeTraffic(node, bytesByNode[node], kind)
+		bytes := int64(counts[node]) * model.PageSize
+		if node == headNode {
+			bytes -= head
+		}
+		if node == tailNode {
+			bytes -= tail
+		}
+		t.chargeNodeTraffic(node, float64(bytes), kind)
 	}
 	return nil
+}
+
+// census counts the resident pages of spans per serving node into task
+// scratch and returns the counts, the nodes in first-appearance page
+// order and the number of pages counted. Every per-node page count of
+// the bulk access paths runs here. A write, or a read while the process
+// holds no replica sets, counts each page on its frame's node in one
+// vm.Cursor.CountNodes call; any other read takes the per-page replica
+// walk.
+func (t *Task) census(spans []vm.Span, read bool) (counts []int, order []topology.NodeID, resident int) {
+	counts = t.scratch.counts(t.Proc.K.M.NumNodes())
+	order = t.scratch.nodeOrder[:0]
+	if read && len(t.Proc.replicas) > 0 {
+		order, resident = t.replicaCensus(spans, counts, order)
+	} else {
+		cur := t.Proc.Space.PT.Cursor()
+		order, resident = cur.CountNodes(spans, counts, order)
+	}
+	t.scratch.nodeOrder = order
+	return counts, order, resident
+}
+
+// replicaCensus is census's read walk over a process with replica sets:
+// each resident page counts on the node serving it to t, and a page a
+// replica serves on t's node counts as a local replica read. It is kept
+// out of census so the walk's closure does not burden the common path.
+func (t *Task) replicaCensus(spans []vm.Span, counts []int, order []topology.NodeID) ([]topology.NodeID, int) {
+	pr := t.Proc
+	reader := t.Node()
+	resident := 0
+	cur := pr.Space.PT.Cursor()
+	for _, s := range spans {
+		cur.Extents(s.Lo, s.Hi, false, func(e vm.Ext) bool {
+			for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
+				node, local := pr.servingNode(p, e.Node, reader)
+				if local {
+					pr.replicaStats.LocalReads++
+				}
+				if counts[node] == 0 {
+					order = append(order, node)
+				}
+				counts[node]++
+			}
+			resident += e.N
+			return true
+		})
+	}
+	return order, resident
 }
 
 // chargeNodeTraffic charges bytes of application traffic served from
 // node: the access-kind remote penalty, the Remote/LocalBytes
 // accounting, the tier-class latency multiplier, and the fluid
-// transfer along the user path. Every bulk access path (AccessRange,
-// TrafficRectVolume, ReadReplicated) charges one call per node-group
-// of its extent walk, so the cost model cannot drift between them.
+// transfer along the user path. The bulk access paths (AccessRange and
+// TrafficRectVolume) make one call per node of their census, in the
+// census's node order, so the cost model cannot drift between them.
 //
 // Data resident on a slow tier (CXL) pays its tier class's latency
 // multiplier on top of the NUMA penalty, wherever the accessing core
@@ -120,8 +163,8 @@ func (t *Task) Memcpy(dst, src vm.Addr, length int64) error {
 		return err
 	}
 	k := t.Proc.K
-	srcNode := t.dominantNode(src, length)
-	dstNode := t.dominantNode(dst, length)
+	srcNode := t.dominantNode(src, length, true)
+	dstNode := t.dominantNode(dst, length, false)
 	t.P.Sleep(k.P.SyscallBase) // call overhead / loop warm-up
 	k.Net.Transfer(t.P, float64(length), k.userPath(t.Core, srcNode, dstNode)...)
 	if k.Phys.Backed {
@@ -130,23 +173,19 @@ func (t *Task) Memcpy(dst, src vm.Addr, length int64) error {
 	return nil
 }
 
-// dominantNode returns the node holding the most bytes of the range.
-func (t *Task) dominantNode(addr vm.Addr, length int64) topology.NodeID {
-	nn := t.Proc.K.M.NumNodes()
-	counts := t.scratch.counts(nn)
-	sp := t.Proc.Space
+// dominantNode returns the node serving the most pages of the range to
+// t, the lowest such node on a tie.
+func (t *Task) dominantNode(addr vm.Addr, length int64, read bool) topology.NodeID {
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
-		counts[e.Node] += e.N
-		return true
-	})
-	best, bestN := t.Node(), -1
-	for n := 0; n < nn; n++ {
-		if c := counts[n]; c > bestN {
-			best, bestN = topology.NodeID(n), c
+	t.scratch.spans = append(t.scratch.spans[:0], vm.Span{Lo: first, Hi: last})
+	counts, _, _ := t.census(t.scratch.spans, read)
+	best := 0
+	for n, c := range counts {
+		if c > counts[best] {
+			best = n
 		}
 	}
-	return best
+	return topology.NodeID(best)
 }
 
 // copyBytes copies real backing bytes between two resident ranges.

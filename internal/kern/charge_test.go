@@ -8,12 +8,13 @@ import (
 	"numamig/internal/vm"
 )
 
-// Differential tests for the extent-based bulk access paths: AccessRange,
-// TrafficRectVolume, ReadReplicated and NodesOfRect accumulate per-node
-// traffic extent-run-at-a-time, and every path must charge byte totals
-// identical to a per-page Get walk — on a tiered machine, with pages
-// deliberately interleaved across DRAM and CXL nodes. Page byte counts
-// are whole numbers, so the totals must match exactly, not approximately.
+// Differential tests for the bulk access paths: AccessRange,
+// TrafficRectVolume and NodesOfRect count pages per node through one
+// census, and every path must charge byte totals identical to a
+// per-page Get walk — on a tiered machine, with pages deliberately
+// interleaved across DRAM and CXL nodes, and with some of them
+// replicated. Page byte counts are whole numbers, so the totals must
+// match exactly, not approximately.
 
 // newTieredChargeHarness builds a 4-node machine whose upper two nodes
 // are a CXL tier, with an interleaved region of pages pages faulted in.
@@ -36,8 +37,7 @@ func newTieredChargeHarness(t *testing.T, pages int64, run func(h *harness, tk *
 }
 
 // refBytesByNode is the per-page reference: walk [addr, addr+length)
-// page by page through PT.Get and clip each page's overlap, exactly
-// what AccessRange did before the extent walk.
+// page by page through PT.Get and clip each page's overlap.
 func refBytesByNode(tk *Task, addr vm.Addr, length int64) map[topology.NodeID]float64 {
 	sp := tk.Proc.Space
 	end := addr + vm.Addr(length)
@@ -142,13 +142,17 @@ func TestTrafficRectMatchesPerPageReference(t *testing.T) {
 	})
 }
 
+// TestReadReplicatedMatchesPerPageReference: a replicated read goes
+// through AccessRange. While the process holds no replica sets it
+// charges home nodes like the per-page reference; once every page is
+// replicated, every byte is served locally.
 func TestReadReplicatedMatchesPerPageReference(t *testing.T) {
 	newTieredChargeHarness(t, 32, func(h *harness, tk *Task, addr vm.Addr) {
 		// Without replicas the fast path runs: plain home-node charges.
 		ref := refBytesByNode(tk, addr, 32*pg)
 		wantLoc, wantRem := splitLocal(ref, tk.Node())
 		loc0, rem0 := h.k.Stats.LocalBytes, h.k.Stats.RemoteBytes
-		if err := tk.ReadReplicated(addr, 32*pg, Blocked); err != nil {
+		if err := tk.AccessRange(addr, 32*pg, Blocked, false); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.k.Stats.LocalBytes - loc0; got != wantLoc {
@@ -163,7 +167,7 @@ func TestReadReplicatedMatchesPerPageReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		loc0, rem0 = h.k.Stats.LocalBytes, h.k.Stats.RemoteBytes
-		if err := tk.ReadReplicated(addr, 32*pg, Blocked); err != nil {
+		if err := tk.AccessRange(addr, 32*pg, Blocked, false); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.k.Stats.LocalBytes - loc0; got != float64(32*pg) {
@@ -175,10 +179,144 @@ func TestReadReplicatedMatchesPerPageReference(t *testing.T) {
 	})
 }
 
-// TestTierLatencyChargedConsistently pins the satellite's behavioural
-// fix: the rect and replicated read paths now charge the tier-class
-// latency multiplier exactly like AccessRange, so reading the same
-// CXL-resident bytes through any of the three paths costs the same
+// servedBy is the per-page reference for which node serves tk a read of
+// page p: the reader's replica copy, on the node that copy lives on,
+// where p has one, else p's home frame. local reports a copy on the
+// reader's node; ok is false for a page that is not resident.
+func servedBy(tk *Task, p vm.VPN) (node topology.NodeID, local, ok bool) {
+	pte := tk.Proc.Space.PT.Get(p)
+	if !pte.Present() {
+		return -1, false, false
+	}
+	if rs := tk.Proc.replicas[p]; rs != nil && rs.frames[tk.Node()] != nil {
+		node = rs.frames[tk.Node()].Node
+		return node, node == tk.Node(), true
+	}
+	return pte.Frame.Node, false, true
+}
+
+// nodeCtrlBytes snapshots the bytes each node's memory controller has
+// carried.
+func nodeCtrlBytes(h *harness) []float64 {
+	out := make([]float64, len(h.k.NodeCtrl))
+	for n, l := range h.k.NodeCtrl {
+		out[n] = l.Bytes
+	}
+	return out
+}
+
+// checkNodeTraffic checks that each node's controller carried want[n]
+// bytes of a Blocked read by tk since before, scaled by the read's
+// NUMA and tier penalties. Controllers accumulate in float64, so the
+// check is relative, to 1e-12.
+func checkNodeTraffic(t *testing.T, h *harness, tk *Task, what string, before []float64, want map[topology.NodeID]float64) {
+	t.Helper()
+	for n, after := range nodeCtrlBytes(h) {
+		node := topology.NodeID(n)
+		penalty := 1.0
+		if node != tk.Node() {
+			penalty = h.k.M.NUMAFactor(tk.Node(), node) * h.k.P.BlockedBoost
+		}
+		penalty *= h.k.tierLat[node]
+		exp, got := want[node]*penalty, after-before[n]
+		if d := got - exp; d > 1e-12*exp || d < -1e-12*exp {
+			t.Errorf("%s: node %d controller carried %v bytes, reference says %v", what, n, got, exp)
+		}
+	}
+}
+
+// TestCensusServesReplicas: with only some pages of an interleaved
+// tiered buffer replicated, a read through AccessRange or TrafficRect
+// counts each replicated page on the node of the reader's copy and
+// every other page on its home node, clipping AccessRange's partial
+// first and last pages on the node serving them; NodesOfRect still
+// reports home nodes.
+func TestCensusServesReplicas(t *testing.T) {
+	const pages = 38
+	newTieredChargeHarness(t, pages, func(h *harness, tk *Task, addr vm.Addr) {
+		// Pages 1-8 and the last page are replicated; the first is not.
+		for _, r := range []struct{ page, n int64 }{{1, 8}, {pages - 1, 1}} {
+			if _, err := tk.ReplicateRange(addr+vm.Addr(r.page*pg), r.n*pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp := tk.Proc.Space
+		base := vm.PageOf(addr)
+		lastHome := sp.PT.Get(base + pages - 1).Frame.Node
+		if node, local, _ := servedBy(tk, base+pages-1); !local || node == lastHome {
+			t.Fatalf("the last page, homed on node %d, is served on node %d; the test needs a remote page a local copy serves", lastHome, node)
+		}
+
+		// AccessRange over an unaligned range: partial first and last pages.
+		sub, subLen := addr+100, int64(pages*pg-250)
+		end := sub + vm.Addr(subLen)
+		want := map[topology.NodeID]float64{}
+		served := map[topology.NodeID]int{}
+		home := map[topology.NodeID]int{}
+		var wantReads uint64
+		for p := base; p < base+pages; p++ {
+			node, local, ok := servedBy(tk, p)
+			if !ok {
+				t.Fatalf("page %d not resident", p)
+			}
+			lo, hi := max(p.Base(), sub), min(p.Base()+model.PageSize, end)
+			want[node] += float64(hi - lo)
+			served[node]++
+			home[sp.PT.Get(p).Frame.Node]++
+			if local {
+				wantReads++
+			}
+		}
+		wantLoc, wantRem := splitLocal(want, tk.Node())
+		loc0, rem0, reads0, ctrl := h.k.Stats.LocalBytes, h.k.Stats.RemoteBytes, h.proc.Replicas().LocalReads, nodeCtrlBytes(h)
+		if err := tk.AccessRange(sub, subLen, Blocked, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.k.Stats.LocalBytes - loc0; got != wantLoc {
+			t.Errorf("AccessRange: LocalBytes += %v, reference says %v", got, wantLoc)
+		}
+		if got := h.k.Stats.RemoteBytes - rem0; got != wantRem {
+			t.Errorf("AccessRange: RemoteBytes += %v, reference says %v", got, wantRem)
+		}
+		if got := h.proc.Replicas().LocalReads - reads0; got != wantReads {
+			t.Errorf("AccessRange: LocalReads += %d, reference says %d", got, wantReads)
+		}
+		checkNodeTraffic(t, h, tk, "AccessRange", ctrl, want)
+
+		// TrafficRect over the same pages splits its volume over the
+		// serving nodes in proportion to the pages each serves.
+		r := Rect{Base: sub, RowBytes: subLen, Rows: 1}
+		volume := float64(r.Bytes())
+		want = map[topology.NodeID]float64{}
+		for n, c := range served {
+			want[n] = volume / pages * float64(c)
+		}
+		loc0, reads0, ctrl = h.k.Stats.LocalBytes, h.proc.Replicas().LocalReads, nodeCtrlBytes(h)
+		tk.TrafficRect(r, Blocked, false)
+		if got := h.k.Stats.LocalBytes - loc0; got != want[tk.Node()] {
+			t.Errorf("TrafficRect: LocalBytes += %v, reference says %v", got, want[tk.Node()])
+		}
+		if got := h.proc.Replicas().LocalReads - reads0; got != wantReads {
+			t.Errorf("TrafficRect: LocalReads += %d, reference says %d", got, wantReads)
+		}
+		checkNodeTraffic(t, h, tk, "TrafficRect", ctrl, want)
+
+		// NodesOfRect reports where the pages live, not who serves them.
+		gotHome, absent := tk.NodesOfRect(r)
+		if absent != 0 || len(gotHome) != len(home) {
+			t.Errorf("NodesOfRect = %v with %d absent, reference says %v with 0", gotHome, absent, home)
+		}
+		for n, c := range home {
+			if gotHome[n] != c {
+				t.Errorf("NodesOfRect[%d] = %d, reference says %d", n, gotHome[n], c)
+			}
+		}
+	})
+}
+
+// TestTierLatencyChargedConsistently: the rect read path charges the
+// tier-class latency multiplier exactly like AccessRange, so reading
+// the same CXL-resident bytes through either path costs the same
 // virtual time.
 func TestTierLatencyChargedConsistently(t *testing.T) {
 	p := model.Default()
@@ -207,19 +345,11 @@ func TestTierLatencyChargedConsistently(t *testing.T) {
 		dRect := elapsed(func() {
 			tk.TrafficRect(Rect{Base: addr, RowBytes: 16 * pg, Stride: 16 * pg, Rows: 1}, Blocked, false)
 		})
-		dRepl := elapsed(func() {
-			if err := tk.ReadReplicated(addr, 16*pg, Blocked); err != nil {
-				t.Fatal(err)
-			}
-		})
 		if dRange <= 0 {
 			t.Fatal("AccessRange took no virtual time")
 		}
 		if dRect != dRange {
 			t.Errorf("TrafficRect of CXL bytes took %v, AccessRange took %v — tier latency not charged alike", dRect, dRange)
-		}
-		if dRepl != dRange {
-			t.Errorf("ReadReplicated of CXL bytes took %v, AccessRange took %v — tier latency not charged alike", dRepl, dRange)
 		}
 	})
 }

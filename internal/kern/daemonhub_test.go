@@ -82,7 +82,9 @@ func TestHubIdleTicksAllocateNothing(t *testing.T) {
 // not lie after now — a period of zero or less — would be drained
 // again by the tick that re-armed it, forever, inside one engine event.
 // The hub panics instead, naming the daemon and its period, whether
-// the period is bad at Register or turns bad after a tick.
+// the period is bad at Register or turns bad after a tick; a tick is an
+// engine callback, so that panic fails Run with the engine's callback
+// error.
 func TestHubRejectsNonPositivePeriod(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -110,8 +112,13 @@ func TestHubRejectsNonPositivePeriod(t *testing.T) {
 				return ""
 			}()
 			want := fmt.Sprintf("kern: daemon bad has period %v", tc.next)
-			if !strings.HasPrefix(msg, want) {
+			if tc.atRegister && !strings.HasPrefix(msg, want) {
 				t.Fatalf("panic %q, want it to start with %q", msg, want)
+			}
+			// A tick runs as an engine callback: Run fails with an error
+			// that names the callback and carries the panic.
+			if !tc.atRegister && !(strings.HasPrefix(msg, "sim: callback ") && strings.Contains(msg, "panicked at t=1000ns: "+want)) {
+				t.Fatalf("panic %q, want a callback error at t=1000ns carrying %q", msg, want)
 			}
 			if registered == tc.atRegister {
 				t.Fatalf("Register returned: %v, want the panic from Register: %v", registered, tc.atRegister)

@@ -294,7 +294,7 @@ func TestReplicationServesLocalReads(t *testing.T) {
 		// Reads from node 3 are local now.
 		tk.MigrateTo(13)
 		before := h.k.Stats.RemoteBytes
-		if err := tk.ReadReplicated(a, 16*pg, Stream); err != nil {
+		if err := tk.AccessRange(a, 16*pg, Stream, false); err != nil {
 			t.Fatal(err)
 		}
 		if h.k.Stats.RemoteBytes != before {
@@ -302,6 +302,58 @@ func TestReplicationServesLocalReads(t *testing.T) {
 		}
 		if h.proc.Replicas().LocalReads != 16 {
 			t.Fatalf("local reads = %d", h.proc.Replicas().LocalReads)
+		}
+	})
+}
+
+// TestReplicaReadServedWhereCopyLives: under memory pressure a copy
+// meant for node 1 lands on another node (the allocator's fallback). A
+// node-1 read of such a page is served from where the copy lives,
+// remotely, and only the copies on node 1 count as local replica reads.
+func TestReplicaReadServedWhereCopyLives(t *testing.T) {
+	h := newSmallHarness(2, 256) // low watermark: 12 frames
+	h.run(t, 0, func(tk *Task) {
+		filler, err := tk.Mmap(236*pg, vm.ProtRW, vm.Bind(1), 0, "filler")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.FaultIn(filler, 236*pg, true); err != nil {
+			t.Fatal(err)
+		}
+		a, err := tk.Mmap(64*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.FaultIn(a, 64*pg, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.ReplicateRange(a, 64*pg); err != nil {
+			t.Fatal(err)
+		}
+		where := map[topology.NodeID]int{}
+		for p := vm.PageOf(a); p < vm.PageOf(a)+64; p++ {
+			rs := tk.Proc.replicas[p]
+			if rs == nil || rs.frames[1] == nil {
+				t.Fatalf("page %d has no copy for node 1", p)
+			}
+			where[rs.frames[1].Node]++
+		}
+		if where[1] != 8 || where[0] != 56 {
+			t.Fatalf("node-1 copies live %v, want 8 on node 1 and 56 on node 0", where)
+		}
+		tk.MigrateTo(1) // node 1
+		loc, rem, reads := h.k.Stats.LocalBytes, h.k.Stats.RemoteBytes, h.proc.Replicas().LocalReads
+		if err := tk.AccessRange(a, 64*pg, Stream, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.k.Stats.LocalBytes - loc; got != 8*pg {
+			t.Errorf("LocalBytes += %v, want %v", got, 8*pg)
+		}
+		if got := h.k.Stats.RemoteBytes - rem; got != 56*pg {
+			t.Errorf("RemoteBytes += %v, want %v", got, 56*pg)
+		}
+		if got := h.proc.Replicas().LocalReads - reads; got != 8 {
+			t.Errorf("LocalReads += %d, want 8", got)
 		}
 	})
 }
@@ -323,7 +375,7 @@ func TestReplicationCollapseOnWrite(t *testing.T) {
 		// Write from node 2 collapses page 0's replicas, keeping the
 		// local copy.
 		tk.MigrateTo(9)
-		if err := tk.WriteReplicated(a); err != nil {
+		if err := tk.Touch(a, true); err != nil {
 			t.Fatal(err)
 		}
 		if got := tk.GetNode(a); got != 2 {
@@ -406,7 +458,7 @@ func TestWriteFaultCollapsesReplicas(t *testing.T) {
 				// No stale copy serves a read from another node.
 				tk.MigrateTo(12)
 				reads := h.proc.Replicas().LocalReads
-				if err := tk.ReadReplicated(a, 4*pg, Stream); err != nil {
+				if err := tk.AccessRange(a, 4*pg, Stream, false); err != nil {
 					t.Fatal(err)
 				}
 				if got := h.proc.Replicas().LocalReads - reads; got != 0 {
@@ -434,7 +486,7 @@ func TestReplicaCollapseMovesTenantCharge(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.MigrateTo(5) // node 1
-		if err := tk.WriteReplicated(a); err != nil {
+		if err := tk.Touch(a, true); err != nil {
 			t.Fatal(err)
 		}
 		if got := tk.GetNode(a); got != 1 {
@@ -512,7 +564,7 @@ func TestReplicatedReadContentionAdvantage(t *testing.T) {
 		for c := 0; c < 16; c++ {
 			h.proc.Spawn("reader", topology.CoreID(c), func(tk *Task) {
 				ready.Wait(tk.P)
-				if err := tk.ReadReplicated(a, bytes, Blocked); err != nil {
+				if err := tk.AccessRange(a, bytes, Blocked, false); err != nil {
 					t.Error(err)
 				}
 				if tk.P.Now() > last {

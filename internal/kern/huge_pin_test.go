@@ -5,6 +5,7 @@ import (
 
 	"numamig/internal/migrate"
 	"numamig/internal/model"
+	"numamig/internal/sim"
 	"numamig/internal/vm"
 )
 
@@ -228,6 +229,53 @@ func TestGetNodesHuge(t *testing.T) {
 			if n != 1 {
 				t.Fatalf("nodes[%d] = %d, want 1", i, n)
 			}
+		}
+	})
+}
+
+// TestQueryPagesSeesHugeUnits: move_pages' query mode reports a 2 MiB
+// unit's node for every page it covers, as GetNodes does, and GetNode
+// agrees; the query keeps its one syscall and per-page walk charge. A
+// huge mapping no unit backs yet reports ENOENT and -1.
+func TestQueryPagesSeesHugeUnits(t *testing.T) {
+	h := newHarness(false)
+	h.run(t, 0, func(tk *Task) {
+		const size = 4 << 20
+		a, err := tk.MmapHuge(size, vm.Bind(1), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.TouchHuge(a, size); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := tk.MmapHuge(2<<20, vm.Bind(1), "cold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := []vm.Addr{a, a + 5*pg + 17, a + 2<<20, a + size - 1, cold}
+		want := []int{1, 1, 1, 1, StatusNoEnt}
+		calls, t0 := h.k.Stats.Syscalls, h.eng.Now()
+		status := tk.QueryPages(addrs)
+		if got, cost := h.eng.Now()-t0, h.k.P.SyscallBase+sim.Time(len(addrs))*h.k.P.MadvisePage; got != cost {
+			t.Errorf("QueryPages took %v, want %v", got, cost)
+		}
+		if got := h.k.Stats.Syscalls - calls; got != 1 {
+			t.Errorf("QueryPages counted %d syscalls, want 1", got)
+		}
+		for i, x := range addrs {
+			if status[i] != want[i] {
+				t.Errorf("QueryPages(%#x) = %d, want %d", x, status[i], want[i])
+			}
+			wantNode := want[i]
+			if wantNode < 0 {
+				wantNode = -1
+			}
+			if n := tk.GetNode(x); n != wantNode {
+				t.Errorf("GetNode(%#x) = %d, want %d", x, n, wantNode)
+			}
+		}
+		if n := tk.HugeNode(a); n != 1 {
+			t.Errorf("HugeNode = %d, want 1", n)
 		}
 	})
 }

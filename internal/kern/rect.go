@@ -106,11 +106,14 @@ func (t *Task) TrafficRect(r Rect, kind AccessKind, write bool) {
 }
 
 // TrafficRectVolume charges `volume` bytes of traffic distributed over
-// the rectangle's current page placement. Drivers use it to model
-// cache-thrashing kernels whose memory volume exceeds the data footprint
-// (e.g. column-strided DGEMM re-reading its B operand).
+// the rectangle's current page placement, in proportion to the pages
+// each node serves (a read of a replicated page is served by the
+// reader's copy). The LU and BLAS workloads use it to model
+// cache-thrashing kernels whose memory volume exceeds the data
+// footprint (e.g. column-strided DGEMM re-reading its B operand).
 func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write bool) {
-	counts, order, resident := t.countRect(r)
+	t.scratch.spans = r.appendSpans(t.scratch.spans[:0])
+	counts, order, resident := t.census(t.scratch.spans, !write)
 	if resident == 0 || volume <= 0 {
 		return
 	}
@@ -118,19 +121,6 @@ func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write 
 	for _, node := range order {
 		t.chargeNodeTraffic(node, perPage*float64(counts[node]), kind)
 	}
-}
-
-// countRect counts the rectangle's resident pages per home node in one
-// batch read along its ascending row spans, so the first-appearance
-// node order matches a per-page walk's. The counts, the order and the
-// span list stay in task scratch.
-func (t *Task) countRect(r Rect) (counts []int, order []topology.NodeID, resident int) {
-	counts = t.scratch.counts(t.Proc.K.M.NumNodes())
-	t.scratch.spans = r.appendSpans(t.scratch.spans[:0])
-	cur := t.Proc.Space.PT.Cursor()
-	order, resident = cur.CountNodes(t.scratch.spans, counts, t.scratch.nodeOrder[:0])
-	t.scratch.nodeOrder = order
-	return counts, order, resident
 }
 
 // AccessRect faults the rectangle in and charges its traffic.
@@ -142,12 +132,13 @@ func (t *Task) AccessRect(r Rect, kind AccessKind, write bool) error {
 	return nil
 }
 
-// NodesOfRect returns the per-node resident page counts of a rectangle
-// plus the number of its other pages, which are absent (a present page
-// without a frame, which no kernel path maps, counts there too); drivers
-// use it to cache block placement summaries.
+// NodesOfRect returns the per-home-node resident page counts of a
+// rectangle plus the number of its other pages, which are absent (a
+// present page without a frame, which no kernel path maps, counts there
+// too). A workload can cache the result as a block placement summary.
 func (t *Task) NodesOfRect(r Rect) (map[topology.NodeID]int, int) {
-	counts, order, resident := t.countRect(r)
+	t.scratch.spans = r.appendSpans(t.scratch.spans[:0])
+	counts, order, resident := t.census(t.scratch.spans, false)
 	byNode := make(map[topology.NodeID]int, len(order))
 	for _, node := range order {
 		byNode[node] = counts[node]

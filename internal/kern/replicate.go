@@ -5,7 +5,6 @@ import (
 
 	"numamig/internal/mem"
 	"numamig/internal/migrate"
-	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
@@ -14,15 +13,17 @@ import (
 // Read-only page replication is the second future-work item of §6
 // ("replicating read-only pages among NUMA nodes so as to achieve local
 // access performance from anywhere"). Replicated pages keep their home
-// frame plus one copy per other node; reads are served from the reader's
-// local copy. A write collapses the replica set back to a single frame
-// (the writer's node), like a COW break.
+// frame plus one copy per other node. Every bulk read (AccessRange, the
+// rect traffic paths, Memcpy's source) is served by the reader's copy,
+// from the node that copy's frame lives on. A write collapses the
+// replica set back to a single frame (the writer's node), like a COW
+// break.
 
 // ReplicaStats counts replication activity.
 type ReplicaStats struct {
 	PagesReplicated uint64 // page-copies created
 	Collapses       uint64 // replica sets torn down by writes
-	LocalReads      uint64 // page-reads served by a replica
+	LocalReads      uint64 // page-reads served by a copy on the reader's node
 }
 
 // replicaSet tracks the per-node copies of one page.
@@ -34,17 +35,18 @@ type replicaSet struct {
 // Replicas returns the process's replica statistics.
 func (pr *Process) Replicas() ReplicaStats { return pr.replicaStats }
 
-// replicaFor returns the frame to read page v from, preferring a copy
-// local to node.
-func (pr *Process) replicaFor(v vm.VPN, node topology.NodeID) *mem.Frame {
-	rs, ok := pr.replicas[v]
-	if !ok {
-		return nil
+// servingNode returns the node that serves a read of page v, whose
+// mapped frame lives on home, by a task on reader: the node the
+// reader's copy lives on when v has one, else home. A copy made under
+// memory pressure may have landed off the reader's node, so local
+// reports whether the read is served on the reader's node by a copy.
+func (pr *Process) servingNode(v vm.VPN, home, reader topology.NodeID) (node topology.NodeID, local bool) {
+	if rs := pr.replicas[v]; rs != nil {
+		if f := rs.frames[reader]; f != nil {
+			return f.Node, f.Node == reader
+		}
 	}
-	if f := rs.frames[node]; f != nil {
-		return f
-	}
-	return nil
+	return home, false
 }
 
 // ReplicateRange creates read-only replicas of every resident page of
@@ -115,6 +117,7 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 				// Index by the intended node: under memory pressure the
 				// frame may physically live elsewhere (AllocFrame
 				// fallback), but the slot keying must stay collision-free.
+				// A read serves from where the frame lives (servingNode).
 				st.rs.frames[ops[x].Dst] = f
 				pr.replicaStats.PagesReplicated++
 				created++
@@ -207,77 +210,4 @@ func (pr *Process) dropReplicas(first, last vm.VPN) {
 		}
 		delete(pr.replicas, p)
 	}
-}
-
-// ReadReplicated performs a read of [addr, addr+length) that serves
-// replicated pages from the local copy (no remote traffic for them).
-// Non-replicated pages fall back to their home node as in AccessRange.
-func (t *Task) ReadReplicated(addr vm.Addr, length int64, kind AccessKind) error {
-	if length <= 0 {
-		return nil
-	}
-	k := t.Proc.K
-	pr := t.Proc
-	sp := pr.Space
-	if _, err := t.FaultIn(addr, length, false); err != nil {
-		return err
-	}
-	local := t.Node()
-	nn := k.M.NumNodes()
-	bytesByNode := t.scratch.nodeBytes
-	if cap(bytesByNode) < nn {
-		bytesByNode = make([]float64, nn)
-	}
-	bytesByNode = bytesByNode[:nn]
-	for i := range bytesByNode {
-		bytesByNode[i] = 0
-	}
-	order := t.scratch.nodeOrder[:0]
-	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
-	end := addr + vm.Addr(length)
-	add := func(node topology.NodeID, lo, hi vm.Addr) {
-		if lo < addr {
-			lo = addr
-		}
-		if hi > end {
-			hi = end
-		}
-		if bytesByNode[node] == 0 {
-			order = append(order, node)
-		}
-		bytesByNode[node] += float64(hi - lo)
-	}
-	if len(pr.replicas) == 0 {
-		// No replica sets anywhere in the process: the read is a plain
-		// home-node access, accumulated extent-run-at-a-time like
-		// AccessRange (no per-page map probe).
-		sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
-			add(e.Node, e.Start.Base(), (e.Start + vm.VPN(e.N)).Base())
-			return true
-		})
-	} else {
-		sp.PT.Extents(first, last, false, func(e vm.Ext) bool {
-			for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
-				node := e.Node
-				if f := pr.replicaFor(p, local); f != nil {
-					node = local
-					pr.replicaStats.LocalReads++
-				}
-				add(node, p.Base(), p.Base()+model.PageSize)
-			}
-			return true
-		})
-	}
-	t.scratch.nodeBytes, t.scratch.nodeOrder = bytesByNode, order
-	for _, node := range order {
-		t.chargeNodeTraffic(node, bytesByNode[node], kind)
-	}
-	return nil
-}
-
-// WriteReplicated performs a write to one page. On a replicated page
-// the write faults and collapses the replica set to the writer's node
-// (the COW-style break), as a write through any other path does.
-func (t *Task) WriteReplicated(addr vm.Addr) error {
-	return t.Touch(addr, true)
 }

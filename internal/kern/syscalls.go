@@ -205,15 +205,11 @@ func (t *Task) QueryPages(addrs []vm.Addr) []int {
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
 	status := make([]int, len(addrs))
-	var n int
 	for i, a := range addrs {
-		pte := t.Proc.Space.PT.Get(vm.PageOf(a))
-		if !pte.Present() {
+		status[i] = t.Proc.pageNode(vm.PageOf(a))
+		if status[i] < 0 {
 			status[i] = StatusNoEnt
-			continue
 		}
-		status[i] = int(pte.Frame.Node)
-		n++
 	}
 	// Page-table walk cost, no locking beyond mmap_sem.
 	t.P.Sleep(sim.Time(len(addrs)) * k.P.MadvisePage)
@@ -222,8 +218,18 @@ func (t *Task) QueryPages(addrs []vm.Addr) []int {
 
 // GetNode returns the NUMA node of the page backing addr, or -1 if not
 // present (the move_pages query mode, nodes == nil).
-func (t *Task) GetNode(addr vm.Addr) int {
-	pte := t.Proc.Space.PT.Get(vm.PageOf(addr))
+func (t *Task) GetNode(addr vm.Addr) int { return t.Proc.pageNode(vm.PageOf(addr)) }
+
+// pageNode returns the node of the frame backing page v, the 2 MiB
+// unit's node inside a huge chunk, or -1 when v is not resident.
+func (pr *Process) pageNode(v vm.VPN) int {
+	if c := pr.Space.PT.Chunk(v); c != nil && c.Huge {
+		if c.HugeFrame == nil {
+			return -1
+		}
+		return int(c.HugeFrame.Node)
+	}
+	pte := pr.Space.PT.Get(v)
 	if !pte.Present() {
 		return -1
 	}

@@ -130,7 +130,6 @@ type Task struct {
 type taskScratch struct {
 	spans     []vm.Span
 	faults    vm.FaultClasses
-	nodeBytes []float64
 	nodeOrder []topology.NodeID
 	nodeCount []int
 }

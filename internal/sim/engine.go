@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 )
@@ -174,7 +175,7 @@ func (e *Engine) dispatch(self *Proc) int {
 		}
 		e.nsteps++
 		if ev.fn != nil {
-			ev.fn()
+			e.call(ev.fn)
 			continue
 		}
 		if ev.p == self {
@@ -184,6 +185,20 @@ func (e *Engine) dispatch(self *Proc) int {
 		return dispatchHanded
 	}
 	return dispatchDrained
+}
+
+// call runs an engine callback. A panic in it fails the run with an
+// error naming the callback and the time, whichever goroutine holds
+// the token: dispatch then stops, and Run unwinds as for any other
+// failure.
+func (e *Engine) call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil && e.failure == nil {
+			name := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+			e.failure = fmt.Errorf("sim: callback %s panicked at t=%v: %v", name, e.now, r)
+		}
+	}()
+	fn()
 }
 
 // At schedules fn to run in engine context after delay d. fn must not

@@ -267,6 +267,63 @@ func TestFailedRunEndsEveryProc(t *testing.T) {
 	}
 }
 
+// TestCallbackPanicFailsRun: a panicking engine callback fails the run
+// with an error naming the callback, whichever goroutine dispatched it,
+// and Run ends every unfinished proc. In one shape the callback runs
+// while a proc that did nothing wrong holds the token; in the other the
+// Run loop dispatches it, with one proc parked on an event that never
+// fires. After 20 rounds of each the goroutine count must be back where
+// it began.
+func TestCallbackPanicFailsRun(t *testing.T) {
+	shapes := []struct {
+		name  string
+		build func(e *Engine)
+	}{
+		{"proc holds the token", func(e *Engine) {
+			e.Spawn("innocent", func(p *Proc) { p.Sleep(5) })
+		}},
+		{"run loop holds the token", func(e *Engine) {
+			e.Spawn("parked", func(p *Proc) { NewEvent(e).Wait(p) })
+			e.Spawn("done", func(p *Proc) { p.Sleep(1) })
+		}},
+	}
+	base := runtime.NumGoroutine()
+	for _, s := range shapes {
+		for round := 0; round < 20; round++ {
+			e := NewEngine(1)
+			e.At(3, func() { panic("callback bug") })
+			s.build(e)
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s: the callback's panic escaped Run: %v", s.name, r)
+					}
+				}()
+				err = e.Run()
+			}()
+			if err == nil || !strings.Contains(err.Error(), "callback") ||
+				!strings.Contains(err.Error(), "callback bug") || !strings.Contains(err.Error(), "t=3ns") {
+				t.Fatalf("%s: err = %v, want the callback, its panic and t=3ns named", s.name, err)
+			}
+			if strings.Contains(err.Error(), `proc "`) {
+				t.Fatalf("%s: err = %v blames a proc", s.name, err)
+			}
+			if len(e.live) != 0 {
+				t.Fatalf("%s: %d procs still live after Run", s.name, len(e.live))
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after %d failed runs, %d before them",
+				runtime.NumGoroutine(), 20*len(shapes), base)
+		}
+		runtime.Gosched()
+	}
+}
+
 // refBucketQueue is the engine's previous event queue, kept as the
 // reference the (time, seq) heap and same-instant FIFO are checked
 // against: a timestamp-indexed min-heap of per-instant buckets, each

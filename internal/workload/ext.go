@@ -99,7 +99,7 @@ func ReplicationStudy(mb, sweeps int) (sim.Time, sim.Time, error) {
 			sys.Proc.Spawn(fmt.Sprintf("r%d", c), topology.CoreID(c), func(t *kern.Task) {
 				ready.Wait(t.P)
 				for s := 0; s < sweeps; s++ {
-					if err := t.ReadReplicated(a, bytes, kern.Blocked); err != nil {
+					if err := t.AccessRange(a, bytes, kern.Blocked, false); err != nil {
 						panic(err)
 					}
 				}
