@@ -80,7 +80,7 @@ func (t *Task) AccessRange(addr vm.Addr, length int64, kind AccessKind, write bo
 // scratch and returns the counts, the nodes in first-appearance page
 // order and the number of pages counted. Every per-node page count of
 // the bulk access paths runs here. A write, or a read while the process
-// holds no replica sets, counts each page on its frame's node in one
+// holds no replicas, counts each page on its frame's node in one
 // vm.Cursor.CountNodes call; any other read takes the per-page replica
 // walk.
 func (t *Task) census(spans []vm.Span, read bool) (counts []int, order []topology.NodeID, resident int) {
@@ -96,7 +96,7 @@ func (t *Task) census(spans []vm.Span, read bool) (counts []int, order []topolog
 	return counts, order, resident
 }
 
-// replicaCensus is census's read walk over a process with replica sets:
+// replicaCensus is census's read walk over a process with replicas:
 // each resident page counts on the node serving it to t, and a page a
 // replica serves on t's node counts as a local replica read. It is kept
 // out of census so the walk's closure does not burden the common path.
@@ -238,6 +238,9 @@ func (t *Task) WriteData(addr vm.Addr, data []byte) error {
 
 // ReadData loads length bytes from addr in the (backed) simulated memory.
 func (t *Task) ReadData(addr vm.Addr, length int) ([]byte, error) {
+	if length < 0 {
+		return nil, fmt.Errorf("kern: ReadData of negative length %d at %#x", length, addr)
+	}
 	if length == 0 {
 		return nil, nil
 	}

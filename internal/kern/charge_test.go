@@ -181,15 +181,16 @@ func TestReadReplicatedMatchesPerPageReference(t *testing.T) {
 
 // servedBy is the per-page reference for which node serves tk a read of
 // page p: the reader's replica copy, on the node that copy lives on,
-// where p has one, else p's home frame. local reports a copy on the
-// reader's node; ok is false for a page that is not resident.
+// where p has one, else p's primary frame. local reports a read served
+// by a copy on the reader's node; ok is false for a page that is not
+// resident.
 func servedBy(tk *Task, p vm.VPN) (node topology.NodeID, local, ok bool) {
 	pte := tk.Proc.Space.PT.Get(p)
 	if !pte.Present() {
 		return -1, false, false
 	}
-	if rs := tk.Proc.replicas[p]; rs != nil && rs.frames[tk.Node()] != nil {
-		node = rs.frames[tk.Node()].Node
+	if c := tk.Proc.replicas[p]; c != nil && c[tk.Node()] != nil {
+		node = c[tk.Node()].Node
 		return node, node == tk.Node(), true
 	}
 	return pte.Frame.Node, false, true

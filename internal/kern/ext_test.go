@@ -307,9 +307,10 @@ func TestReplicationServesLocalReads(t *testing.T) {
 }
 
 // TestReplicaReadServedWhereCopyLives: under memory pressure a copy
-// meant for node 1 lands on another node (the allocator's fallback). A
-// node-1 read of such a page is served from where the copy lives,
-// remotely, and only the copies on node 1 count as local replica reads.
+// meant for node 1 lands on another node (the allocator's fallback),
+// where it would serve no read, so it is freed. A node-1 read of such a
+// page is served remotely by the primary, and only the copies on node 1
+// count as local replica reads.
 func TestReplicaReadServedWhereCopyLives(t *testing.T) {
 	h := newSmallHarness(2, 256) // low watermark: 12 frames
 	h.run(t, 0, func(tk *Task) {
@@ -332,14 +333,17 @@ func TestReplicaReadServedWhereCopyLives(t *testing.T) {
 		}
 		where := map[topology.NodeID]int{}
 		for p := vm.PageOf(a); p < vm.PageOf(a)+64; p++ {
-			rs := tk.Proc.replicas[p]
-			if rs == nil || rs.frames[1] == nil {
-				t.Fatalf("page %d has no copy for node 1", p)
+			for _, f := range tk.Proc.replicas[p] {
+				if f != nil {
+					where[f.Node]++
+				}
 			}
-			where[rs.frames[1].Node]++
 		}
-		if where[1] != 8 || where[0] != 56 {
-			t.Fatalf("node-1 copies live %v, want 8 on node 1 and 56 on node 0", where)
+		if len(where) != 1 || where[1] != 8 {
+			t.Fatalf("kept copies live %v, want all 8 on node 1", where)
+		}
+		if got := h.k.Phys.TotalAllocated(); got != 236+64+8 {
+			t.Fatalf("%d frames allocated, want 236 filler, 64 primaries and 8 copies", got)
 		}
 		tk.MigrateTo(1) // node 1
 		loc, rem, reads := h.k.Stats.LocalBytes, h.k.Stats.RemoteBytes, h.proc.Replicas().LocalReads
@@ -502,6 +506,75 @@ func TestReplicaCollapseMovesTenantCharge(t *testing.T) {
 			t.Fatalf("after munmap %d frames stay allocated and the tenant holds %d pages; want 0 and 0", n, r)
 		}
 	})
+}
+
+// TestMoversOnReplicatedPages: each page mover moves a replicated
+// page's primary from node 0 to node 2 and leaves its copies on nodes
+// 1–3. Writes from the home node, from a node holding a copy and from
+// the primary's new node then collapse onto live frames, and the unmap
+// frees every frame and every tenant charge.
+func TestMoversOnReplicatedPages(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		move func(tk *Task, a vm.Addr) error
+	}{
+		{"MovePagesTo", func(tk *Task, a vm.Addr) error {
+			_, err := tk.MovePagesTo(a, 4*pg, 2, true)
+			return err
+		}},
+		{"MigratePages", func(tk *Task, a vm.Addr) error {
+			_, err := tk.MigratePages([]topology.NodeID{0}, []topology.NodeID{2})
+			return err
+		}},
+		{"Mbind MbindMove", func(tk *Task, a vm.Addr) error {
+			return tk.Mbind(a, 4*pg, vm.Bind(2), MbindMove)
+		}},
+		{"next-touch", func(tk *Task, a vm.Addr) error {
+			if _, err := tk.Madvise(a, 4*pg, AdvMigrateOnNextTouch); err != nil {
+				return err
+			}
+			tk.MigrateTo(8) // node 2
+			return tk.AccessRange(a, 4*pg, Stream, false)
+		}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			h := newHarness(false)
+			ten := h.k.Ten.Admit(1, "t", tenancy.ClassBatch, 0)
+			h.proc.SetTenant(ten)
+			h.run(t, 0, func(tk *Task) {
+				a, _ := tk.Mmap(4*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+				if _, err := tk.FaultIn(a, 4*pg, true); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tk.ReplicateRange(a, 4*pg); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.move(tk, a); err != nil {
+					t.Fatal(err)
+				}
+				for i := int64(0); i < 4; i++ {
+					if got := tk.GetNode(a + vm.Addr(i*pg)); got != 2 {
+						t.Fatalf("page %d on node %d after the move, want 2", i, got)
+					}
+				}
+				// Page 0 from the home node, page 1 from a node holding a
+				// copy, page 2 from the primary's new node; page 3 stays
+				// replicated into the unmap.
+				for i, core := range []topology.CoreID{0, 4, 8} {
+					tk.MigrateTo(core)
+					if err := tk.Touch(a+vm.Addr(int64(i)*pg), true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tk.Munmap(a, 4*pg); err != nil {
+					t.Fatal(err)
+				}
+				if n, r := h.k.Phys.TotalAllocated(), ten.Resident(); n != 0 || r != 0 {
+					t.Fatalf("after munmap %d frames stay allocated and the tenant holds %d pages; want 0 and 0", n, r)
+				}
+			})
+		})
+	}
 }
 
 // TestMunmapFreesReplicas: unmapping a replicated range frees the

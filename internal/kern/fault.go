@@ -224,11 +224,11 @@ func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 // fixStale services minor faults: present pages whose PTE denies an
 // access their VMA allows. It restores the VMA's protection, except on
 // a replicated page: replicas are mapped read-only, so only a write
-// faults there, and it collapses the replica set to the faulting task's
-// node (the COW-style break) at the replica control cost plus one TLB
-// shootdown. The pages ascend within one PTE chunk, whose lock the
-// caller holds; the caller has counted the faults (pageFaults) and
-// paid their entry cost.
+// faults there, and it collapses the page to one frame, the faulting
+// task's copy or the primary (the COW-style break), at the replica
+// control cost plus one TLB shootdown. The pages ascend within one PTE
+// chunk, whose lock the caller holds; the caller has counted the faults
+// (pageFaults) and paid their entry cost.
 func (t *Task) fixStale(pages []vm.VPN) {
 	pr := t.Proc
 	k := pr.K

@@ -57,7 +57,6 @@ type Stats struct {
 
 	// Automatic NUMA balancing (internal/autonuma).
 	NumaPtesScanned   uint64 // PTEs examined by the scanner daemon
-	NumaPtesArmed     uint64 // PTEs armed with the hinting mark
 	NumaHintFaults    uint64 // hinting faults taken
 	NumaPagesPromoted uint64 // pages migrated by the balancer
 

@@ -576,6 +576,22 @@ func TestWriteReadDataRoundTripAcrossMovePages(t *testing.T) {
 	})
 }
 
+// TestReadDataNegativeLength: a negative length is bad input, refused
+// with an error before anything is faulted in, as Munmap refuses a bad
+// range.
+func TestReadDataNegativeLength(t *testing.T) {
+	h := newHarness(true)
+	h.run(t, 0, func(tk *Task) {
+		a, _ := tk.Mmap(2*pg, vm.ProtRW, vm.Bind(0), 0, "buf")
+		if got, err := tk.ReadData(a+pg, -1); err == nil || got != nil {
+			t.Fatalf("ReadData of length -1 returned %v, %v; want an error", got, err)
+		}
+		if n := h.k.Phys.TotalAllocated(); n != 0 {
+			t.Fatalf("ReadData of length -1 faulted in %d pages", n)
+		}
+	})
+}
+
 func TestThreadedLazyMigrationScales(t *testing.T) {
 	// 4 threads on node 1 faulting disjoint quarters of a large
 	// NT-marked buffer should beat 1 thread, but sub-linearly

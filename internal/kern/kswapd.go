@@ -39,7 +39,8 @@ import (
 //     the mask the page is skipped and Stats.KswapdMaskSkips counts it,
 //     like Linux reclaim honoring policy nodemasks;
 //   - pinned, next-touch-marked and replicated pages never demote (the
-//     next-touch contract promises migration toward the toucher;
+//     next-touch contract promises migration toward the toucher, and a
+//     replicated page is read-hot on every node that holds a copy;
 //     NUMA-hint-armed pages stay demotable, the mark rides along).
 //
 // Demoting a page within Params.FlipWindowPeriods of its promotion
@@ -97,9 +98,6 @@ func (k *Kernel) EnableDemotion() {
 		k.hub.Register(d)
 	}
 }
-
-// DemotionEnabled reports whether the demotion daemons are running.
-func (k *Kernel) DemotionEnabled() bool { return k.demotion }
 
 // Name labels the proc spawned for a busy tick.
 func (d *kswapd) Name() string { return fmt.Sprintf("kswapd%d", d.node) }

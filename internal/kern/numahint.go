@@ -44,9 +44,9 @@ func (pr *Process) NumaBalancer() NumaBalancer { return pr.numaBalancer }
 // the PTENumaHint mark (protection stripped, so the next touch faults).
 // The bound is soft — rounded up to the enclosing PTE chunk, like the
 // kernel's scan-size handling. Next-touch-marked, already-armed, pinned
-// and replicated pages are skipped (a replica set owns its primary
-// frame; promoting it from under the set would free a frame the set
-// still references), as are huge and PROT_NONE mappings. Returns
+// and replicated pages are skipped (a replicated page's readers already
+// read their own node's copy, so moving its primary toward one of them
+// gains nothing), as are huge and PROT_NONE mappings. Returns
 // the number of pages armed and the cursor for the next tick (wrapping
 // to the start of the address space after the last mapping).
 //
@@ -118,7 +118,6 @@ func (pr *Process) ArmNumaHints(p *sim.Proc, cursor vm.VPN, max int) (int, vm.VP
 			next = cend
 		}
 	}
-	k.Stats.NumaPtesArmed += uint64(armed)
 	if armed > 0 {
 		// One shootdown per tick, like change_prot_numa's deferred flush.
 		pr.TLBFlush(p)
@@ -157,9 +156,8 @@ func (t *Task) numaServiceFaults(pages []vm.VPN) {
 		_, replicated := t.Proc.replicas[pg]
 		if replicated {
 			// A page armed before it was replicated: restore access but
-			// keep the replica set's write protection, and never report
-			// it — promoting the primary would free a frame the set
-			// still references.
+			// keep its write protection, and never report it, as
+			// ArmNumaHints would not have armed it.
 			pte.Flags &^= vm.PTEWrite
 		}
 		sp.PT.Install(pg, pte)

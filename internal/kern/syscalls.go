@@ -60,7 +60,7 @@ func (t *Task) Munmap(addr vm.Addr, length int64) error {
 // Mprotect changes protection of [addr, addr+length): updates the VMAs
 // and strips now-forbidden hardware bits from present PTEs, then flushes
 // TLBs. Replicated pages stay write-protected, so a write still
-// collapses their set. Used by the user-space next-touch implementation
+// collapses their replicas. Used by the user-space next-touch implementation
 // (§3.2). A zero length changes nothing, as on Linux.
 func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 	k := t.Proc.K

@@ -46,7 +46,7 @@ type Process struct {
 	spare []taskScratch
 
 	// Read-only replication state (the §6 extension; see replicate.go).
-	replicas     map[vm.VPN]*replicaSet
+	replicas     map[vm.VPN][]*mem.Frame
 	replicaStats ReplicaStats
 }
 

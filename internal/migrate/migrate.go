@@ -332,7 +332,7 @@ func (e *Engine) noteTier(src, dst topology.NodeID, bytes float64) {
 
 // pathCosts carries the per-path calibrated constants.
 type pathCosts struct {
-	base, baseLocked sim.Time // serialized setup (charged by Engine.Setup)
+	base, baseLocked sim.Time // serialized setup (charged by Engine.SetupPri)
 	ctl, ctlLocked   sim.Time // per-page control; ctlLocked under LRU lock
 	localCost        sim.Time // per already-local page
 	perExamined      bool     // charge ctl per examined page, not per moved
@@ -384,16 +384,13 @@ func (e *Engine) costs(path Path) pathCosts {
 	}
 }
 
-// Setup charges the serialized syscall setup cost for a path (task
+// SetupPri charges the serialized syscall setup cost for a path (task
 // lookup, per-CPU pagevec drains) under the global migration lock:
 // the dominant fixed cost of move_pages (~160us) that does not
 // parallelize (§4.2, §4.4). Callers invoke it before taking mmap_sem,
-// matching the kernel's ordering.
-func (e *Engine) Setup(p *sim.Proc, path Path) { e.SetupPri(p, path, 0) }
-
-// SetupPri is Setup with a queue priority: a contended setup enqueues
-// on the global migration lock ahead of every waiter with a strictly
-// lower priority (see Request.Priority).
+// matching the kernel's ordering. A contended setup enqueues on the
+// lock ahead of every waiter with a strictly lower pri (see
+// Request.Priority).
 func (e *Engine) SetupPri(p *sim.Proc, path Path, pri int) {
 	c := e.costs(path)
 	e.env.MigLock().AcquirePri(p, pri)

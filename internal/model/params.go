@@ -418,9 +418,3 @@ func (p Params) TierClassOf(tier int) TierClass {
 	}
 	return p.TierClasses[tier]
 }
-
-// PageCopyTime returns the nominal un-contended time to copy n pages at
-// the kernel copy rate; used only for sanity checks and documentation.
-func (p Params) PageCopyTime(n int) sim.Time {
-	return sim.FromSeconds(float64(n*PageSize) / p.KernCopyRate)
-}

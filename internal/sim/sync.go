@@ -32,9 +32,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire obtains one unit, blocking in FIFO order if none is free.
 func (r *Resource) Acquire(p *Proc) { r.AcquirePri(p, 0) }
 
@@ -204,9 +201,6 @@ type Event struct {
 
 // NewEvent creates an unfired event.
 func NewEvent(e *Engine) *Event { return &Event{eng: e} }
-
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
 
 // Wait blocks until the event fires.
 func (ev *Event) Wait(p *Proc) {
