@@ -20,7 +20,9 @@ import (
 )
 
 // numabench is the command under test, built once by TestMain so every
-// case runs the real main, exit status included.
+// case runs the real main, exit status included. A race-built test
+// binary builds it with the race detector, so the -parallel campaign
+// runs check that no simulated state is shared between goroutines.
 var numabench string
 
 func TestMain(m *testing.M) {
@@ -31,7 +33,11 @@ func TestMain(m *testing.M) {
 	}
 	numabench = filepath.Join(dir, "numabench")
 	code := 1
-	if out, err := exec.Command("go", "build", "-o", numabench, ".").CombinedOutput(); err != nil {
+	args := []string{"build", "-o", numabench}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	if out, err := exec.Command("go", append(args, ".")...).CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "building numabench: %v\n%s", err, out)
 	} else {
 		code = m.Run()

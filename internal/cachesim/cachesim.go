@@ -33,9 +33,6 @@ func New(capacity int64) *Cache {
 	return &Cache{capacity: capacity, order: list.New(), index: map[uint64]*list.Element{}}
 }
 
-// Capacity returns the cache size in bytes.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // Used returns the bytes currently resident.
 func (c *Cache) Used() int64 { return c.used }
 

@@ -92,9 +92,6 @@ func EnableAdaptiveRateLimit(k *kern.Kernel) *Controller {
 	return c
 }
 
-// Limit returns the current limit, in MB/s.
-func (c *Controller) Limit() float64 { return c.cur }
-
 // daemon is the control loop: one AIMD decision per period.
 func (c *Controller) daemon(p *sim.Proc) {
 	period := 2 * c.k.P.KswapdPeriod

@@ -71,9 +71,6 @@ func (m *Manager) Attach(t *kern.Task, regions ...Region) {
 	m.worksets[t.TID] = append(m.worksets[t.TID], regions...)
 }
 
-// Workset returns the regions attached to a thread.
-func (m *Manager) Workset(t *kern.Task) []Region { return m.worksets[t.TID] }
-
 // MoveThread migrates the thread to a new core and makes its workset
 // follow per the configured mode. With the lazy modes this returns
 // immediately after marking; migration happens on touch.

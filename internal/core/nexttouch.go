@@ -149,8 +149,7 @@ func (u *UserNT) handle(t *kern.Task, info kern.SigInfo) {
 // marking is one madvise call; migration happens page-by-page inside the
 // page-fault handler with no user-space involvement.
 type KernelNT struct {
-	Proc  *kern.Process
-	Marks uint64
+	Proc *kern.Process
 }
 
 // NewKernelNT creates the driver.
@@ -159,7 +158,6 @@ func NewKernelNT(proc *kern.Process) *KernelNT { return &KernelNT{Proc: proc} }
 // Mark marks the region Migrate-on-next-touch; returns the number of
 // present pages marked.
 func (kn *KernelNT) Mark(t *kern.Task, r Region) (int, error) {
-	kn.Marks++
 	return t.Madvise(r.Addr, r.Len, kern.AdvMigrateOnNextTouch)
 }
 

@@ -30,9 +30,10 @@ const (
 // resident pages generate memory traffic from the nodes serving them
 // through the interconnect, sharing bandwidth with all concurrent
 // activity. A read of a replicated page is served by the reader's copy.
+// A zero length touches nothing; a negative one is an error.
 func (t *Task) AccessRange(addr vm.Addr, length int64, kind AccessKind, write bool) error {
-	if length <= 0 {
-		return nil
+	if err := checkLength("AccessRange", addr, length); err != nil || length == 0 {
+		return err
 	}
 	if _, err := t.FaultIn(addr, length, write); err != nil {
 		return err
@@ -155,7 +156,11 @@ func (t *Task) chargeNodeTraffic(node topology.NodeID, bytes float64, kind Acces
 
 // Memcpy models a user-space optimized copy of length bytes from src to
 // dst (both resident after fault-in), the baseline curve of Figure 4.
+// A negative length is an error.
 func (t *Task) Memcpy(dst, src vm.Addr, length int64) error {
+	if err := checkLength("Memcpy", src, length); err != nil {
+		return err
+	}
 	if _, err := t.FaultIn(src, length, false); err != nil {
 		return err
 	}
@@ -238,11 +243,8 @@ func (t *Task) WriteData(addr vm.Addr, data []byte) error {
 
 // ReadData loads length bytes from addr in the (backed) simulated memory.
 func (t *Task) ReadData(addr vm.Addr, length int) ([]byte, error) {
-	if length < 0 {
-		return nil, fmt.Errorf("kern: ReadData of negative length %d at %#x", length, addr)
-	}
-	if length == 0 {
-		return nil, nil
+	if err := checkLength("ReadData", addr, int64(length)); err != nil || length == 0 {
+		return nil, err
 	}
 	if _, err := t.FaultIn(addr, int64(length), false); err != nil {
 		return nil, err

@@ -509,10 +509,11 @@ func TestReplicaCollapseMovesTenantCharge(t *testing.T) {
 }
 
 // TestMoversOnReplicatedPages: each page mover moves a replicated
-// page's primary from node 0 to node 2 and leaves its copies on nodes
-// 1–3. Writes from the home node, from a node holding a copy and from
-// the primary's new node then collapse onto live frames, and the unmap
-// frees every frame and every tenant charge.
+// page's primary from node 0 to node 2, frees its copy there and
+// leaves its copies on nodes 1 and 3. Writes from the home node, from
+// a node holding a copy and from the primary's new node then collapse
+// onto live frames, and the unmap frees every frame and every tenant
+// charge.
 func TestMoversOnReplicatedPages(t *testing.T) {
 	for _, m := range []struct {
 		name string
@@ -557,6 +558,9 @@ func TestMoversOnReplicatedPages(t *testing.T) {
 						t.Fatalf("page %d on node %d after the move, want 2", i, got)
 					}
 				}
+				if got := h.k.Phys.Stats(2).Allocated; got != 4 {
+					t.Errorf("node 2 holds %d frames for the 4 moved pages, want 4", got)
+				}
 				// Page 0 from the home node, page 1 from a node holding a
 				// copy, page 2 from the primary's new node; page 3 stays
 				// replicated into the unmap.
@@ -575,6 +579,39 @@ func TestMoversOnReplicatedPages(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestMoveOntoLastCopyDropsSet: on two nodes a replicated page has one
+// copy. Moving the primary onto that copy's node frees the copy and the
+// set with it; the page stays write-protected, so a later write takes
+// one minor fault and collapses nothing.
+func TestMoveOntoLastCopyDropsSet(t *testing.T) {
+	h := newSmallHarness(2, 256)
+	h.run(t, 0, func(tk *Task) {
+		a, _ := tk.Mmap(4*pg, vm.ProtRW, vm.Bind(0), 0, "ro")
+		if _, err := tk.FaultIn(a, 4*pg, true); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := tk.ReplicateRange(a, 4*pg); err != nil || n != 4 {
+			t.Fatalf("replicate kept %d copies, %v; want 4", n, err)
+		}
+		if _, err := tk.MovePagesTo(a, 4*pg, 1, true); err != nil {
+			t.Fatal(err)
+		}
+		if on0, on1 := h.k.Phys.Stats(0).Allocated, h.k.Phys.Stats(1).Allocated; on0 != 0 || on1 != 4 {
+			t.Fatalf("nodes 0 and 1 hold %d and %d frames after the move, want 0 and 4", on0, on1)
+		}
+		if n := len(h.proc.replicas); n != 0 {
+			t.Fatalf("%d replica sets left with no copy, want 0", n)
+		}
+		before := h.k.Stats.MinorFaults
+		if err := tk.Touch(a, true); err != nil {
+			t.Fatal(err)
+		}
+		if got, c := h.k.Stats.MinorFaults-before, h.proc.Replicas().Collapses; got != 1 || c != 0 {
+			t.Fatalf("the write took %d minor faults and %d collapses, want 1 and 0", got, c)
+		}
+	})
 }
 
 // TestMunmapFreesReplicas: unmapping a replicated range frees the

@@ -50,10 +50,11 @@ func (t *Task) Touch(addr vm.Addr, write bool) error {
 // marked pages, minor fixups for stale protections, and SIGSEGV delivery
 // for protection violations (which re-runs the scan afterwards, since
 // the user handler typically repairs whole regions). It returns the
-// number of pages that required service. A zero length faults nothing.
+// number of pages that required service. A zero length faults nothing;
+// a negative one is an error.
 func (t *Task) FaultIn(addr vm.Addr, length int64, write bool) (int, error) {
-	if length == 0 {
-		return 0, nil
+	if err := checkLength("FaultIn", addr, length); err != nil || length == 0 {
+		return 0, err
 	}
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
 	return t.handleFaults(rectSpans{lo: first, hi: last}, write, "FaultIn", addr)

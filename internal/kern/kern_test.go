@@ -864,40 +864,25 @@ func TestGetMempolicyRoundTrip(t *testing.T) {
 	})
 }
 
-// TestZeroLengthCallsChangeNothing: like Linux, a zero-length madvise,
-// mprotect or mbind returns 0 and changes nothing, and so does a
-// zero-length replication or fault-in; none of them acts on the page
-// at addr.
-func TestZeroLengthCallsChangeNothing(t *testing.T) {
-	cases := []struct {
-		name string
-		prep func(tk *Task, a vm.Addr) error // optional: gives the call something to act on
-		call func(tk *Task, a vm.Addr) (int, error)
-	}{
-		{name: "madvise", call: func(tk *Task, a vm.Addr) (int, error) {
-			return tk.Madvise(a+100, 0, AdvMigrateOnNextTouch)
-		}},
-		{name: "mprotect", call: func(tk *Task, a vm.Addr) (int, error) {
-			return 0, tk.Mprotect(a+pg+100, 0, vm.ProtNone)
-		}},
-		{name: "mbind", call: func(tk *Task, a vm.Addr) (int, error) {
-			return 0, tk.Mbind(a+100, 0, vm.Bind(1), MbindMove)
-		}},
-		{name: "replicate", call: func(tk *Task, a vm.Addr) (int, error) {
-			return tk.ReplicateRange(a+2*pg+5, 0)
-		}},
-		{name: "faultin", prep: func(tk *Task, a vm.Addr) error {
-			_, err := tk.Madvise(a, pg, AdvMigrateOnNextTouch)
-			return err
-		}, call: func(tk *Task, a vm.Addr) (int, error) {
-			return tk.FaultIn(a+100, 0, false)
-		}},
-	}
+// rangeCall is one call of a range-length table. prep, when set, gives
+// the call something to act on.
+type rangeCall struct {
+	name string
+	prep func(tk *Task, a vm.Addr) error
+	call func(tk *Task, a vm.Addr) (int, error)
+}
+
+// checkRangeCalls runs each call on a fresh 8-page mapping faulted in
+// on node 0, checks that it leaves every PTE, frame node and VMA as it
+// found them and creates no replica set, and hands its results to
+// check.
+func checkRangeCalls(t *testing.T, calls []rangeCall, check func(name string, n int, err error)) {
+	t.Helper()
 	type pageState struct {
 		flags uint8
 		node  int
 	}
-	for _, c := range cases {
+	for _, c := range calls {
 		h := newHarness(false)
 		snapshot := func(a vm.Addr) (int, []pageState) {
 			pages := make([]pageState, 8)
@@ -925,12 +910,10 @@ func TestZeroLengthCallsChangeNothing(t *testing.T) {
 			}
 			vmas, pages := snapshot(a)
 			n, err := c.call(tk, a)
-			if n != 0 || err != nil {
-				t.Errorf("%s: zero length returned %d, %v; want 0, nil", c.name, n, err)
-			}
+			check(c.name, n, err)
 			gotVMAs, gotPages := snapshot(a)
 			if gotVMAs != vmas {
-				t.Errorf("%s: zero length left %d VMAs, want %d", c.name, gotVMAs, vmas)
+				t.Errorf("%s: left %d VMAs, want %d", c.name, gotVMAs, vmas)
 			}
 			for i := range pages {
 				if gotPages[i] != pages[i] {
@@ -938,8 +921,101 @@ func TestZeroLengthCallsChangeNothing(t *testing.T) {
 				}
 			}
 			if len(h.proc.replicas) != 0 {
-				t.Errorf("%s: zero length created %d replica sets", c.name, len(h.proc.replicas))
+				t.Errorf("%s: created %d replica sets", c.name, len(h.proc.replicas))
 			}
 		})
 	}
+}
+
+// markNextTouch marks the whole 8-page mapping, so a call that faults
+// or accesses any page of it clears a mark.
+func markNextTouch(tk *Task, a vm.Addr) error {
+	_, err := tk.Madvise(a, 8*pg, AdvMigrateOnNextTouch)
+	return err
+}
+
+// TestZeroLengthCallsChangeNothing: like Linux, a zero-length madvise,
+// mprotect or mbind returns 0 and changes nothing, and so does every
+// other zero-length range call; none of them acts on the page at addr.
+func TestZeroLengthCallsChangeNothing(t *testing.T) {
+	checkRangeCalls(t, []rangeCall{
+		{name: "madvise", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.Madvise(a+100, 0, AdvMigrateOnNextTouch)
+		}},
+		{name: "mprotect", call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Mprotect(a+pg+100, 0, vm.ProtNone)
+		}},
+		{name: "mbind", call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Mbind(a+100, 0, vm.Bind(1), MbindMove)
+		}},
+		{name: "replicate", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.ReplicateRange(a+2*pg+5, 0)
+		}},
+		{name: "faultin", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.FaultIn(a+100, 0, false)
+		}},
+		{name: "access", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.AccessRange(a+100, 0, Stream, true)
+		}},
+		{name: "move_pages", call: func(tk *Task, a vm.Addr) (int, error) {
+			st, err := tk.MovePagesTo(a+100, 0, 1, true)
+			return len(st), err
+		}},
+		{name: "memcpy", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Memcpy(a+pg+100, a+100, 0)
+		}},
+		{name: "pin", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.PinRange(a+100, 0)
+		}},
+		{name: "unpin", prep: func(tk *Task, a vm.Addr) error {
+			_, err := tk.PinRange(a, 8*pg)
+			return err
+		}, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.UnpinRange(a+100, 0)
+		}},
+	}, func(name string, n int, err error) {
+		if n != 0 || err != nil {
+			t.Errorf("%s: zero length returned %d, %v; want 0, nil", name, n, err)
+		}
+	})
+}
+
+// TestNegativeLengthCallsFail: a call given a negative length returns
+// an error and changes nothing, where it used to return success.
+func TestNegativeLengthCallsFail(t *testing.T) {
+	const at, length = 4 * pg, -2 * pg
+	checkRangeCalls(t, []rangeCall{
+		{name: "FaultIn", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.FaultIn(a+at, length, false)
+		}},
+		{name: "AccessRange", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.AccessRange(a+at, length, Stream, false)
+		}},
+		{name: "Madvise", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.Madvise(a+at, length, AdvMigrateOnNextTouch)
+		}},
+		{name: "ReplicateRange", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.ReplicateRange(a+at, length)
+		}},
+		{name: "MovePagesTo", call: func(tk *Task, a vm.Addr) (int, error) {
+			st, err := tk.MovePagesTo(a+at, length, 1, true)
+			return len(st), err
+		}},
+		{name: "Memcpy", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.Memcpy(a, a+at, length)
+		}},
+		{name: "PinRange", call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.PinRange(a+at, length)
+		}},
+		{name: "UnpinRange", prep: func(tk *Task, a vm.Addr) error {
+			_, err := tk.PinRange(a, 8*pg)
+			return err
+		}, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.UnpinRange(a+at, length)
+		}},
+	}, func(name string, n int, err error) {
+		if err == nil {
+			t.Errorf("%s: negative length returned %d, nil; want an error", name, n)
+		}
+	})
 }

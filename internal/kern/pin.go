@@ -17,14 +17,20 @@ import (
 // PinRange pins every resident page of [addr, addr+length), making them
 // non-migratable until unpinned. A 2 MiB huge page whose chunk overlaps
 // the range is pinned as a unit and counts model.PTEChunkPages pages.
-// Returns the number of pages pinned.
+// Returns the number of pages pinned. A negative length is an error.
 func (t *Task) PinRange(addr vm.Addr, length int64) (int, error) {
+	if err := checkLength("pin", addr, length); err != nil {
+		return 0, err
+	}
 	return t.setPinned(addr, length, true)
 }
 
 // UnpinRange releases the pin on every resident page of the range.
-// Returns the number of pages unpinned.
+// Returns the number of pages unpinned. A negative length is an error.
 func (t *Task) UnpinRange(addr vm.Addr, length int64) (int, error) {
+	if err := checkLength("unpin", addr, length); err != nil {
+		return 0, err
+	}
 	return t.setPinned(addr, length, false)
 }
 
@@ -32,7 +38,7 @@ func (t *Task) setPinned(addr vm.Addr, length int64, pinned bool) (int, error) {
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	t.P.Sleep(k.P.SyscallBase)
-	if length <= 0 {
+	if length == 0 {
 		return 0, nil
 	}
 	t.Proc.MmapSem.RLock(t.P)

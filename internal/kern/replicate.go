@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 
 	"numamig/internal/mem"
 	"numamig/internal/migrate"
@@ -18,13 +19,13 @@ import (
 // serves. Every bulk read (AccessRange, the rect traffic paths,
 // Memcpy's source) is served by the reader's copy where there is one.
 // A write collapses the page back to a single frame, like a COW break.
-// The page movers move the primary and leave the copies.
+// The page movers move the primary and leave the copies, except a copy
+// on the primary's new node, which they free.
 
 // ReplicaStats counts replication activity.
 type ReplicaStats struct {
-	PagesReplicated uint64 // page-copies kept
-	Collapses       uint64 // replicated pages collapsed by writes
-	LocalReads      uint64 // page-reads served by a copy on the reader's node
+	Collapses  uint64 // replicated pages collapsed by writes
+	LocalReads uint64 // page-reads served by a copy on the reader's node
 }
 
 // Replicas returns the process's replica statistics.
@@ -44,8 +45,11 @@ func (pr *Process) servingNode(v vm.VPN, primary, reader topology.NodeID) (node 
 // ReplicateRange creates read-only replicas of every resident page of
 // [addr, addr+length) on every node. The pages are write-protected; the
 // next write collapses the replicas. Returns the number of page-copies
-// kept; a zero length creates none.
+// kept; a zero length creates none, and a negative one is an error.
 func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
+	if err := checkLength("replicate", addr, length); err != nil {
+		return 0, err
+	}
 	k := t.Proc.K
 	pr := t.Proc
 	sp := pr.Space
@@ -113,7 +117,6 @@ func (t *Task) ReplicateRange(addr vm.Addr, length int64) (int, error) {
 				sp.PT.Install(op.VPN, pte)
 			}
 			set[op.Dst] = f
-			pr.replicaStats.PagesReplicated++
 			created++
 		},
 	})
@@ -136,7 +139,7 @@ func (pr *Process) collapseReplicas(p vm.VPN, writer topology.NodeID) {
 	kept := pte.Frame
 	if c := copies[writer]; c != nil {
 		kept = c
-		pr.NotePageMove(pte.Frame.Node, c.Node)
+		pr.NotePageMove(p, pte.Frame.Node, c.Node)
 		k.Phys.Free(pte.Frame)
 	}
 	for _, f := range copies {
@@ -164,6 +167,21 @@ func (pr *Process) protectReplicas(first, last vm.VPN) {
 		if _, ok := pr.replicas[p]; ok {
 			pr.Space.PT.SetFlagsRange(p, p+1, 0, vm.PTEWrite)
 		}
+	}
+}
+
+// dropCopy frees page v's copy on node, which the primary has just
+// moved onto, and forgets the set when that was its last copy. The
+// page stays write-protected, so a later write takes one minor fault.
+func (pr *Process) dropCopy(v vm.VPN, node topology.NodeID) {
+	copies := pr.replicas[v]
+	if copies == nil || copies[node] == nil {
+		return
+	}
+	pr.K.Phys.Free(copies[node])
+	copies[node] = nil
+	if !slices.ContainsFunc(copies, func(f *mem.Frame) bool { return f != nil }) {
+		delete(pr.replicas, v)
 	}
 }
 

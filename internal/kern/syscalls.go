@@ -31,6 +31,15 @@ const (
 	StatusBusy  = migrate.StatusBusy  // page pinned through every retry (-EBUSY)
 )
 
+// checkLength rejects the negative range length of a call, named in
+// the error.
+func checkLength(call string, addr vm.Addr, length int64) error {
+	if length < 0 {
+		return fmt.Errorf("kern: %s of negative length %d at %#x", call, length, addr)
+	}
+	return nil
+}
+
 // Mmap creates an anonymous mapping.
 func (t *Task) Mmap(length int64, prot vm.Prot, pol vm.Policy, flags vm.VMAFlags, label string) (vm.Addr, error) {
 	k := t.Proc.K
@@ -88,8 +97,12 @@ func (t *Task) Mprotect(addr vm.Addr, length int64, prot vm.Prot) error {
 // Madvise applies advice to [addr, addr+length). For
 // AdvMigrateOnNextTouch it sets the next-touch PTE bit on present pages
 // and removes their access bits (they will fault on next touch); the TLB
-// is flushed once (§3.3). A zero length changes nothing, as on Linux.
+// is flushed once (§3.3). A zero length changes nothing, as on Linux;
+// a negative one is an error.
 func (t *Task) Madvise(addr vm.Addr, length int64, adv Advice) (int, error) {
+	if err := checkLength("madvise", addr, length); err != nil {
+		return 0, err
+	}
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	defer t.P.PushCat(CatMadvise)()
@@ -322,8 +335,12 @@ func (t *Task) MovePagesTo(addr vm.Addr, length int64, node topology.NodeID, pat
 	return t.MovePagesRegion(addr, length, node, migrate.StrategyFor(patched))
 }
 
-// MovePagesRegion is MovePagesTo with an explicit engine strategy.
+// MovePagesRegion is MovePagesTo with an explicit engine strategy. A
+// negative length is an error.
 func (t *Task) MovePagesRegion(addr vm.Addr, length int64, node topology.NodeID, s migrate.Strategy) ([]int, error) {
+	if err := checkLength("move_pages", addr, length); err != nil {
+		return nil, err
+	}
 	n := vm.PagesIn(addr, length)
 	addrs := make([]vm.Addr, n)
 	nodes := make([]topology.NodeID, n)

@@ -68,11 +68,13 @@ func (pr *Process) SetTenant(ten *tenancy.Tenant) {
 
 // NotePageMove implements migrate.PageMover: the engine calls it after
 // each 4 KiB op has allocated its destination and freed its source, so
-// the tenancy ledger tracks mem.Phys exactly.
-func (pr *Process) NotePageMove(src, dst topology.NodeID) {
+// the tenancy ledger tracks mem.Phys exactly. A replica copy of page v
+// on dst now sits beside the primary and is freed (dropCopy).
+func (pr *Process) NotePageMove(v vm.VPN, src, dst topology.NodeID) {
 	if pr.Tenant != nil {
 		pr.K.Ten.Move(pr.Tenant, src, dst, 1)
 	}
+	pr.dropCopy(v, dst)
 }
 
 // NumThreads returns the number of live tasks.

@@ -4,10 +4,12 @@
 // tests can verify data integrity across migrations; large experiments
 // run unbacked to keep real memory use low.
 //
-// The allocator is sharded per node: each node owns an independent lock
-// domain (its own mutex, free list, frame slab and PFN range) plus
-// lock-free O(1) gauges (free-frame count, watermark boost) that the
-// placement layer's zonelist walks read without taking any lock. Frames
+// The allocator keeps plain per-node state (counters, watermarks, free
+// list, frame slab and PFN range) and takes no locks: a Phys belongs to
+// one System, whose simulated code runs under the engine's single
+// execution token, like the page tables, the tenancy ledger and the
+// telemetry bus. Every gauge the placement layer's zonelist walks read
+// (free frames, watermark boost, slow-tier residency) is O(1). Frames
 // are carved from per-node slabs in blocks rather than allocated
 // individually, so a grid run's millions of frame allocations become a
 // few thousand slab allocations.
@@ -15,8 +17,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"numamig/internal/model"
 	"numamig/internal/topology"
@@ -34,7 +34,7 @@ type NodeStats struct {
 	Total      int64 // frames the node can hold
 	Allocated  int64 // currently allocated frames
 	Cumulative int64 // total allocations ever
-	Freed      int64
+	Freed      int64 // total frees ever: Cumulative - Allocated
 	MigratedIn int64 // frames that received migrated data
 }
 
@@ -59,24 +59,17 @@ type Watermarks struct {
 // slabFrames is how many frames one slab block carves at a time.
 const slabFrames = 256
 
-// shard is one node's lock domain: everything a single node's
-// allocations touch, so per-node daemons and allocators on different
-// nodes never contend on a global structure.
+// shard is one node's state: everything a single node's allocations
+// touch. stats.Freed is not kept; Stats derives it.
 type shard struct {
-	mu    sync.Mutex
 	stats NodeStats
 	wm    Watermarks
+	boost int64 // temporary watermark boost in frames (burst response)
 	tier  int
 	free  []*Frame // recycled frames
 	slab  []Frame  // current carve block
 	used  int      // frames carved from slab
 	pfn   uint64   // next local PFN (shard-local, offset by pfnBase)
-
-	// Lock-free gauges read by the placement walks. allocated mirrors
-	// stats.Allocated; boost is the temporary watermark boost in frames
-	// (burst response).
-	allocated atomic.Int64
-	boost     atomic.Int64
 }
 
 // Phys is the machine's physical memory.
@@ -90,7 +83,7 @@ type Phys struct {
 	// SlowTierResident is an O(1) gauge instead of an O(nodes) scan —
 	// the tiered telemetry columns sample it every window, which on a
 	// 1024-node machine would otherwise rescan all shards per sample.
-	slowAlloc atomic.Int64
+	slowAlloc int64
 }
 
 // pfnBase returns the base of a node's PFN range; per-node ranges keep
@@ -121,12 +114,10 @@ func (p *Phys) SetTier(node topology.NodeID, tier int) {
 	// any allocation, but the gauge must not silently drift).
 	wasSlow, isSlow := s.tier > 0, tier > 0
 	if wasSlow != isSlow {
-		if n := s.allocated.Load(); n != 0 {
-			if isSlow {
-				p.slowAlloc.Add(n)
-			} else {
-				p.slowAlloc.Add(-n)
-			}
+		if isSlow {
+			p.slowAlloc += s.stats.Allocated
+		} else {
+			p.slowAlloc -= s.stats.Allocated
 		}
 	}
 	s.tier = tier
@@ -138,7 +129,7 @@ func (p *Phys) TierOf(node topology.NodeID) int { return p.shards[node].tier }
 // SlowTierResident returns the frames currently allocated on slow-tier
 // (tier > 0) nodes — the slow_tier_resident gauge of the tiered
 // scenario family. O(1): maintained at every alloc/free.
-func (p *Phys) SlowTierResident() int64 { return p.slowAlloc.Load() }
+func (p *Phys) SlowTierResident() int64 { return p.slowAlloc }
 
 // SetWatermarks installs a node's pressure thresholds. Thresholds must
 // be ordered 0 <= min <= low <= high <= total.
@@ -154,12 +145,11 @@ func (p *Phys) SetWatermarks(node topology.NodeID, w Watermarks) {
 // WatermarksOf returns a node's thresholds.
 func (p *Phys) WatermarksOf(node topology.NodeID) Watermarks { return p.shards[node].wm }
 
-// FreeFrames returns the node's available frame count: an O(1) lock-free
-// gauge, so placement's multi-pass zonelist walks never rescan or lock a
-// shard they end up not allocating from.
+// FreeFrames returns the node's available frame count: an O(1) gauge,
+// so placement's multi-pass zonelist walks never rescan a node they end
+// up not allocating from.
 func (p *Phys) FreeFrames(node topology.NodeID) int64 {
-	s := &p.shards[node]
-	return s.stats.Total - s.allocated.Load()
+	return p.shards[node].stats.Free()
 }
 
 // BoostWatermark temporarily raises a node's watermarks by amount
@@ -176,27 +166,26 @@ func (p *Phys) BoostWatermark(node topology.NodeID, amount int64) {
 	if max := s.stats.Total - s.wm.High - 1; amount > max {
 		amount = max
 	}
-	if amount > s.boost.Load() {
-		s.boost.Store(amount)
+	if amount > s.boost {
+		s.boost = amount
 	}
 }
 
 // DecayBoost halves a node's watermark boost (called once per kswapd
 // period by the node's daemon), dropping the remainder at 1 frame.
 func (p *Phys) DecayBoost(node topology.NodeID) {
-	s := &p.shards[node]
-	s.boost.Store(s.boost.Load() / 2)
+	p.shards[node].boost /= 2
 }
 
 // BoostOf returns a node's current watermark boost in frames.
-func (p *Phys) BoostOf(node topology.NodeID) int64 { return p.shards[node].boost.Load() }
+func (p *Phys) BoostOf(node topology.NodeID) int64 { return p.shards[node].boost }
 
 // EffectiveLow returns the node's boosted low watermark: the pressure
 // threshold allocation fallback and the kswapd wake check compare
 // against.
 func (p *Phys) EffectiveLow(node topology.NodeID) int64 {
 	s := &p.shards[node]
-	return s.wm.Low + s.boost.Load()
+	return s.wm.Low + s.boost
 }
 
 // UnderPressure reports whether the node's free frames have sunk to or
@@ -209,7 +198,7 @@ func (p *Phys) UnderPressure(node topology.NodeID) bool {
 // its (boosted) high watermark (the kswapd stop condition).
 func (p *Phys) Reclaimed(node topology.NodeID) bool {
 	s := &p.shards[node]
-	return p.FreeFrames(node) > s.wm.High+s.boost.Load()
+	return p.FreeFrames(node) > s.wm.High+s.boost
 }
 
 // Headroom returns how many frames the node can accept while staying
@@ -232,18 +221,10 @@ func (e ErrNoMemory) Error() string {
 
 // Alloc allocates one frame on the given node.
 func (p *Phys) Alloc(node topology.NodeID) (*Frame, error) {
+	if err := p.AllocFootprint(node, 1); err != nil {
+		return nil, err
+	}
 	s := &p.shards[node]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stats.Allocated >= s.stats.Total {
-		return nil, ErrNoMemory{Node: node}
-	}
-	s.stats.Allocated++
-	s.stats.Cumulative++
-	s.allocated.Add(1)
-	if s.tier > 0 {
-		p.slowAlloc.Add(1)
-	}
 	if fl := s.free; len(fl) > 0 {
 		f := fl[len(fl)-1]
 		fl[len(fl)-1] = nil
@@ -276,17 +257,10 @@ func (p *Phys) Free(f *Frame) {
 		panic("mem: free of nil frame")
 	}
 	s := &p.shards[f.Node]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.stats.Allocated <= 0 {
 		panic("mem: free underflow")
 	}
-	s.stats.Allocated--
-	s.stats.Freed++
-	s.allocated.Add(-1)
-	if s.tier > 0 {
-		p.slowAlloc.Add(-1)
-	}
+	p.ReleaseFootprint(f.Node, 1)
 	s.free = append(s.free, f)
 }
 
@@ -299,19 +273,17 @@ func (p *Phys) FreeHuge(f *Frame) {
 
 // AllocFootprint reserves n frames' worth of memory on the node without
 // materializing frame objects; used for huge-page footprints where one
-// representative Frame stands for 512 small frames.
+// representative Frame stands for 512 small frames. Alloc and Free
+// account their one frame through AllocFootprint and ReleaseFootprint.
 func (p *Phys) AllocFootprint(node topology.NodeID, n int) error {
 	s := &p.shards[node]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.stats.Allocated+int64(n) > s.stats.Total {
 		return ErrNoMemory{Node: node}
 	}
 	s.stats.Allocated += int64(n)
 	s.stats.Cumulative += int64(n)
-	s.allocated.Add(int64(n))
 	if s.tier > 0 {
-		p.slowAlloc.Add(int64(n))
+		p.slowAlloc += int64(n)
 	}
 	return nil
 }
@@ -320,40 +292,32 @@ func (p *Phys) AllocFootprint(node topology.NodeID, n int) error {
 // AllocFootprint.
 func (p *Phys) ReleaseFootprint(node topology.NodeID, n int) {
 	s := &p.shards[node]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.stats.Allocated < int64(n) {
 		panic("mem: footprint release underflow")
 	}
 	s.stats.Allocated -= int64(n)
-	s.stats.Freed += int64(n)
-	s.allocated.Add(-int64(n))
 	if s.tier > 0 {
-		p.slowAlloc.Add(-int64(n))
+		p.slowAlloc -= int64(n)
 	}
 }
 
 // NoteMigration records that data was migrated into a frame on dst.
 func (p *Phys) NoteMigration(dst topology.NodeID) {
-	s := &p.shards[dst]
-	s.mu.Lock()
-	s.stats.MigratedIn++
-	s.mu.Unlock()
+	p.shards[dst].stats.MigratedIn++
 }
 
 // Stats returns a copy of the node's statistics.
 func (p *Phys) Stats(node topology.NodeID) NodeStats {
-	s := &p.shards[node]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := p.shards[node].stats
+	st.Freed = st.Cumulative - st.Allocated
+	return st
 }
 
 // TotalAllocated returns the machine-wide allocated frame count.
 func (p *Phys) TotalAllocated() int64 {
 	var n int64
 	for i := range p.shards {
-		n += p.shards[i].allocated.Load()
+		n += p.shards[i].stats.Allocated
 	}
 	return n
 }

@@ -163,10 +163,11 @@ type Env interface {
 // frame is allocated and the source frame freed — the instant the
 // physical allocator's gauges are consistent again — so the tenancy
 // ledger can account migrations at exactly the granularity mem.Phys
-// sees them. Huge ops do not notify (their footprint accounting runs
-// through AllocHugeFrame/FreeHugeFrame, outside per-frame ledgers).
+// sees them, and a replica copy already on dst can be freed. Huge ops
+// do not notify (their footprint accounting runs through
+// AllocHugeFrame/FreeHugeFrame, outside per-frame ledgers).
 type PageMover interface {
-	NotePageMove(src, dst topology.NodeID)
+	NotePageMove(v vm.VPN, src, dst topology.NodeID)
 }
 
 // Space is the per-process address-space surface the engine mutates.
@@ -265,25 +266,16 @@ type Stats struct {
 	PagesBusy       uint64
 	PagesRaced      uint64
 	RetryPasses     uint64
-	PagesReplicated uint64
 	BytesMoved      float64
 	BytesReplicated float64
-	// Demotion-tier path breakdown: the slice of the pipeline's traffic
-	// that ran on PathDemotion (kswapd's near- and far-tier moves), so
-	// background reclaim pressure is visible next to foreground
-	// migration without consulting the kernel counters.
-	DemotionRequests uint64
-	PagesDemoted     uint64
-	BytesDemoted     float64
 	// Cross-tier traffic (Env.TierOf): ops whose destination sits on a
 	// slower tier than their source (TierDown: the demotion direction,
 	// e.g. DRAM -> CXL) or a faster one (TierUp: the promotion
 	// direction, e.g. CXL -> DRAM), whatever path issued them. Same-
 	// tier moves count in neither; on a flat machine both stay zero.
+	// Their bytes travel on the TierTraffic events.
 	PagesTierDown uint64
 	PagesTierUp   uint64
-	BytesTierDown float64
-	BytesTierUp   float64
 }
 
 // Engine is the batched per-node migration pipeline for one strategy.
@@ -312,11 +304,9 @@ func (e *Engine) noteTier(src, dst topology.NodeID, bytes float64) {
 	switch {
 	case dt > st:
 		e.Stats.PagesTierDown++
-		e.Stats.BytesTierDown += bytes
 		dir = 1
 	case dt < st:
 		e.Stats.PagesTierUp++
-		e.Stats.BytesTierUp += bytes
 		dir = -1
 	default:
 		return
@@ -448,11 +438,6 @@ func (e *Engine) Migrate(req *Request) Result {
 
 	if req.Flush {
 		req.Space.TLBFlush(req.P)
-	}
-	if req.Path == PathDemotion {
-		e.Stats.DemotionRequests++
-		e.Stats.PagesDemoted += uint64(res.Moved)
-		e.Stats.BytesDemoted += res.Bytes
 	}
 	e.Stats.PagesMoved += uint64(res.Moved)
 	e.Stats.HugePagesMoved += uint64(res.HugeMoved)
@@ -727,7 +712,7 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 		groups.add(src, newF.Node, model.PageSize)
 		e.noteTier(src, newF.Node, model.PageSize)
 		if mover != nil && src != newF.Node {
-			mover.NotePageMove(src, newF.Node)
+			mover.NotePageMove(m.vpn, src, newF.Node)
 		}
 		res.Moved++
 		res.Bytes += model.PageSize
@@ -793,7 +778,6 @@ func (e *Engine) Replicate(req *Request) {
 				copy(f.Data, pte.Frame.Data)
 			}
 			groups.add(src, f.Node, model.PageSize)
-			e.Stats.PagesReplicated++
 			e.Stats.BytesReplicated += model.PageSize
 			if req.OnCopied != nil {
 				req.OnCopied(x, f)

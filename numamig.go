@@ -293,12 +293,6 @@ func FromSeconds(s float64) Time { return sim.FromSeconds(s) }
 // StaticSchedule returns the GOMP-default static loop schedule.
 func StaticSchedule() omp.Schedule { return omp.Static{} }
 
-// StaticChunked returns a static schedule with an explicit chunk.
-func StaticChunked(chunk int) omp.Schedule { return omp.Static{Chunk: chunk} }
-
-// DynamicSchedule returns a dynamic (work-stealing style) schedule.
-func DynamicSchedule(chunk int) omp.Schedule { return omp.Dynamic{Chunk: chunk} }
-
 // CXLTier returns a representative CXL memory-expander tier class
 // (~40% DRAM bandwidth, ~2.2x latency) for Params.TierClasses.
 func CXLTier() TierClass { return model.CXLTier() }
