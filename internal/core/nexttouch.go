@@ -36,7 +36,6 @@ func (r Region) Contains(a vm.Addr) bool { return a >= r.Addr && a < r.End() }
 
 // UserNTStats counts user-space next-touch activity.
 type UserNTStats struct {
-	Marks         uint64
 	Migrations    uint64 // handler invocations that migrated a region
 	PagesMigrated uint64
 }
@@ -82,7 +81,6 @@ func (u *UserNT) Mark(t *kern.Task, r Region) error {
 			return fmt.Errorf("core: region %+v overlaps marked region %+v", r, q)
 		}
 	}
-	u.Stats.Marks++
 	var err error
 	t.P.InCat(kern.CatMprotectMark, func() {
 		err = t.Mprotect(r.Addr, r.Len, vm.ProtNone)

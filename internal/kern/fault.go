@@ -28,10 +28,9 @@ func (e ErrSegv) Error() string {
 }
 
 // Touch performs one application access to addr: the hardware fast
-// path first, which sets the accessed/dirty bits (a compact run only
-// splits when it gains a new bit); on a miss the page-fault handler
-// over the one page, then a retry. It is the single-address path; bulk
-// accesses should use AccessRange/FaultIn.
+// path first, which sets the accessed/dirty bits; on a miss the
+// page-fault handler over the one page, then a retry. It is the
+// single-address path; bulk accesses should use AccessRange/FaultIn.
 func (t *Task) Touch(addr vm.Addr, write bool) error {
 	vpn := vm.PageOf(addr)
 	for attempt := 0; attempt < 16; attempt++ {
@@ -244,7 +243,7 @@ func (t *Task) fixStale(pages []vm.VPN) {
 			continue
 		}
 		// Consecutive unreplicated pages of one VMA restore as one
-		// range operation on the extent store.
+		// page-table range write.
 		v := pr.Space.Find(p.Base())
 		j := i + 1
 		for j < len(pages) && pages[j] == pages[j-1]+1 && v.Contains(pages[j].Base()) && pr.replicas[pages[j]] == nil {
@@ -263,9 +262,8 @@ func (t *Task) fixStale(pages []vm.VPN) {
 // mempolicy target, redirected by the tenancy cap (capTarget), then the
 // allocation, the PTE install and the tenant charge at the node the
 // frame landed on. It is the one demand-allocation step of the 4 KiB
-// fault path and the huge-page fallback; the entry is installed through
-// the extent layer, so a stream of sequential demand faults grows one
-// run. The caller holds p's chunk lock and charges the fault costs.
+// fault path and the huge-page fallback. The caller holds p's chunk
+// lock and charges the fault costs.
 func (t *Task) demandPage(v *vm.VMA, p vm.VPN) {
 	k := t.Proc.K
 	k.Stats.DemandAllocs++

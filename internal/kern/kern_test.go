@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"numamig/internal/model"
@@ -981,7 +982,9 @@ func TestZeroLengthCallsChangeNothing(t *testing.T) {
 }
 
 // TestNegativeLengthCallsFail: a call given a negative length returns
-// an error and changes nothing, where it used to return success.
+// an error and changes nothing, where it used to return success. So
+// does a rectangle call given a negative RowBytes or Rows, with an error
+// naming the call and the field.
 func TestNegativeLengthCallsFail(t *testing.T) {
 	const at, length = 4 * pg, -2 * pg
 	checkRangeCalls(t, []rangeCall{
@@ -1013,9 +1016,17 @@ func TestNegativeLengthCallsFail(t *testing.T) {
 		}, call: func(tk *Task, a vm.Addr) (int, error) {
 			return tk.UnpinRange(a+at, length)
 		}},
+		{name: "FaultInRect RowBytes", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return tk.FaultInRect(Rect{Base: a + at, RowBytes: length, Stride: pg, Rows: 2}, false)
+		}},
+		{name: "AccessRect Rows", prep: markNextTouch, call: func(tk *Task, a vm.Addr) (int, error) {
+			return 0, tk.AccessRect(Rect{Base: a, RowBytes: pg, Stride: pg, Rows: -3}, Stream, false)
+		}},
 	}, func(name string, n int, err error) {
 		if err == nil {
 			t.Errorf("%s: negative length returned %d, nil; want an error", name, n)
+		} else if call, field, rect := strings.Cut(name, " "); rect && !strings.Contains(err.Error(), call+" of negative "+field+" ") {
+			t.Errorf("%s: error %q does not name the call and the field", name, err)
 		}
 	})
 }

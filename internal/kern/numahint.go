@@ -78,8 +78,8 @@ func (pr *Process) ArmNumaHints(p *sim.Proc, cursor vm.VPN, max int) (int, vm.VP
 	}
 
 	// Replica lookups only matter once the process has ever replicated
-	// (the map is created lazily); passing nil skip otherwise lets
-	// ArmRange arm whole runs without a per-page callback.
+	// (the map is created lazily); passing nil skip otherwise spares
+	// ArmRange a map probe per page.
 	var skip func(vm.VPN) bool
 	if pr.replicas != nil {
 		skip = func(pv vm.VPN) bool {

@@ -1,6 +1,8 @@
 package kern
 
 import (
+	"fmt"
+
 	"numamig/internal/model"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
@@ -26,6 +28,18 @@ func (r Rect) Bytes() int64 { return r.RowBytes * int64(r.Rows) }
 
 // empty reports whether the rectangle covers no page.
 func (r Rect) empty() bool { return r.RowBytes <= 0 || r.Rows <= 0 }
+
+// check rejects a rectangle with a negative RowBytes or Rows, naming the
+// call and the field in the error; a zero size is an empty rectangle.
+func (r Rect) check(call string) error {
+	switch {
+	case r.RowBytes < 0:
+		return fmt.Errorf("kern: %s of negative RowBytes %d at %#x", call, r.RowBytes, r.Base)
+	case r.Rows < 0:
+		return fmt.Errorf("kern: %s of negative Rows %d at %#x", call, r.Rows, r.Base)
+	}
+	return nil
+}
 
 // spans returns an iterator over the rectangle's pages as ascending,
 // disjoint, maximal spans: rows that overlap or abut merge into one
@@ -89,10 +103,11 @@ func (r Rect) appendSpans(dst []vm.Span) []vm.Span {
 // allocation, kernel next-touch migration, NUMA hinting, stale-PTE
 // fixups and SIGSEGV delivery) with the page-fault handler FaultIn
 // runs, walking the rectangle's row spans instead of one range.
-// Returns the number of serviced pages.
+// Returns the number of serviced pages. A negative RowBytes or Rows is
+// an error.
 func (t *Task) FaultInRect(r Rect, write bool) (int, error) {
-	if r.empty() {
-		return 0, nil
+	if err := r.check("FaultInRect"); err != nil || r.empty() {
+		return 0, err
 	}
 	return t.handleFaults(r.spans(), write, "FaultInRect", r.Base)
 }
@@ -123,8 +138,12 @@ func (t *Task) TrafficRectVolume(r Rect, volume float64, kind AccessKind, write 
 	}
 }
 
-// AccessRect faults the rectangle in and charges its traffic.
+// AccessRect faults the rectangle in and charges its traffic. A
+// negative RowBytes or Rows is an error.
 func (t *Task) AccessRect(r Rect, kind AccessKind, write bool) error {
+	if err := r.check("AccessRect"); err != nil {
+		return err
+	}
 	if _, err := t.FaultInRect(r, write); err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func (r Rect) pages() []vm.VPN {
 	return out
 }
 
-// spanPages flattens the span walk into a page list, failing the test
+// spanPages collects the span walk into a page list, failing the test
 // unless the spans are non-empty, ascending and maximal (a span never
 // starts at or before the previous one's end).
 func spanPages(t testing.TB, r Rect) []vm.VPN {
@@ -417,33 +417,6 @@ func TestRectWalkAllocs(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("FaultInRect with nothing to service allocates %v times per call", a)
-		}
-	})
-}
-
-// TestRectWalkStaysCompact pins the rect paths to the data-driven chunk
-// encoding: the LU block faults at most 64 one-page runs into a chunk,
-// which stays compact, and charging or censusing it never changes an
-// encoding; a block twice as dense in one chunk flattens it.
-func TestRectWalkStaysCompact(t *testing.T) {
-	h := newHarness(false)
-	h.run(t, 0, func(tk *Task) {
-		pt := tk.Proc.Space.PT
-		r := luRect(tk)
-		if err := tk.AccessRect(r, Blocked, true); err != nil {
-			t.Fatal(err)
-		}
-		tk.TrafficRect(r, Stream, false)
-		tk.NodesOfRect(r)
-		if pt.NumChunks() < 2 || pt.DenseChunks() != 0 {
-			t.Fatalf("%d of %d chunks flat after the LU rect walk", pt.DenseChunks(), pt.NumChunks())
-		}
-		a, _ := tk.Mmap(256*4*pg, vm.ProtRW, vm.Interleave(0, 1, 2, 3), 0, "dense")
-		if err := tk.AccessRect(Rect{Base: a, RowBytes: 2048, Stride: 4 * pg, Rows: 256}, Blocked, true); err != nil {
-			t.Fatal(err)
-		}
-		if pt.DenseChunks() == 0 {
-			t.Fatal("~128 one-page runs per chunk left every chunk compact")
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // walkRegion is the address-space layout every FuzzRectWalk case runs
 // over, in bytes from the (chunk-aligned) first mapping:
 //
-//	[0, 4M)       RW, 4-node interleave    compact / dense / missing chunks
+//	[0, 4M)       RW, 4-node interleave    populated / missing chunks
 //	[4M, 6M)      unmapped, huge chunk     a hole with a huge-mapped chunk
 //	[6M, 8M)      RW, 4-node interleave
 //	[8M, 8M+4K)   guard page
@@ -49,9 +49,8 @@ type walkResult struct {
 
 // buildWalkTable maps walkRegion and populates it from rng: prefaulted
 // runs from several cores, next-touch marks, stale protections, NUMA
-// hints, chunks flattened by a one-page rewrite (interleaved chunks
-// faulted past the run threshold flatten on their own) and a huge chunk
-// in the hole. It returns the region base.
+// hints, single aged pages and a huge chunk in the hole. It returns the
+// region base.
 func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 	const mib = 1 << 20
 	sp := tk.Proc.Space
@@ -89,7 +88,7 @@ func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 			sp.PT.SetFlagsRange(vm.PageOf(s), vm.PageOf(s)+vm.VPN(n/pg), vm.ProtRead.Flags(), vm.PTERead|vm.PTEWrite)
 		case 2:
 			sp.PT.ArmRange(vm.PageOf(s), vm.PageOf(s)+vm.VPN(n/pg), nil)
-		case 3: // age one page: flattens its chunk when the page sits inside a run
+		case 3: // age one page, cutting the extent it sits in
 			v := vm.PageOf(s)
 			if pte := sp.PT.Get(v); pte.Present() {
 				pte.Age++
@@ -201,7 +200,7 @@ func walkDiff(got, want walkResult) string {
 
 // FuzzRectWalk drives randomized rectangles — zero, overlapping,
 // page-crossing, chunk-crossing and negative strides, unaligned bases,
-// rows across VMA holes — over tables mixing compact, dense, missing and
+// rows across VMA holes — over tables mixing populated, missing and
 // huge chunks, and checks the span walk against the per-page reference:
 // page set and order, NodesOfRect, TrafficRectVolume's per-node charges
 // and virtual time, and FaultInRect's serviced count, error, virtual

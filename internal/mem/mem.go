@@ -91,6 +91,13 @@ type Phys struct {
 // unique.
 func pfnBase(node topology.NodeID) uint64 { return (uint64(node) + 1) << 40 }
 
+// freeMark is the PFN bit a frame carries while it sits on its node's
+// free list, so Free catches a second free of it. No node's PFN range
+// reaches it (pfnBase stays below 1<<51 for topology.MaxNodes nodes),
+// and it leaves Frame's size and Node as they are: callers read f.Node
+// after freeing f.
+const freeMark = 1 << 63
+
 // NewPhys creates physical memory for the machine. If backed, every
 // allocated frame carries a real zeroed 4 KiB buffer.
 func NewPhys(m *topology.Machine, backed bool) *Phys {
@@ -229,6 +236,7 @@ func (p *Phys) Alloc(node topology.NodeID) (*Frame, error) {
 		f := fl[len(fl)-1]
 		fl[len(fl)-1] = nil
 		s.free = fl[:len(fl)-1]
+		f.PFN &^= freeMark
 		if f.Data != nil {
 			for i := range f.Data {
 				f.Data[i] = 0
@@ -251,16 +259,21 @@ func (p *Phys) Alloc(node topology.NodeID) (*Frame, error) {
 	return f, nil
 }
 
-// Free returns a frame to its node's pool.
+// Free returns a frame to its node's pool. It panics on a frame that is
+// already free.
 func (p *Phys) Free(f *Frame) {
 	if f == nil {
 		panic("mem: free of nil frame")
+	}
+	if f.PFN&freeMark != 0 {
+		panic(fmt.Sprintf("mem: double free of frame %#x on node %d", f.PFN&^freeMark, f.Node))
 	}
 	s := &p.shards[f.Node]
 	if s.stats.Allocated <= 0 {
 		panic("mem: free underflow")
 	}
 	p.ReleaseFootprint(f.Node, 1)
+	f.PFN |= freeMark
 	s.free = append(s.free, f)
 }
 

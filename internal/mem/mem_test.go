@@ -2,9 +2,11 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"numamig/internal/model"
 	"numamig/internal/topology"
 )
 
@@ -87,6 +89,49 @@ func TestUniquePFNs(t *testing.T) {
 		}
 		seen[f.PFN] = true
 	}
+}
+
+// TestDoubleFreePanics: freeing a frame that is already free panics,
+// naming its node and PFN, even while the node holds other frames, and
+// so does freeing a free 2 MiB unit; a recycled frame frees normally.
+func TestDoubleFreePanics(t *testing.T) {
+	p := NewPhys(topology.Opteron4x4(), false)
+	f, _ := p.Alloc(2)
+	if _, err := p.Alloc(2); err != nil {
+		t.Fatal(err)
+	}
+	pfn := f.PFN
+	p.Free(f)
+	want := fmt.Sprintf("mem: double free of frame %#x on node 2", pfn)
+	if got := panicOf(func() { p.Free(f) }); got != want {
+		t.Fatalf("second Free panicked with %v, want %q", got, want)
+	}
+	if g, _ := p.Alloc(2); g != f || g.PFN != pfn {
+		t.Fatalf("Alloc after the free returned PFN %#x, want the recycled frame %#x", g.PFN, pfn)
+	}
+	if got := p.Stats(2).Allocated; got != 2 {
+		t.Fatalf("allocated = %d, want 2", got)
+	}
+	p.Free(f)
+
+	h, _ := p.Alloc(1)
+	if err := p.AllocFootprint(1, model.PTEChunkPages-1); err != nil {
+		t.Fatal(err)
+	}
+	p.FreeHuge(h)
+	if got := panicOf(func() { p.FreeHuge(h) }); got == nil {
+		t.Fatal("second FreeHuge did not panic")
+	}
+	if got := p.Stats(1).Allocated; got != 0 {
+		t.Fatalf("allocated after the huge unit = %d, want 0", got)
+	}
+}
+
+// panicOf returns the value fn panics with, or nil.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
 }
 
 func TestMigrationCounter(t *testing.T) {

@@ -3,7 +3,6 @@ package vm
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"numamig/internal/mem"
@@ -169,7 +168,7 @@ func (r *refTable) batch(spans []Span) batchResult {
 
 // batchReads runs Classify, for a read and a write, and CountNodes over
 // spans, all through one cursor, so every read after the first starts
-// behind the cursor and takes its fresh-search fallback.
+// behind the chunk the cursor resolved last.
 func batchReads(pt *PageTable, spans []Span) batchResult {
 	b := batchResult{Counts: make([]int, 4)}
 	cur := pt.Cursor()
@@ -196,9 +195,11 @@ func randSpans(rng *rand.Rand, start, end VPN) []Span {
 // over [start, end): Extents, with and without gaps, reports the
 // reference's maximal extents, Get returns the reference value of every
 // page, and over a random span list drawn from rng the batch reads file
-// and count every page as the reference does.
+// and count every page as the reference does. None of these reads may
+// create a chunk.
 func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, rng *rand.Rand, tag string) {
 	t.Helper()
+	chunks := pt.NumChunks()
 	for _, withGaps := range []bool{false, true} {
 		var got []Ext
 		pt.Extents(start, end, withGaps, func(e Ext) bool { got = append(got, e); return true })
@@ -215,44 +216,9 @@ func compare(t *testing.T, pt *PageTable, ref *refTable, start, end VPN, rng *ra
 	if got, want := batchReads(pt, spans), ref.batch(spans); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: batch reads over %v =\n%+v\nreference\n%+v", tag, spans, got, want)
 	}
-}
-
-// checkChunks asserts the encoding invariants — a compact chunk holds at
-// most maxRuns sorted, disjoint, non-empty runs whose frames sit on the
-// run's node; a flat chunk holds no runs — and returns how many chunks
-// of each encoding the table has.
-func checkChunks(t *testing.T, pt *PageTable) (compact, flat int) {
-	t.Helper()
-	for ci, c := range pt.chunks {
-		switch {
-		case c.Huge:
-			continue
-		case c.dense != nil:
-			if c.runs != nil {
-				t.Fatalf("flat chunk %d still holds %d runs", ci, len(c.runs))
-			}
-			flat++
-			continue
-		}
-		compact++
-		if len(c.runs) > maxRuns {
-			t.Fatalf("compact chunk %d holds %d runs, over maxRuns %d", ci, len(c.runs), maxRuns)
-		}
-		for i, r := range c.runs {
-			if r.n == 0 || r.end() > model.PTEChunkPages || i > 0 && c.runs[i-1].end() > r.off {
-				t.Fatalf("chunk %d run %d (%d+%d) is empty, out of range or overlaps its predecessor", ci, i, r.off, r.n)
-			}
-			if r.frames == nil && r.node != -1 || r.frames != nil && len(r.frames) != int(r.n) {
-				t.Fatalf("chunk %d run %d: %d frames for %d pages on node %d", ci, i, len(r.frames), r.n, r.node)
-			}
-			for _, f := range r.frames {
-				if f == nil || int32(f.Node) != r.node {
-					t.Fatalf("chunk %d run %d on node %d holds frame %+v", ci, i, r.node, f)
-				}
-			}
-		}
+	if n := pt.NumChunks(); n != chunks {
+		t.Fatalf("%s: reads changed the chunk count from %d to %d", tag, chunks, n)
 	}
-	return compact, flat
 }
 
 // opSource feeds the op interpreter: *rand.Rand is one, byteSource
@@ -311,7 +277,7 @@ func (o *opTable) span() (VPN, VPN) {
 	return a, b + 1
 }
 
-// value draws a present PTE from a small state space, so runs form,
+// value draws a present PTE from a small state space, so extents form,
 // split and re-merge.
 func (o *opTable) value() PTE {
 	e := PTE{Flags: PTEPresent | PTERead}
@@ -390,10 +356,15 @@ func (o *opTable) step(t *testing.T) {
 		if gotA != wantA || gotE != wantE {
 			t.Fatalf("ArmRange(%d, %d, skip=%v) = (%d, %d), reference (%d, %d)", a, b, skip != nil, gotA, gotE, wantA, wantE)
 		}
-	case 8:
+	case 8: // unmap; a chunk the range covers whole is released
 		a, b := o.span()
 		if got, want := pt.UnmapRange(a, b, nil), ref.unmapRange(a, b); got != want {
 			t.Fatalf("UnmapRange(%d, %d) = %d, reference %d", a, b, got, want)
+		}
+		for ci := ChunkIndex(a + model.PTEChunkPages - 1); VPN((ci+1)*model.PTEChunkPages) <= b; ci++ {
+			if pt.chunks[ci] != nil {
+				t.Fatalf("UnmapRange(%d, %d) kept chunk %d, which it covers whole", a, b, ci)
+			}
 		}
 	case 9:
 		v, write := o.vpn(), o.src.Intn(2) == 0
@@ -404,34 +375,24 @@ func (o *opTable) step(t *testing.T) {
 }
 
 // TestExtentDifferential drives the page table and the reference map
-// through 20k random ops — single-page and run installs, SetFlagsRange,
-// ArmRange with and without a skip, UnmapRange and Touch — checking
-// every returned count and, periodically, the whole visible state
-// (compare: Extents, Get and the batch reads) and the encoding
-// invariants. Chunks pick their encoding from their data alone, and
-// the trace must see both encodings.
+// through 20k random ops — single-page and burst installs,
+// SetFlagsRange, ArmRange with and without a skip, UnmapRange and Touch
+// — checking every returned count and, periodically, the whole visible
+// state (compare: Extents, Get and the batch reads).
 func TestExtentDifferential(t *testing.T) {
 	o := newOpTable(rand.New(rand.NewSource(42)))
 	spanRng := rand.New(rand.NewSource(43))
-	compactSeen, flatSeen := 0, 0
 	for step := 0; step < 20000; step++ {
 		o.step(t)
 		if step%100 == 0 {
 			compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "periodic")
-			c, f := checkChunks(t, o.pt)
-			compactSeen += c
-			flatSeen += f
 		}
 	}
 	compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "final")
-	if compactSeen == 0 || flatSeen == 0 {
-		t.Fatalf("sampled %d compact and %d flat chunks; the trace must reach both encodings", compactSeen, flatSeen)
-	}
 }
 
 // FuzzPageTable runs the TestExtentDifferential op interpreter on fuzz
-// input, checking the whole visible state and the encoding invariants
-// after every op.
+// input, checking the whole visible state after every op.
 func FuzzPageTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
@@ -440,104 +401,17 @@ func FuzzPageTable(f *testing.F) {
 		for step := 0; step < 256 && len(src) > 0; step++ {
 			o.step(t)
 			compare(t, o.pt, o.ref, 0, viewSpan, spanRng, "fuzz")
-			checkChunks(t, o.pt)
 		}
 	})
 }
 
-// TestChunkEncodingSwitch pins the rule that picks a chunk's encoding
-// from its data alone. A 512-page run of one state stays compact
-// through reads and writes that keep it one run; one differing
-// overwrite inside it flattens the chunk, and unmapping the chunk
-// releases it. A chunk filled with one-page runs flattens when the run
-// count passes maxRuns.
-func TestChunkEncodingSwitch(t *testing.T) {
-	frames := make([]mem.Frame, model.PTEChunkPages)
-	pt := NewPageTable()
-	e := PTE{Flags: PTEPresent | PTERead | PTEWrite}
-	for i := range frames {
-		frames[i].Node = 1
-		e.Frame = &frames[i]
-		pt.Install(VPN(i), e)
-	}
-	c := pt.Chunk(0)
-	pt.Install(7, pt.Get(7))
-	pt.Lookup(9)
-	pt.Extents(0, model.PTEChunkPages, true, func(Ext) bool { return true })
-	pt.SetFlagsRange(0, model.PTEChunkPages, PTEAccessed, 0)
-	pt.ArmRange(0, model.PTEChunkPages, func(VPN) bool { return false })
-	pt.Touch(5, false)
-	if c.dense != nil || len(c.runs) != 1 || pt.DenseChunks() != 0 {
-		t.Fatalf("one-state chunk: %d runs, %d flat chunks; want 1 compact run", len(c.runs), pt.DenseChunks())
-	}
-	d := pt.Get(100)
-	d.Age = 1
-	pt.Install(100, d)
-	if c.dense == nil || pt.DenseChunks() != 1 {
-		t.Fatal("a differing overwrite inside a 512-page run left the chunk compact")
-	}
-	if pt.Get(100) != d || pt.Get(99).Age != 0 || pt.Get(101).Frame != &frames[101] {
-		t.Fatalf("flat chunk reads back %+v / %+v / %+v", pt.Get(99), pt.Get(100), pt.Get(101))
-	}
-	if n := pt.UnmapRange(0, model.PTEChunkPages, nil); n != model.PTEChunkPages || pt.NumChunks() != 0 {
-		t.Fatalf("UnmapRange dropped %d pages and left %d chunks; want %d and 0", n, pt.NumChunks(), model.PTEChunkPages)
-	}
-
-	for i := 0; i <= maxRuns; i++ {
-		pt.Install(VPN(2*i), PTE{Flags: PTEPresent | PTERead})
-		if want := i == maxRuns; (pt.DenseChunks() == 1) != want {
-			t.Fatalf("after %d one-page runs: %d flat chunks", i+1, pt.DenseChunks())
-		}
-	}
-}
-
-// TestExtentSparseFootprint maps one page per chunk across a 4 TB
-// virtual span and asserts the compact representation stays orders of
-// magnitude below flat chunks: a flat chunk costs ~12 KiB of PTE array,
-// a compact one a header plus one run (~150 B measured). The same
-// mapping in flat chunks would be ~25 GB of PTE arrays.
-func TestExtentSparseFootprint(t *testing.T) {
-	const chunkBytes = model.PTEChunkPages * model.PageSize
-	const chunks = 4 << 40 / chunkBytes // 4 TB span, one page per 2 MiB chunk
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-
-	pt := NewPageTable()
-	for i := 0; i < chunks; i++ {
-		pt.Install(VPN(i*model.PTEChunkPages), PTE{Flags: PTEPresent | PTERead})
-	}
-
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	bytes := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	perChunk := bytes / chunks
-	t.Logf("4TB sparse mapping: %d chunks, %d bytes total, %d bytes/chunk", chunks, bytes, perChunk)
-	if pt.NumChunks() != chunks {
-		t.Fatalf("NumChunks = %d, want %d", pt.NumChunks(), chunks)
-	}
-	// Flat chunks would cost 512*24 B = 12 KiB each; require at least a
-	// 10x win to guard against accidental flattening on this path.
-	if perChunk > 1200 {
-		t.Fatalf("sparse mapping costs %d bytes/chunk; compact representation should stay under 1200", perChunk)
-	}
-	// The mapping must still read back correctly.
-	n := 0
-	pt.Extents(0, VPN(chunks*model.PTEChunkPages), false, func(e Ext) bool { n += e.N; return true })
-	if n != chunks {
-		t.Fatalf("resident pages = %d, want %d", n, chunks)
-	}
-	runtime.KeepAlive(pt)
-}
-
 // TestCursorMatchesExtents pins multi-span cursor walks to one fresh
 // Extents call per span, with and without gaps, over a table mixing
-// compact, flat, missing and huge chunks: ascending span lists (the
-// rect walk's shape, adjacent and chunk-crossing spans included), spans
-// in random order (the fresh-search fallback) and walks that fn stops
-// early. It pins the batch reads to the same Extents walks. No walk may
-// change a chunk's encoding or create a chunk.
+// populated, missing and huge chunks: ascending span lists (the rect
+// walk's shape, adjacent and chunk-crossing spans included), spans in
+// random order (a span behind the resolved chunk) and walks that fn
+// stops early. It pins the batch reads to the same Extents walks. No
+// walk may create a chunk.
 func TestCursorMatchesExtents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := make([]*mem.Frame, 4)
@@ -554,10 +428,9 @@ func TestCursorMatchesExtents(t *testing.T) {
 	const chunks = 6
 	const span = chunks * model.PTEChunkPages
 	pt := NewPageTable()
-	// Chunks 0 and 2 fill in ascending order with at most 60 runs, so
-	// they stay compact; chunks 3 and 4 take overlapping random bursts,
-	// whose overwrites inside runs flatten them. Chunk 1 stays missing
-	// and chunk 5 becomes huge.
+	// Chunks 0 and 2 fill in ascending order with at most 60 runs of
+	// equal pages; chunks 3 and 4 take overlapping random bursts and
+	// punched gaps. Chunk 1 stays missing and chunk 5 becomes huge.
 	for _, ci := range []int{0, 2} {
 		v, end := VPN(ci*model.PTEChunkPages), VPN((ci+1)*model.PTEChunkPages)
 		for runs := 0; runs < 60 && v < end; runs++ {
@@ -581,15 +454,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 		}
 	}
 	pt.ChunkOrCreate(5 * model.PTEChunkPages).Huge = true
-	for _, want := range []struct {
-		ci   uint64
-		flat bool
-	}{{0, false}, {2, false}, {3, true}, {4, true}} {
-		if c := pt.chunks[want.ci]; c == nil || (c.dense != nil) != want.flat {
-			t.Fatalf("chunk %d: flat=%v, want %v", want.ci, c != nil && c.dense != nil, want.flat)
-		}
-	}
-	nChunks, nDense := pt.NumChunks(), pt.DenseChunks()
+	nChunks := pt.NumChunks()
 
 	collect := func(spans []Span, withGaps bool, limit int, cursor bool) []Ext {
 		var out []Ext
@@ -659,8 +524,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 	if frameless == 0 {
 		t.Fatal("the table holds no frameless present page")
 	}
-	if pt.NumChunks() != nChunks || pt.DenseChunks() != nDense {
-		t.Fatalf("walks changed the table: %d chunks (%d flat), was %d (%d)",
-			pt.NumChunks(), pt.DenseChunks(), nChunks, nDense)
+	if pt.NumChunks() != nChunks {
+		t.Fatalf("walks changed the table: %d chunks, was %d", pt.NumChunks(), nChunks)
 	}
 }

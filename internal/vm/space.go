@@ -152,8 +152,8 @@ func (s *Space) Unmap(start Addr, length int64) error {
 // freeRange releases all frames mapped in [start, end).
 func (s *Space) freeRange(start, end Addr) {
 	sv, ev := PageOf(start), PageOf(end-1)+1
-	// Extent-native clear: frees frames run-at-a-time and recycles
-	// fully-covered 4 KiB chunks.
+	// UnmapRange frees the 4 KiB frames and recycles the chunks the
+	// range covers whole.
 	free := s.Phys.Free
 	if s.OnFree != nil {
 		onFree := s.OnFree

@@ -13,7 +13,7 @@
 //     topic (telemetry.Topics()), so the "Telemetry & control" topic
 //     table stays complete as emitters are added;
 //   - ARCHITECTURE.md must carry the required sections (currently
-//     "## Scale", which documents the extent PTE storage, the
+//     "## Scale", which documents the flat PTE chunks, the
 //     hierarchy generator and the daemon batching contract, and
 //     "## Tenancy & SLOs", which documents the multi-tenant ledger,
 //     cap enforcement and class-priority contracts);
@@ -35,12 +35,18 @@
 //     retired flag cannot live on in the docs;
 //   - every path under cmd/, tools/, internal/, examples/, artifacts/
 //     or benchmark/ that the same code text cites must exist, so a
-//     deleted tool or config cannot live on in the docs either.
+//     deleted tool or config cannot live on in the docs either;
+//   - every backticked test name in ARCHITECTURE.md or README.md —
+//     `TestX`, `FuzzX`, `BenchmarkX` or `ExampleX` — must be a function
+//     that a _test.go file of the tree declares, in either module (the
+//     root's or benchmark/'s), so a deleted or renamed test cannot stay
+//     cited as a guard.
 //
 // CI runs it as the docs job; it exits non-zero listing every
 // undocumented package, every family or telemetry topic a document
-// misses, every name it cites that does not resolve, every numabench
-// flag that does not exist and every cited path that is gone.
+// misses, every name it cites that does not resolve, every test it
+// cites that no test file declares, every numabench flag that does not
+// exist and every cited path that is gone.
 //
 // Usage (from the module root):
 //
@@ -66,6 +72,7 @@ import (
 
 func main() {
 	dirs := map[string]bool{}
+	var testFiles []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -77,11 +84,18 @@ func main() {
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+		switch {
+		case strings.HasSuffix(path, "_test.go"):
+			testFiles = append(testFiles, path)
+		case strings.HasSuffix(path, ".go"):
 			dirs[filepath.Dir(path)] = true
 		}
 		return nil
 	})
+	if err != nil {
+		fatal(err)
+	}
+	tests, err := declaredTests(testFiles)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,6 +127,8 @@ func main() {
 	failed = report("ARCHITECTURE.md does not mention these telemetry topics", absent(doc, telemetry.Topics())) || failed
 	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
 	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
+	failed = report("ARCHITECTURE.md names tests that no _test.go file declares", undeclaredTests(doc, tests)) || failed
+	failed = report("README.md names tests that no _test.go file declares", undeclaredTests(readme, tests)) || failed
 	failed = report("README.md does not name these exp families in backticks", absent(readme, familyNames)) || failed
 	failed = report("README.md does not link", absent(readme, []string{"ARCHITECTURE.md"})) || failed
 	paths := map[string]bool{}
@@ -132,8 +148,8 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md, %d numabench flags known, %d cited paths exist\n",
-		len(dirs), len(exp.Families()), len(telemetry.Topics()), len(flags), len(paths))
+	fmt.Printf("docscheck: %d packages documented, %d exp families and %d telemetry topics covered by ARCHITECTURE.md, %d functions declared in test files, %d numabench flags known, %d cited paths exist\n",
+		len(dirs), len(exp.Families()), len(telemetry.Topics()), len(tests), len(flags), len(paths))
 }
 
 func readFile(name string) string {
@@ -319,6 +335,44 @@ func undefined(used []string, defined map[string]bool) []string {
 		if !defined[u] && !seen[u] {
 			seen[u] = true
 			out = append(out, "-"+u)
+		}
+	}
+	return out
+}
+
+// testName matches a backticked test, fuzz, benchmark or example
+// function name, capturing it. As for go test, the prefix must not be
+// followed by a lower-case letter, so `Examples` is not a test name.
+var testName = regexp.MustCompile("`((?:Test|Fuzz|Benchmark|Example)(?:[^a-z`\\W]\\w*)?)`")
+
+// declaredTests returns the names of the top-level functions the test
+// files declare.
+func declaredTests(files []string) (map[string]bool, error) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+	}
+	return names, nil
+}
+
+// undeclaredTests returns, once each in order of first appearance, the
+// backticked test names in doc that no test file declares.
+func undeclaredTests(doc string, declared map[string]bool) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, m := range testName.FindAllStringSubmatch(doc, -1) {
+		if name := m[1]; !declared[name] && !seen[name] {
+			seen[name] = true
+			out = append(out, name)
 		}
 	}
 	return out
