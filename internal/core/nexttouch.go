@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"numamig/internal/kern"
-	"numamig/internal/migrate"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -48,11 +47,10 @@ type UserNTStats struct {
 // granularity, and it remembers where each region ended up.
 type UserNT struct {
 	Proc *kern.Process
-	// Strategy selects the migration-engine generation the handler's
-	// move_pages call runs on: migrate.Patched is the fixed linear
-	// syscall, migrate.Unpatched reproduces the pre-2.6.29 quadratic
-	// one under the same policy.
-	Strategy migrate.Strategy
+	// Patched selects the move_pages generation the handler calls: the
+	// fixed linear syscall, or (false) the pre-2.6.29 quadratic one
+	// under the same policy.
+	Patched bool
 	// Prot is the protection restored after migration (default RW).
 	Prot vm.Prot
 
@@ -65,7 +63,7 @@ type UserNT struct {
 // NewUserNT creates the library for a process and installs its SIGSEGV
 // handler. patched selects the fixed linear move_pages.
 func NewUserNT(proc *kern.Process, patched bool) *UserNT {
-	u := &UserNT{Proc: proc, Strategy: migrate.StrategyFor(patched), Prot: vm.ProtRW, placement: map[vm.Addr]topology.NodeID{}}
+	u := &UserNT{Proc: proc, Patched: patched, Prot: vm.ProtRW, placement: map[vm.Addr]topology.NodeID{}}
 	proc.OnSegv(u.handle)
 	return u
 }
@@ -122,7 +120,7 @@ func (u *UserNT) handle(t *kern.Task, info kern.SigInfo) {
 	u.regions = append(u.regions[:idx], u.regions[idx+1:]...)
 
 	dst := t.Node()
-	st, err := t.MovePagesRegion(r.Addr, r.Len, dst, u.Strategy)
+	st, err := t.MovePagesTo(r.Addr, r.Len, dst, u.Patched)
 	if err != nil {
 		panic("core: user next-touch move_pages failed: " + err.Error())
 	}

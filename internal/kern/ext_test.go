@@ -57,7 +57,7 @@ func TestHugeMigration(t *testing.T) {
 		if _, err := tk.TouchHuge(a, 4<<20); err != nil {
 			t.Fatal(err)
 		}
-		moved, err := tk.MoveHugeRange(a, 4<<20, 3)
+		moved, _, err := tk.MoveHugeRange(a, 4<<20, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestHugeMigration(t *testing.T) {
 			t.Fatalf("target node holds %d frames, want 1024", got)
 		}
 		// Idempotent when already there.
-		moved, err = tk.MoveHugeRange(a, 4<<20, 3)
+		moved, _, err = tk.MoveHugeRange(a, 4<<20, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestHugeMigrationFasterThanSmallPages(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := tk.P.Now()
-			if _, err := tk.MoveHugeRange(a, bytes, 1); err != nil {
+			if _, _, err := tk.MoveHugeRange(a, bytes, 1); err != nil {
 				t.Fatal(err)
 			}
 			d = tk.P.Now() - start
@@ -140,7 +140,7 @@ func TestHugeRangeValidation(t *testing.T) {
 		if _, err := tk.TouchHuge(ha+4096, 2<<20); err == nil {
 			t.Fatal("unaligned huge touch accepted")
 		}
-		if _, err := tk.MoveHugeRange(a, 4*pg, 1); err == nil {
+		if _, _, err := tk.MoveHugeRange(a, 4*pg, 1); err == nil {
 			t.Fatal("MoveHugeRange on small mapping accepted")
 		}
 	})
@@ -162,7 +162,7 @@ func TestMunmapFreesHugeUnits(t *testing.T) {
 				t.Fatal(err)
 			}
 			if move {
-				if n, err := tk.MoveHugeRange(a, bytes, 3); err != nil || n != 2 {
+				if n, _, err := tk.MoveHugeRange(a, bytes, 3); err != nil || n != 2 {
 					t.Fatalf("moved %d huge units (err %v), want 2", n, err)
 				}
 			}

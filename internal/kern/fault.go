@@ -190,7 +190,7 @@ func (t *Task) pageFaults(n int) {
 func (t *Task) serviceChunk(ci uint64, absent, stale []vm.VPN) {
 	k := t.Proc.K
 	sp := t.Proc.Space
-	cl := t.Proc.chunkLock(ci)
+	cl := t.Proc.ChunkLock(ci)
 	cl.Acquire(t.P)
 	defer cl.Release()
 

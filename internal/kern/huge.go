@@ -18,10 +18,13 @@ import (
 // the win the paper anticipates: one lock round and one bulk copy per
 // 2 MiB instead of 512 per-page control operations.
 //
-// Huge mappings are managed at page-table-chunk granularity and are
-// intentionally separate from the 4 KiB fault paths, which return an
-// error for a page of a huge mapping they read as absent; use
-// TouchHuge / MoveHugeRange on them.
+// A 2 MiB unit is one page-table entry a level above the PTE pages
+// (vm.PageTable.Huge, like Linux's PMD-mapped huge page), with no PTE
+// page beneath it. Huge mappings are intentionally separate from the
+// 4 KiB fault paths, which read a unit's pages as absent and return an
+// error for an absent page of a huge mapping; use TouchHuge /
+// MoveHugeRange on them. So a PTE page exists in a huge mapping only
+// once an exhaustion fallback filled it.
 
 // MmapHuge creates an anonymous mapping backed by 2 MiB huge pages.
 func (t *Task) MmapHuge(length int64, pol vm.Policy, label string) (vm.Addr, error) {
@@ -50,8 +53,8 @@ func hugeChunks(addr vm.Addr, length int64) (first, last uint64, err error) {
 // allocates one 2 MiB frame on the policy target (first-touch local by
 // default), falling back along the zonelist under pressure. When no node
 // can host a whole contiguous unit, the fault is served with 512 base
-// pages instead — like a failed THP allocation — and the chunk stays a
-// normal 4 KiB chunk (MoveHugeRange reports such chunks -ENOENT).
+// pages instead — like a failed THP allocation — in a normal PTE page
+// (MoveHugeRange reports such 2 MiB -ENOENT).
 // Returns the number of huge pages faulted (base-page fallbacks count).
 func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 	k := t.Proc.K
@@ -66,24 +69,24 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 	}
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
-	// populated reports whether the chunk is already served, as a huge
-	// unit or by a completed exhaustion fallback. Checked once
-	// lock-free for the common skip, re-checked under the chunk lock
-	// before faulting (a concurrent toucher may have populated it
-	// between the check and the lock).
-	populated := func(c *vm.Chunk) bool {
-		return (c.Huge && c.HugeFrame != nil) || c.HugeFallback
+	// populated reports whether the 2 MiB at base is already served, as
+	// a huge unit or by an exhaustion fallback's PTE page, which holds
+	// whatever base pages an unmap left of it. Checked once lock-free
+	// for the common skip, re-checked under the chunk lock before
+	// faulting (a concurrent toucher may have populated it between the
+	// check and the lock).
+	populated := func(base vm.VPN) bool {
+		return sp.PT.Huge(base).Present() || sp.PT.Chunk(base) != nil
 	}
 	n := 0
 	for ci := first; ci <= last; ci++ {
 		base := vm.VPN(ci * model.PTEChunkPages)
-		c := sp.PT.ChunkOrCreate(base)
-		if populated(c) {
+		if populated(base) {
 			continue
 		}
-		cl := t.Proc.chunkLock(ci)
+		cl := t.Proc.ChunkLock(ci)
 		cl.Acquire(t.P)
-		if !populated(c) {
+		if !populated(base) {
 			t.pageFaults(1)
 			t.P.Sleep(k.P.FaultBase)
 			// Key policy interleaving on the huge-unit index, not the
@@ -92,9 +95,7 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 			// entry.
 			target := t.placeTarget(v, vm.VPN(ci))
 			if hf := k.Placer.AllocHugePage(target); hf != nil {
-				c.Huge = true
-				c.HugeFrame = hf
-				c.HugeFlags = vm.PTEPresent | vm.PTEAccessed
+				sp.PT.SetHuge(base, vm.PTE{Frame: hf, Flags: vm.PTEPresent | vm.PTEAccessed})
 				// Zeroing 2 MiB.
 				t.P.Sleep(sim.Time(model.PTEChunkPages) * k.P.DemandZero / 4)
 			} else {
@@ -119,7 +120,6 @@ func (t *Task) hugeFallback(v *vm.VMA, base vm.VPN) {
 	for p := base; p < base+model.PTEChunkPages; p++ {
 		t.demandPage(v, p)
 	}
-	t.Proc.Space.PT.Chunk(base).HugeFallback = true
 	t.P.Sleep(sim.Time(model.PTEChunkPages) * k.P.DemandZero)
 }
 
@@ -129,18 +129,10 @@ func (t *Task) hugeFallback(v *vm.VMA, base vm.VPN) {
 // pages. The request runs through the shared migration engine as huge
 // ops, so pinned units are retried with backoff and reported -EBUSY
 // (left in place) exactly like pinned 4 KiB pages. Returns the number
-// of huge pages migrated and, when any unit stayed pinned, the per-unit
-// status slice.
-func (t *Task) MoveHugeRange(addr vm.Addr, length int64, node topology.NodeID) (int, error) {
-	moved, _, err := t.MoveHugeRangeStatus(addr, length, node)
-	return moved, err
-}
-
-// MoveHugeRangeStatus is MoveHugeRange returning the per-unit status
-// (resulting node, StatusNoEnt, or StatusBusy for units that stayed
-// pinned through every retry pass), parallel to the 2 MiB units of the
-// range.
-func (t *Task) MoveHugeRangeStatus(addr vm.Addr, length int64, node topology.NodeID) (int, []int, error) {
+// of huge pages migrated and the per-unit status (resulting node,
+// StatusNoEnt, or StatusBusy for units that stayed pinned through every
+// retry pass), parallel to the 2 MiB units of the range.
+func (t *Task) MoveHugeRange(addr vm.Addr, length int64, node topology.NodeID) (int, []int, error) {
 	k := t.Proc.K
 	sp := t.Proc.Space
 	v := sp.Find(addr)
@@ -176,9 +168,9 @@ func (t *Task) MoveHugeRangeStatus(addr vm.Addr, length int64, node topology.Nod
 
 // HugeNode returns the node holding the huge page at addr, or -1.
 func (t *Task) HugeNode(addr vm.Addr) int {
-	c := t.Proc.Space.PT.Chunk(vm.PageOf(addr))
-	if c == nil || !c.Huge || c.HugeFrame == nil {
+	u := t.Proc.Space.PT.Huge(vm.PageOf(addr))
+	if !u.Present() {
 		return -1
 	}
-	return int(c.HugeFrame.Node)
+	return int(u.Frame.Node)
 }

@@ -58,7 +58,7 @@ func TestMoveHugeRangePinnedEBUSY(t *testing.T) {
 		}
 		eng := h.k.Migrator(migrate.Patched)
 		before := eng.Stats
-		moved, status, err := tk.MoveHugeRangeStatus(a, bytes, 3)
+		moved, status, err := tk.MoveHugeRange(a, bytes, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestMoveHugeRangePinnedEBUSY(t *testing.T) {
 		if _, err := tk.UnpinRange(a, bytes); err != nil {
 			t.Fatal(err)
 		}
-		moved, err = tk.MoveHugeRange(a, bytes, 3)
+		moved, _, err = tk.MoveHugeRange(a, bytes, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestMoveHugeRangePinnedRetrySucceeds(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		moved, err := tk.MoveHugeRange(a, 2<<20, 2)
+		moved, _, err := tk.MoveHugeRange(a, 2<<20, 2)
 		if err != nil {
 			t.Error(err)
 			return

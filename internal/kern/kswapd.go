@@ -412,7 +412,7 @@ func (d *kswapd) shrink(p *sim.Proc, pr *Process, near, far topology.NodeID, bat
 			if cend > last {
 				cend = last
 			}
-			cl := pr.chunkLock(ci)
+			cl := pr.ChunkLock(ci)
 			cl.Acquire(p)
 			n := 0
 			aged := d.aged[:0]

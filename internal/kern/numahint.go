@@ -106,7 +106,7 @@ func (pr *Process) ArmNumaHints(p *sim.Proc, cursor vm.VPN, max int) (int, vm.VP
 			if cend > last {
 				cend = last
 			}
-			cl := pr.chunkLock(ci)
+			cl := pr.ChunkLock(ci)
 			cl.Acquire(p)
 			a, n := pr.Space.PT.ArmRange(cstart, cend, skip)
 			armed += a
@@ -145,7 +145,7 @@ func (t *Task) numaServiceFaults(pages []vm.VPN) {
 
 	faulted := make([]vm.VPN, 0, len(pages))
 	src := make([]topology.NodeID, 0, len(pages))
-	cl := t.Proc.chunkLock(vm.ChunkIndex(pages[0]))
+	cl := t.Proc.ChunkLock(vm.ChunkIndex(pages[0]))
 	cl.Acquire(t.P)
 	for _, pg := range pages {
 		pte := sp.PT.Get(pg)

@@ -52,18 +52,16 @@ func (t *Task) setPinned(addr vm.Addr, length int64, pinned bool) (int, error) {
 		set, clear = 0, vm.PTEPinned
 	}
 	n := t.Proc.Space.PT.SetFlagsRange(first, last, set, clear)
-	// Huge units overlapping the range pin as a whole (the 4 KiB range
-	// write skips huge chunks).
+	// 2 MiB units overlapping the range pin as a whole (the 4 KiB range
+	// write reads a unit as unmapped).
 	for ci := vm.ChunkIndex(first); ci <= vm.ChunkIndex(last-1); ci++ {
-		c := t.Proc.Space.PT.Chunk(vm.VPN(ci * model.PTEChunkPages))
-		if c == nil || !c.Huge || c.HugeFrame == nil {
+		v := vm.VPN(ci * model.PTEChunkPages)
+		u := t.Proc.Space.PT.Huge(v)
+		if !u.Present() {
 			continue
 		}
-		if pinned {
-			c.HugeFlags |= vm.PTEPinned
-		} else {
-			c.HugeFlags &^= vm.PTEPinned
-		}
+		u.Flags = u.Flags&^clear | set
+		t.Proc.Space.PT.SetHuge(v, u)
 		n += model.PTEChunkPages
 	}
 	// Page-table walk plus per-page reference bump.

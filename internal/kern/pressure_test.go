@@ -175,12 +175,64 @@ func TestHugeExhaustionFallsBackToBasePages(t *testing.T) {
 			t.Fatal("re-touch of the fallback chunk re-allocated pages")
 		}
 		// Huge migration of the fallback chunk: -ENOENT, pages stay put.
-		moved, status, err := tk.MoveHugeRangeStatus(third, model.HugePageSize, 1)
+		moved, status, err := tk.MoveHugeRange(third, model.HugePageSize, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if moved != 0 || status[0] != StatusNoEnt {
 			t.Fatalf("fallback chunk migrated as huge: moved=%d status=%v", moved, status)
+		}
+	})
+}
+
+// TestTouchHugeKeepsFallbackSurvivors: an exhaustion fallback is a PTE
+// page of base pages, and TouchHuge must not map a 2 MiB unit over
+// what an unmap left of it: the unit would hide the surviving base
+// pages, and the final munmap would leave their 256 frames allocated.
+func TestTouchHugeKeepsFallbackSurvivors(t *testing.T) {
+	h := newSmallHarness(2, 768)
+	h.run(t, 0, func(tk *Task) {
+		const unit = model.HugePageSize
+		a, err := tk.MmapHuge(3*unit, vm.DefaultPolicy(), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.TouchHuge(a, 3*unit); err != nil {
+			t.Fatal(err)
+		}
+		third := a + 2*unit
+		if tk.HugeNode(third) != -1 || h.k.Stats.HugeFallbacks != 1 {
+			t.Fatal("the third unit should fall back to base pages")
+		}
+		// Free the first unit, so a node has room for a whole unit
+		// again, and the first half of the fallback.
+		if err := tk.Munmap(a, unit); err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Munmap(third, unit/2); err != nil {
+			t.Fatal(err)
+		}
+		n, err := tk.TouchHuge(a+unit, 2*unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 || tk.HugeNode(third) != -1 {
+			t.Errorf("TouchHuge faulted %d units over a populated range (unit node %d)", n, tk.HugeNode(third))
+		}
+		resident := 0
+		for _, nd := range tk.GetNodes(third+unit/2, unit/2) {
+			if nd >= 0 {
+				resident++
+			}
+		}
+		if resident != 256 {
+			t.Errorf("%d of the fallback's 256 surviving pages read as resident", resident)
+		}
+		if err := tk.Munmap(a+unit, 2*unit); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.k.Phys.TotalAllocated(); got != 0 {
+			t.Fatalf("%d frames stay allocated after unmapping everything, want 0", got)
 		}
 	})
 }

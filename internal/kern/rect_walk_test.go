@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"numamig/internal/mem"
 	"numamig/internal/model"
 	"numamig/internal/sim"
 	"numamig/internal/topology"
@@ -17,7 +18,7 @@ import (
 // over, in bytes from the (chunk-aligned) first mapping:
 //
 //	[0, 4M)       RW, 4-node interleave    populated / missing chunks
-//	[4M, 6M)      unmapped, huge chunk     a hole with a huge-mapped chunk
+//	[4M, 6M)      unmapped, 2 MiB unit     a hole holding a unit entry
 //	[6M, 8M)      RW, 4-node interleave
 //	[8M, 8M+4K)   guard page
 //	[8M+4K, +4M)  RW, bound to one node
@@ -49,8 +50,8 @@ type walkResult struct {
 
 // buildWalkTable maps walkRegion and populates it from rng: prefaulted
 // runs from several cores, next-touch marks, stale protections, NUMA
-// hints, single aged pages and a huge chunk in the hole. It returns the
-// region base.
+// hints, single aged pages and a 2 MiB unit in the hole. It returns
+// the region base.
 func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 	const mib = 1 << 20
 	sp := tk.Proc.Space
@@ -60,7 +61,7 @@ func buildWalkTable(t testing.TB, tk *Task, rng *rand.Rand) vm.Addr {
 	}
 	b, _ := tk.Mmap(4*mib, vm.ProtRW, vm.Bind(topology.NodeID(rng.Intn(4))), 0, "b")
 	c, _ := tk.Mmap(2*mib, vm.ProtRead, vm.DefaultPolicy(), 0, "c")
-	sp.PT.ChunkOrCreate(vm.PageOf(a + 4*mib)).Huge = true
+	sp.PT.SetHuge(vm.PageOf(a+4*mib), vm.PTE{Frame: &mem.Frame{Node: 1}, Flags: vm.PTEPresent | vm.PTEAccessed})
 
 	mapped := [][2]vm.Addr{{a, a + 4*mib}, {a + 6*mib, a + 8*mib}, {b, b + 4*mib}, {c, c + 2*mib}}
 	subrange := func() (vm.Addr, int64) {
@@ -200,8 +201,8 @@ func walkDiff(got, want walkResult) string {
 
 // FuzzRectWalk drives randomized rectangles — zero, overlapping,
 // page-crossing, chunk-crossing and negative strides, unaligned bases,
-// rows across VMA holes — over tables mixing populated, missing and
-// huge chunks, and checks the span walk against the per-page reference:
+// rows across VMA holes — over tables mixing populated and missing
+// chunks and a 2 MiB unit, and checks the span walk against the per-page reference:
 // page set and order, NodesOfRect, TrafficRectVolume's per-node charges
 // and virtual time, and FaultInRect's serviced count, error, virtual
 // time, counters and final PTE state.

@@ -51,17 +51,25 @@ func (t *Task) Mmap(length int64, prot vm.Prot, pol vm.Policy, flags vm.VMAFlags
 }
 
 // Munmap removes a mapping, along with the replica copies of its
-// replicated pages.
+// replicated pages and the PTE locks of the page-table pages the unmap
+// released.
 func (t *Task) Munmap(addr vm.Addr, length int64) error {
 	k := t.Proc.K
 	k.Stats.Syscalls++
 	t.P.Sleep(k.P.SyscallBase + k.P.MmapBase)
 	t.Proc.MmapSem.Lock(t.P)
 	defer t.Proc.MmapSem.Unlock()
-	if err := t.Proc.Space.Unmap(addr, length); err != nil {
+	lo, hi, err := t.Proc.Space.Unmap(addr, length)
+	if err != nil {
 		return err
 	}
 	t.Proc.dropReplicas(vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1)
+	// mmap_sem is held exclusive and every PTE-lock holder holds it
+	// shared, so no lock of a released page-table page is held or
+	// awaited.
+	for ci := lo; ci < hi; ci++ {
+		delete(t.Proc.chunkLocks, ci)
+	}
 	t.tlbShootdown()
 	return nil
 }
@@ -233,14 +241,11 @@ func (t *Task) QueryPages(addrs []vm.Addr) []int {
 // present (the move_pages query mode, nodes == nil).
 func (t *Task) GetNode(addr vm.Addr) int { return t.Proc.pageNode(vm.PageOf(addr)) }
 
-// pageNode returns the node of the frame backing page v, the 2 MiB
-// unit's node inside a huge chunk, or -1 when v is not resident.
+// pageNode returns the node of the frame backing page v, the node of
+// the 2 MiB unit mapping v, or -1 when v is not resident.
 func (pr *Process) pageNode(v vm.VPN) int {
-	if c := pr.Space.PT.Chunk(v); c != nil && c.Huge {
-		if c.HugeFrame == nil {
-			return -1
-		}
-		return int(c.HugeFrame.Node)
+	if u := pr.Space.PT.Huge(v); u.Present() {
+		return int(u.Frame.Node)
 	}
 	pte := pr.Space.PT.Get(v)
 	if !pte.Present() {
@@ -272,13 +277,13 @@ func (t *Task) GetNodes(addr vm.Addr, length int64) []int {
 		return true
 	})
 	for ci := vm.ChunkIndex(base); ci <= vm.ChunkIndex(base+vm.VPN(n)-1); ci++ {
-		c := t.Proc.Space.PT.Chunk(vm.VPN(ci * model.PTEChunkPages))
-		if c == nil || !c.Huge || c.HugeFrame == nil {
+		u := t.Proc.Space.PT.Huge(vm.VPN(ci * model.PTEChunkPages))
+		if !u.Present() {
 			continue
 		}
 		for p := vm.VPN(ci * model.PTEChunkPages); p < vm.VPN((ci+1)*model.PTEChunkPages); p++ {
 			if p >= base && p < base+vm.VPN(n) {
-				out[p-base] = int(c.HugeFrame.Node)
+				out[p-base] = int(u.Frame.Node)
 			}
 		}
 	}
@@ -292,15 +297,10 @@ func (t *Task) GetNodes(addr vm.Addr, length int64) []int {
 // implementation; !patched reproduces the pre-2.6.29 quadratic behaviour
 // (a linear scan of the whole destination-node array for every page).
 // The returned status slice holds, per page, the resulting node or a
-// negative errno-style code.
+// negative errno-style code. The syscall is a thin shell: argument
+// checking, syscall entry cost, and mmap_sem; the batched per-node
+// pipeline lives in internal/migrate.
 func (t *Task) MovePages(addrs []vm.Addr, nodes []topology.NodeID, patched bool) ([]int, error) {
-	return t.MovePagesStrategy(addrs, nodes, migrate.StrategyFor(patched))
-}
-
-// MovePagesStrategy is MovePages with an explicit engine strategy. The
-// syscall is a thin shell: argument checking, syscall entry cost, and
-// mmap_sem; the batched per-node pipeline lives in internal/migrate.
-func (t *Task) MovePagesStrategy(addrs []vm.Addr, nodes []topology.NodeID, s migrate.Strategy) ([]int, error) {
 	k := t.Proc.K
 	if len(addrs) != len(nodes) {
 		return nil, fmt.Errorf("kern: move_pages: %d addrs vs %d nodes", len(addrs), len(nodes))
@@ -315,7 +315,7 @@ func (t *Task) MovePagesStrategy(addrs []vm.Addr, nodes []topology.NodeID, s mig
 
 	defer t.P.PushCat(CatMovePagesCtl)()
 	t.P.Sleep(k.P.SyscallBase)
-	eng := k.Migrator(s)
+	eng := k.Migrator(migrate.StrategyFor(patched))
 	eng.SetupPri(t.P, migrate.PathMovePages, t.Proc.MigPrio)
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
@@ -330,14 +330,9 @@ func (t *Task) MovePagesStrategy(addrs []vm.Addr, nodes []topology.NodeID, s mig
 }
 
 // MovePagesTo migrates every page of [addr, addr+length) to one node:
-// the common pattern of the user-space next-touch handler.
+// the common pattern of the user-space next-touch handler. A negative
+// length is an error.
 func (t *Task) MovePagesTo(addr vm.Addr, length int64, node topology.NodeID, patched bool) ([]int, error) {
-	return t.MovePagesRegion(addr, length, node, migrate.StrategyFor(patched))
-}
-
-// MovePagesRegion is MovePagesTo with an explicit engine strategy. A
-// negative length is an error.
-func (t *Task) MovePagesRegion(addr vm.Addr, length int64, node topology.NodeID, s migrate.Strategy) ([]int, error) {
 	if err := checkLength("move_pages", addr, length); err != nil {
 		return nil, err
 	}
@@ -349,7 +344,7 @@ func (t *Task) MovePagesRegion(addr vm.Addr, length int64, node topology.NodeID,
 		addrs[i] = (base + vm.VPN(i)).Base()
 		nodes[i] = node
 	}
-	return t.MovePagesStrategy(addrs, nodes, s)
+	return t.MovePages(addrs, nodes, patched)
 }
 
 // MigratePages is the migrate_pages(2) system call: move every page of

@@ -80,16 +80,6 @@ func (pr *Process) NotePageMove(v vm.VPN, src, dst topology.NodeID) {
 // NumThreads returns the number of live tasks.
 func (pr *Process) NumThreads() int { return len(pr.tasks) }
 
-// chunkLock returns the PTE lock covering the 2 MiB page-table chunk.
-func (pr *Process) chunkLock(ci uint64) *sim.Resource {
-	l := pr.chunkLocks[ci]
-	if l == nil {
-		l = sim.NewResource(pr.K.Eng, fmt.Sprintf("%s.ptl%d", pr.Name, ci), 1)
-		pr.chunkLocks[ci] = l
-	}
-	return l
-}
-
 // ---- migrate.Space implementation ----
 //
 // The process is the address-space surface the migration engine
@@ -98,8 +88,16 @@ func (pr *Process) chunkLock(ci uint64) *sim.Resource {
 // PageTable returns the process page table.
 func (pr *Process) PageTable() *vm.PageTable { return pr.Space.PT }
 
-// ChunkLock returns the PTE lock covering one 2 MiB chunk.
-func (pr *Process) ChunkLock(ci uint64) *sim.Resource { return pr.chunkLock(ci) }
+// ChunkLock returns the PTE lock covering the 2 MiB page-table chunk
+// ci, creating it on first use; Munmap drops it with the chunk.
+func (pr *Process) ChunkLock(ci uint64) *sim.Resource {
+	l := pr.chunkLocks[ci]
+	if l == nil {
+		l = sim.NewResource(pr.K.Eng, fmt.Sprintf("%s.ptl%d", pr.Name, ci), 1)
+		pr.chunkLocks[ci] = l
+	}
+	return l
+}
 
 // TLBFlush charges a TLB shootdown across all cores running this
 // process's threads, executed by p.

@@ -182,8 +182,9 @@ type Space interface {
 }
 
 // Op orders the page at VPN onto node Dst. Huge marks a 2 MiB huge-page
-// op: VPN is the chunk base and the whole chunk-backed unit moves as one
-// (one control round, one 2 MiB bulk copy).
+// op: VPN is the unit's first page and the unit the page table maps
+// there (vm.PageTable.Huge) moves as one (one control round, one 2 MiB
+// bulk copy).
 type Op struct {
 	VPN  vm.VPN
 	Dst  topology.NodeID
@@ -292,9 +293,6 @@ type Engine struct {
 func New(env Env, s Strategy) *Engine {
 	return &Engine{env: env, strategy: s}
 }
-
-// Strategy returns the engine's move_pages generation.
-func (e *Engine) Strategy() Strategy { return e.strategy }
 
 // noteTier accounts one physically moved op against the cross-tier
 // counters when source and destination sit on different memory tiers.
@@ -518,12 +516,13 @@ func (e *Engine) flushCopies(req *Request, g *copyGroups, syncChan bool) {
 	}
 }
 
-// mov is one classified movable page (or huge unit) of a batch.
+// mov is one classified movable page, or 2 MiB unit (huge), of a
+// batch.
 type mov struct {
 	vpn  vm.VPN
-	huge *vm.Chunk
 	dst  topology.NodeID
 	slot int
+	huge bool
 }
 
 // reqScratch holds one in-flight request's reusable buffers. Requests
@@ -540,11 +539,6 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(reqScratch) }}
 func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
 func putScratch(s *reqScratch) {
-	// Drop chunk references so a pooled scratch never retains a dead
-	// process's page table.
-	for i := range s.movs {
-		s.movs[i] = mov{}
-	}
 	s.movs = s.movs[:0]
 	s.pending = s.pending[:0]
 	s.groups.reset()
@@ -585,23 +579,23 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 	for _, x := range idx {
 		op := req.Ops[x]
 		if op.Huge {
-			hc := pt.Chunk(op.VPN)
+			u := pt.Huge(op.VPN)
 			switch {
-			case hc == nil || !hc.Huge || hc.HugeFrame == nil:
+			case !u.Present():
 				req.setStatus(x, StatusNoEnt)
 				res.Absent++
-			case hc.HugeFrame.Node == op.Dst:
+			case u.Frame.Node == op.Dst:
 				res.Local++
 				if c.localCost > 0 {
 					req.P.Sleep(c.localCost)
 				}
 				req.setStatus(x, int(op.Dst))
-			case hc.HugeFlags&vm.PTEPinned != 0:
+			case u.Flags&vm.PTEPinned != 0:
 				// The unit has elevated references: retry, then EBUSY,
 				// exactly like a pinned 4 KiB page.
 				busy = append(busy, x)
 			default:
-				movs = append(movs, mov{huge: hc, dst: op.Dst, slot: x})
+				movs = append(movs, mov{vpn: op.VPN, dst: op.Dst, slot: x, huge: true})
 			}
 			continue
 		}
@@ -673,19 +667,8 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 	groups.reset()
 	mover, _ := req.Space.(PageMover)
 	for _, m := range movs {
-		if m.huge != nil {
-			// Whole 2 MiB unit: release the source footprint first so a
-			// nearly-full node can swap units in place.
-			src := m.huge.HugeFrame.Node
-			e.env.FreeHugeFrame(m.huge.HugeFrame)
-			m.huge.HugeFrame = e.env.AllocHugeFrame(m.dst)
-			e.env.NoteMigration(m.huge.HugeFrame.Node)
-			req.setStatus(m.slot, int(m.huge.HugeFrame.Node))
-			groups.add(src, m.huge.HugeFrame.Node, model.HugePageSize)
-			e.noteTier(src, m.huge.HugeFrame.Node, model.HugePageSize)
-			res.Moved++
-			res.HugeMoved++
-			res.Bytes += model.HugePageSize
+		if m.huge {
+			e.moveUnit(req, pt, m, groups, res)
 			continue
 		}
 		pte := pt.Get(m.vpn)
@@ -728,6 +711,29 @@ func (e *Engine) batch(req *Request, c pathCosts, s *reqScratch, idx []int, ci u
 		e.flushCopies(req, groups, c.syncChan)
 	}
 	return busy
+}
+
+// moveUnit moves one classified 2 MiB unit to m.dst under the batch's
+// chunk lock: it releases the source unit first, so a nearly-full node
+// can swap units in place, and rewrites the unit's entry. It stays out
+// of line so that batch's frame, which sits under a migrating task's
+// deepest stack, does not grow (see PageTable.Get).
+//
+//go:noinline
+func (e *Engine) moveUnit(req *Request, pt *vm.PageTable, m mov, groups *copyGroups, res *Result) {
+	u := pt.Huge(m.vpn)
+	src := u.Frame.Node
+	e.env.FreeHugeFrame(u.Frame)
+	u.Frame = e.env.AllocHugeFrame(m.dst)
+	pt.SetHuge(m.vpn, u)
+	dst := u.Frame.Node
+	e.env.NoteMigration(dst)
+	req.setStatus(m.slot, int(dst))
+	groups.add(src, dst, model.HugePageSize)
+	e.noteTier(src, dst, model.HugePageSize)
+	res.Moved++
+	res.HugeMoved++
+	res.Bytes += model.HugePageSize
 }
 
 // Replicate runs the copy-out half of the pipeline for read-only page

@@ -39,8 +39,8 @@ func (h *harness) run(t *testing.T, core topology.CoreID, fn func(tk *kern.Task)
 }
 
 // movePagesTime returns the virtual duration of migrating `pages` pages
-// node 0 -> node 1 with the given strategy.
-func movePagesTime(t *testing.T, pages int, s migrate.Strategy) sim.Time {
+// node 0 -> node 1 with the patched or the unpatched move_pages.
+func movePagesTime(t *testing.T, pages int, patched bool) sim.Time {
 	t.Helper()
 	h := newHarness(false)
 	var dur sim.Time
@@ -50,7 +50,7 @@ func movePagesTime(t *testing.T, pages int, s migrate.Strategy) sim.Time {
 			t.Fatal(err)
 		}
 		start := tk.P.Now()
-		if _, err := tk.MovePagesRegion(a, int64(pages)*pg, 1, s); err != nil {
+		if _, err := tk.MovePagesTo(a, int64(pages)*pg, 1, patched); err != nil {
 			t.Fatal(err)
 		}
 		dur = tk.P.Now() - start
@@ -60,10 +60,10 @@ func movePagesTime(t *testing.T, pages int, s migrate.Strategy) sim.Time {
 
 func TestPatchedScalesLinearlyUnpatchedQuadratically(t *testing.T) {
 	const n = 2048
-	p1 := movePagesTime(t, n, migrate.Patched)
-	p2 := movePagesTime(t, 2*n, migrate.Patched)
-	u1 := movePagesTime(t, n, migrate.Unpatched)
-	u2 := movePagesTime(t, 2*n, migrate.Unpatched)
+	p1 := movePagesTime(t, n, true)
+	p2 := movePagesTime(t, 2*n, true)
+	u1 := movePagesTime(t, n, false)
+	u2 := movePagesTime(t, 2*n, false)
 
 	// Patched: time = base + c*pages, so doubling the pages must less
 	// than double the time.

@@ -28,8 +28,8 @@ func FlagsAllow(flags uint8, write bool) bool {
 // N pages from Start sharing Flags/Age/PromoGen, backed on Node (-1
 // when frameless or when the extent is a gap). Gap extents (requested
 // via withGaps) have Flags == 0 and cover unmapped pages, including
-// whole missing chunks and huge-mapped chunks (which the 4 KiB walk
-// treats as unmapped).
+// whole missing chunks, the pages of 2 MiB units among them (the 4 KiB
+// walk reads a unit as unmapped).
 type Ext struct {
 	Start    VPN
 	N        int
@@ -95,7 +95,7 @@ func (cur *Cursor) Extents(start, end VPN, withGaps bool, fn func(e Ext) bool) {
 	for v := start; v < end; {
 		stop := chunkStop(v, end)
 		var more bool
-		if c := cur.chunk(ChunkIndex(v)); c == nil || c.Huge {
+		if c := cur.chunk(ChunkIndex(v)); c == nil {
 			more = emitGap(withGaps, v, int(stop-v), fn)
 		} else {
 			more = walkChunk(&c.ptes, v, stop, withGaps, fn)
@@ -117,7 +117,8 @@ func emitGap(withGaps bool, s VPN, n int, fn func(e Ext) bool) bool {
 // the fault each takes; every class is in ascending page order.
 type FaultClasses struct {
 	// Absent pages are not present: unmapped pages, and every page of
-	// a missing or huge chunk, which the 4 KiB walk treats as unmapped.
+	// a missing chunk, a 2 MiB unit's pages included (the 4 KiB walk
+	// reads a unit as unmapped).
 	Absent []VPN
 	// NextTouch and NumaHint pages are present and carry that mark; a
 	// page carrying both is a next-touch page.
@@ -163,7 +164,7 @@ func (cur *Cursor) Classify(spans []Span, write bool, fc *FaultClasses) {
 	for _, s := range spans {
 		for v := s.Lo; v < s.Hi; {
 			stop := chunkStop(v, s.Hi)
-			if c := cur.chunk(ChunkIndex(v)); c == nil || c.Huge {
+			if c := cur.chunk(ChunkIndex(v)); c == nil {
 				fc.Absent = appendPages(fc.Absent, v, stop)
 			} else {
 				for p := v; p < stop; p++ {
@@ -189,7 +190,7 @@ func (cur *Cursor) CountNodes(spans []Span, counts []int, order []topology.NodeI
 	for _, s := range spans {
 		for v := s.Lo; v < s.Hi; {
 			stop := chunkStop(v, s.Hi)
-			if c := cur.chunk(ChunkIndex(v)); c != nil && !c.Huge {
+			if c := cur.chunk(ChunkIndex(v)); c != nil {
 				for p := v; p < stop; p++ {
 					pte := &c.ptes[uint64(p)%model.PTEChunkPages]
 					if pte.Flags&PTEPresent == 0 || pte.Frame == nil {
@@ -250,8 +251,8 @@ func walkChunk(d *[model.PTEChunkPages]PTE, v, stop VPN, withGaps bool, fn func(
 	return true
 }
 
-// Get returns the value of the PTE covering v (zero PTE when unmapped
-// or inside a huge chunk).
+// Get returns the value of the PTE covering v (zero PTE when unmapped,
+// a 2 MiB unit's pages included).
 //
 // Get and Install stay out of line. Inlined, they widen the frames of
 // the migration engine's loops, which sit under a migrating task's
@@ -263,21 +264,22 @@ func walkChunk(d *[model.PTEChunkPages]PTE, v, stop VPN, withGaps bool, fn func(
 //go:noinline
 func (t *PageTable) Get(v VPN) PTE {
 	c := t.chunks[ChunkIndex(v)]
-	if c == nil || c.Huge {
+	if c == nil {
 		return PTE{}
 	}
 	return c.ptes[uint64(v)%model.PTEChunkPages]
 }
 
 // Install stores value e for v, creating the covering chunk; a zero e
-// unmaps the page. It is the table's one per-page write. Panics inside
-// huge chunks. It stays out of line like Get.
+// unmaps the page. It is the table's one per-page write. It panics
+// where a 2 MiB unit maps v (newChunk). It stays out of line like Get.
 //
 //go:noinline
 func (t *PageTable) Install(v VPN, e PTE) {
-	c := t.ChunkOrCreate(v)
-	if c.Huge {
-		panic("vm: 4k install inside huge-page chunk")
+	ci := ChunkIndex(v)
+	c := t.chunks[ci]
+	if c == nil {
+		c = t.newChunk(ci)
 	}
 	c.ptes[uint64(v)%model.PTEChunkPages] = e
 }
@@ -288,7 +290,7 @@ func (t *PageTable) Install(v VPN, e PTE) {
 // fault path.
 func (t *PageTable) Touch(v VPN, write bool) bool {
 	c := t.chunks[ChunkIndex(v)]
-	if c == nil || c.Huge {
+	if c == nil {
 		return false
 	}
 	pte := &c.ptes[uint64(v)%model.PTEChunkPages]
@@ -302,10 +304,10 @@ func (t *PageTable) Touch(v VPN, write bool) bool {
 	return true
 }
 
-// UnmapRange clears every mapping in [start, end), invoking free on
-// each backing frame, and returns the number of present pages dropped.
-// Fully-cleared chunks are detached and recycled; huge chunks are left
-// to the caller (they carry their frame on the chunk itself).
+// UnmapRange clears every 4 KiB mapping in [start, end), invoking free
+// on each backing frame, and returns the number of present pages
+// dropped. Fully-cleared chunks are detached and recycled. 2 MiB units
+// are left to the caller (Space.Unmap frees them whole).
 func (t *PageTable) UnmapRange(start, end VPN, free func(*mem.Frame)) int {
 	dropped := 0
 	t.forRangeChunks(start, end, func(c *Chunk, base VPN, lo, hi uint16) {
@@ -326,14 +328,14 @@ func (t *PageTable) UnmapRange(start, end VPN, free func(*mem.Frame)) int {
 	return dropped
 }
 
-// forRangeChunks invokes fn once per existing non-huge chunk overlapped
-// by [start, end), passing the chunk's first page and the chunk-relative
+// forRangeChunks invokes fn once per existing chunk overlapped by
+// [start, end), passing the chunk's first page and the chunk-relative
 // offset window [lo, hi).
 func (t *PageTable) forRangeChunks(start, end VPN, fn func(c *Chunk, base VPN, lo, hi uint16)) {
 	for v := start; v < end; {
 		ci := ChunkIndex(v)
 		stop := chunkStop(v, end)
-		if c := t.chunks[ci]; c != nil && !c.Huge {
+		if c := t.chunks[ci]; c != nil {
 			base := VPN(ci * model.PTEChunkPages)
 			fn(c, base, uint16(v-base), uint16(stop-base))
 		}

@@ -240,8 +240,9 @@ func (b *byteSource) Intn(n int) int {
 
 // opSpan is the VPN range the interpreter works in: three chunks, each
 // missing until an op maps a page in it and again once an unmap clears
-// it. compare reads viewSpan, which adds a huge chunk the ops never
-// touch.
+// it. compare reads viewSpan, which adds the 2 MiB at opSpan: a unit
+// entry that only the unit op maps and clears, and that every read
+// files as absent pages.
 const (
 	opSpan   = 3 * model.PTEChunkPages
 	viewSpan = opSpan + model.PTEChunkPages
@@ -263,7 +264,7 @@ func newOpTable(src opSource) *opTable {
 		frames[i] = &mem.Frame{Node: topology.NodeID(i), PFN: uint64(i)}
 	}
 	pt := NewPageTable()
-	pt.ChunkOrCreate(opSpan).Huge = true
+	pt.SetHuge(opSpan, PTE{Frame: frames[0], Flags: PTEPresent | PTEAccessed})
 	return &opTable{pt: pt, ref: newRef(), src: src, frames: frames}
 }
 
@@ -319,7 +320,7 @@ func (o *opTable) mask() uint8 {
 func (o *opTable) step(t *testing.T) {
 	t.Helper()
 	pt, ref := o.pt, o.ref
-	switch op := o.src.Intn(10); op {
+	switch op := o.src.Intn(11); op {
 	case 0, 1, 2: // single-page write: fault, migrate, age or clear
 		v := o.vpn()
 		var e PTE
@@ -371,14 +372,31 @@ func (o *opTable) step(t *testing.T) {
 		if got, want := pt.Touch(v, write), ref.touch(v, write); got != want {
 			t.Fatalf("Touch(%d, %v) = %v, reference %v", v, write, got, want)
 		}
+	case 10: // map or clear the unit at opSpan; the reference records nothing
+		var u PTE
+		if o.src.Intn(2) == 0 {
+			u = PTE{Frame: o.frames[o.src.Intn(len(o.frames))], Flags: PTEPresent | PTEAccessed}
+			if o.src.Intn(2) == 0 {
+				u.Flags |= PTEPinned
+			}
+		}
+		chunks := pt.NumChunks()
+		pt.SetHuge(opSpan, u)
+		if v := VPN(opSpan + o.src.Intn(model.PTEChunkPages)); pt.Huge(v) != u {
+			t.Fatalf("Huge(%d) = %+v after SetHuge(%+v)", v, pt.Huge(v), u)
+		}
+		if n := pt.NumChunks(); n != chunks {
+			t.Fatalf("SetHuge changed the chunk count from %d to %d", chunks, n)
+		}
 	}
 }
 
 // TestExtentDifferential drives the page table and the reference map
 // through 20k random ops — single-page and burst installs,
-// SetFlagsRange, ArmRange with and without a skip, UnmapRange and Touch
-// — checking every returned count and, periodically, the whole visible
-// state (compare: Extents, Get and the batch reads).
+// SetFlagsRange, ArmRange with and without a skip, UnmapRange, Touch
+// and mapping or clearing a 2 MiB unit — checking every returned count
+// and, periodically, the whole visible state (compare: Extents, Get and
+// the batch reads, which read the unit's pages as absent).
 func TestExtentDifferential(t *testing.T) {
 	o := newOpTable(rand.New(rand.NewSource(42)))
 	spanRng := rand.New(rand.NewSource(43))
@@ -407,11 +425,11 @@ func FuzzPageTable(f *testing.F) {
 
 // TestCursorMatchesExtents pins multi-span cursor walks to one fresh
 // Extents call per span, with and without gaps, over a table mixing
-// populated, missing and huge chunks: ascending span lists (the rect
-// walk's shape, adjacent and chunk-crossing spans included), spans in
-// random order (a span behind the resolved chunk) and walks that fn
-// stops early. It pins the batch reads to the same Extents walks. No
-// walk may create a chunk.
+// populated and missing chunks and a 2 MiB unit: ascending span lists
+// (the rect walk's shape, adjacent and chunk-crossing spans included),
+// spans in random order (a span behind the resolved chunk) and walks
+// that fn stops early. It pins the batch reads to the same Extents
+// walks. No walk may create a chunk.
 func TestCursorMatchesExtents(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := make([]*mem.Frame, 4)
@@ -430,7 +448,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 	pt := NewPageTable()
 	// Chunks 0 and 2 fill in ascending order with at most 60 runs of
 	// equal pages; chunks 3 and 4 take overlapping random bursts and
-	// punched gaps. Chunk 1 stays missing and chunk 5 becomes huge.
+	// punched gaps. Chunk 1 stays missing and a unit maps chunk 5.
 	for _, ci := range []int{0, 2} {
 		v, end := VPN(ci*model.PTEChunkPages), VPN((ci+1)*model.PTEChunkPages)
 		for runs := 0; runs < 60 && v < end; runs++ {
@@ -453,7 +471,7 @@ func TestCursorMatchesExtents(t *testing.T) {
 			pt.Install(VPN((3+rng.Intn(2))*model.PTEChunkPages+rng.Intn(model.PTEChunkPages)), PTE{}) // punch a gap
 		}
 	}
-	pt.ChunkOrCreate(5 * model.PTEChunkPages).Huge = true
+	pt.SetHuge(5*model.PTEChunkPages, PTE{Frame: frames[0], Flags: PTEPresent | PTEAccessed})
 	nChunks := pt.NumChunks()
 
 	collect := func(spans []Span, withGaps bool, limit int, cursor bool) []Ext {

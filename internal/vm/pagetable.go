@@ -48,25 +48,21 @@ func (p PTE) Present() bool { return p.Flags&PTEPresent != 0 }
 // Chunk is one page-table page: 512 PTEs covering 2 MiB of address
 // space. The kernel takes one PTE lock per chunk, which is what limits
 // parallel-migration scaling for sub-megabyte buffers (Fig. 7). The
-// PTEs sit inline, so a chunk is one allocation. A huge-page chunk
-// leaves them unused: HugeFrame maps one 2 MiB unit.
+// PTEs sit inline, so a chunk is one 8 KiB allocation.
 type Chunk struct {
-	ptes      [model.PTEChunkPages]PTE
-	Huge      bool
-	HugeFrame *mem.Frame
-	HugeFlags uint8
-	// HugeFallback marks a chunk of a huge mapping that was served
-	// with base pages after huge-frame exhaustion (the THP-style
-	// fallback in kern.TouchHuge); it never becomes a huge unit.
-	HugeFallback bool
+	ptes [model.PTEChunkPages]PTE
 }
 
 // ChunkIndex returns the page-table-chunk index of a VPN.
 func ChunkIndex(v VPN) uint64 { return uint64(v) / model.PTEChunkPages }
 
-// PageTable is a sparse two-level table: chunk index -> chunk.
+// PageTable is a sparse two-level table: chunk index -> chunk. A 2 MiB
+// huge unit is an entry one level up, like Linux's PMD-mapped huge
+// page: huge maps a chunk index to one PTE, with no chunk beneath it.
+// An index holds a chunk or a unit, never both.
 type PageTable struct {
 	chunks map[uint64]*Chunk
+	huge   map[uint64]PTE
 }
 
 // NewPageTable creates an empty page table.
@@ -77,19 +73,41 @@ func NewPageTable() *PageTable {
 // Chunk returns the chunk covering v, or nil.
 func (t *PageTable) Chunk(v VPN) *Chunk { return t.chunks[ChunkIndex(v)] }
 
+// Huge returns the 2 MiB unit entry covering v: Frame is the unit's
+// representative frame and Flags its present, accessed and pinned
+// bits. It is the zero PTE when no unit maps v's 2 MiB. The 4 KiB
+// reads (Get, Extents, Cursor) read a unit's pages as absent.
+func (t *PageTable) Huge(v VPN) PTE { return t.huge[ChunkIndex(v)] }
+
+// SetHuge stores unit entry e for the 2 MiB covering v; a zero e
+// removes the unit. It panics where a chunk maps v's 2 MiB.
+func (t *PageTable) SetHuge(v VPN, e PTE) {
+	ci := ChunkIndex(v)
+	if t.chunks[ci] != nil {
+		panic("vm: huge unit over a PTE page")
+	}
+	if e == (PTE{}) {
+		delete(t.huge, ci)
+		return
+	}
+	if t.huge == nil {
+		t.huge = map[uint64]PTE{}
+	}
+	t.huge[ci] = e
+}
+
 // chunkPool recycles chunks. They are zeroed before release, so a
 // pooled chunk comes back clean without a clear on the allocation path.
 var chunkPool = sync.Pool{New: func() interface{} { return new(Chunk) }}
 
-// ChunkOrCreate returns the chunk covering v, creating it (empty) if
-// needed.
-func (t *PageTable) ChunkOrCreate(v VPN) *Chunk {
-	ci := ChunkIndex(v)
-	c := t.chunks[ci]
-	if c == nil {
-		c = chunkPool.Get().(*Chunk)
-		t.chunks[ci] = c
+// newChunk creates the (empty) chunk at index ci. It panics where a
+// huge unit maps the index.
+func (t *PageTable) newChunk(ci uint64) *Chunk {
+	if _, ok := t.huge[ci]; ok {
+		panic("vm: PTE page under a huge unit")
 	}
+	c := chunkPool.Get().(*Chunk)
+	t.chunks[ci] = c
 	return c
 }
 
@@ -109,7 +127,8 @@ func (t *PageTable) releaseChunk(ci uint64) {
 // name.
 func (t *PageTable) Lookup(v VPN) PTE { return t.Get(v) }
 
-// NumChunks returns the number of allocated page-table pages.
+// NumChunks returns the number of allocated page-table pages; huge
+// units are not pages.
 func (t *PageTable) NumChunks() int { return len(t.chunks) }
 
 // ArmRange arms the PTENumaHint mark on present pages of [start, end)

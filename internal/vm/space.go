@@ -65,8 +65,9 @@ type Space struct {
 	// releases, called immediately after the frame returns to Phys —
 	// the instant the allocator's gauges are consistent — so per-owner
 	// ledgers (the tenancy layer) can uncharge at exactly the
-	// granularity mem.Phys sees. Huge units do not notify: they return
-	// to Phys whole, frame and footprint, through Phys.FreeHuge.
+	// granularity mem.Phys sees. A 2 MiB unit's entry does not notify:
+	// the unit returns to Phys whole, frame and footprint, through
+	// Phys.FreeHuge.
 	OnFree func(*mem.Frame)
 }
 
@@ -121,17 +122,21 @@ func (s *Space) insert(v *VMA) {
 }
 
 // Unmap removes [start, start+length), freeing mapped frames. Partial
-// unmaps split VMAs.
-func (s *Space) Unmap(start Addr, length int64) error {
+// unmaps split VMAs. Like Linux's free_pgtables, it then releases every
+// chunk the removed VMAs reached that no VMA overlaps any more (pages
+// are mapped only inside VMAs, so such a chunk maps nothing) and
+// returns their indices [lo, hi): each holds neither a chunk nor a
+// 2 MiB unit. The span is empty when no VMA was removed.
+func (s *Space) Unmap(start Addr, length int64) (lo, hi uint64, err error) {
 	if start%model.PageSize != 0 || length <= 0 {
-		return fmt.Errorf("vm: bad unmap range %#x+%d", start, length)
+		return 0, 0, fmt.Errorf("vm: bad unmap range %#x+%d", start, length)
 	}
 	end := PageCeil(start + Addr(length))
 	if err := s.split(start); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := s.split(end); err != nil {
-		return err
+		return 0, 0, err
 	}
 	// After the boundary splits every VMA is entirely inside or entirely
 	// outside [start, end), and the inside ones are one contiguous index
@@ -143,17 +148,30 @@ func (s *Space) Unmap(start Addr, length int64) error {
 		s.freeRange(s.vmas[j].Start, s.vmas[j].End)
 		j++
 	}
-	if j > i {
-		s.vmas = append(s.vmas[:i], s.vmas[j:]...)
+	if j == i {
+		return 0, 0, nil
 	}
-	return nil
+	lo, hi = ChunkIndex(PageOf(s.vmas[i].Start)), ChunkIndex(PageOf(s.vmas[j-1].End-1))+1
+	s.vmas = append(s.vmas[:i], s.vmas[j:]...)
+	// Clip the span to the gap the cut left between the surviving
+	// neighbours.
+	if i > 0 {
+		lo = max(lo, ChunkIndex(PageOf(s.vmas[i-1].End-1))+1)
+	}
+	if i < len(s.vmas) {
+		hi = max(lo, min(hi, ChunkIndex(PageOf(s.vmas[i].Start))))
+	}
+	for ci := lo; ci < hi; ci++ {
+		s.PT.releaseChunk(ci)
+	}
+	return lo, hi, nil
 }
 
-// freeRange releases all frames mapped in [start, end).
+// freeRange releases all frames mapped in [start, end): the 4 KiB
+// frames through UnmapRange, which also recycles the chunks the range
+// covers whole, then every 2 MiB unit the range overlaps, whole.
 func (s *Space) freeRange(start, end Addr) {
 	sv, ev := PageOf(start), PageOf(end-1)+1
-	// UnmapRange frees the 4 KiB frames and recycles the chunks the
-	// range covers whole.
 	free := s.Phys.Free
 	if s.OnFree != nil {
 		onFree := s.OnFree
@@ -163,22 +181,13 @@ func (s *Space) freeRange(start, end Addr) {
 		}
 	}
 	s.PT.UnmapRange(sv, ev, free)
-	// Huge chunks carry their frame on the chunk itself; surviving
-	// partial chunks of huge mappings also drop their fallback mark.
-	for ci := uint64(sv) / model.PTEChunkPages; ci <= uint64(ev-1)/model.PTEChunkPages; ci++ {
-		c := s.PT.chunks[ci]
-		if c == nil {
-			continue
-		}
-		if c.Huge && c.HugeFrame != nil {
-			s.Phys.FreeHuge(c.HugeFrame)
-			c.HugeFrame = nil
-			c.HugeFlags = 0
-		}
-		c.HugeFallback = false
-		cs, ce := VPN(ci*model.PTEChunkPages), VPN((ci+1)*model.PTEChunkPages)
-		if sv <= cs && ce <= ev {
-			s.PT.releaseChunk(ci)
+	if len(s.PT.huge) == 0 {
+		return
+	}
+	for ci := ChunkIndex(sv); ci <= ChunkIndex(ev-1); ci++ {
+		if u, ok := s.PT.huge[ci]; ok {
+			s.Phys.FreeHuge(u.Frame)
+			delete(s.PT.huge, ci)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"numamig/internal/mem"
 	"numamig/internal/model"
@@ -91,6 +92,111 @@ func TestPageTableSparse(t *testing.T) {
 	}
 }
 
+// TestUnitIsAnEntryNotAChunk pins a 2 MiB unit as one entry beside the
+// chunks: a chunk is exactly its 512 PTEs (8 KiB, one Go size class),
+// a unit creates no chunk and its pages read as absent, and an index
+// never holds both kinds — installing a page under a unit and mapping
+// a unit over a chunk both panic.
+func TestUnitIsAnEntryNotAChunk(t *testing.T) {
+	if got := unsafe.Sizeof(Chunk{}); got != 8192 {
+		t.Fatalf("a chunk is %d bytes, want 8192", got)
+	}
+	pt := NewPageTable()
+	u := PTE{Frame: &mem.Frame{Node: 2}, Flags: PTEPresent | PTEAccessed}
+	pt.SetHuge(model.PTEChunkPages+7, u)
+	if pt.NumChunks() != 0 {
+		t.Fatal("a unit created a chunk")
+	}
+	if got := pt.Huge(2*model.PTEChunkPages - 1); got != u {
+		t.Fatalf("Huge = %+v, want %+v", got, u)
+	}
+	if pt.Get(model.PTEChunkPages).Present() || pt.Touch(model.PTEChunkPages, false) {
+		t.Fatal("a unit's page reads as a present 4 KiB page")
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Install under a unit", func() { pt.Install(model.PTEChunkPages+3, PTE{Flags: PTEPresent}) })
+	pt.Install(3, PTE{Flags: PTEPresent})
+	mustPanic("SetHuge over a chunk", func() { pt.SetHuge(0, u) })
+	pt.SetHuge(model.PTEChunkPages, PTE{})
+	if pt.Huge(model.PTEChunkPages).Present() {
+		t.Fatal("a zero SetHuge left the unit")
+	}
+	pt.Install(model.PTEChunkPages+3, PTE{Flags: PTEPresent})
+	if pt.NumChunks() != 2 {
+		t.Fatalf("chunks = %d, want 2", pt.NumChunks())
+	}
+}
+
+// TestUnmapReleasesBareChunks: an unmap releases every chunk that no
+// VMA overlaps any more, like Linux's free_pgtables, even one it does
+// not cover whole, keeps a chunk a surviving VMA still reaches, and
+// returns the span of indices it released.
+func TestUnmapReleasesBareChunks(t *testing.T) {
+	s := newSpace()
+	populate := func(a Addr, pages int) {
+		for i := 0; i < pages; i++ {
+			f, err := s.Phys.Alloc(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.PT.Install(PageOf(a)+VPN(i), PTE{Frame: f, Flags: PTEPresent | ProtRW.Flags()})
+		}
+	}
+	unmap := func(a Addr, length int64, lo, hi uint64) {
+		t.Helper()
+		gotLo, gotHi, err := s.Unmap(a, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := gotLo >= gotHi && lo >= hi
+		if !empty && (gotLo != lo || gotHi != hi) {
+			t.Fatalf("unmap released chunks [%d, %d), want [%d, %d)", gotLo, gotHi, lo, hi)
+		}
+	}
+	// Three 8-page buffers in one chunk, guard pages between them.
+	var bufs [3]Addr
+	for i := range bufs {
+		bufs[i], _ = s.Map(8*model.PageSize, ProtRW, DefaultPolicy(), 0, "buf")
+		populate(bufs[i], 8)
+	}
+	if s.PT.NumChunks() != 1 {
+		t.Fatalf("chunks = %d, want 1", s.PT.NumChunks())
+	}
+	ci := ChunkIndex(PageOf(bufs[0]))
+	unmap(bufs[0], 8*model.PageSize, 0, 0)
+	if s.PT.NumChunks() != 1 {
+		t.Fatal("unmap released a chunk two VMAs still overlap")
+	}
+	// One unmap across the last two buffers and the guard page between.
+	unmap(bufs[1], int64(bufs[2]-bufs[1])+8*model.PageSize, ci, ci+1)
+	if s.PT.NumChunks() != 0 || s.Phys.Stats(0).Allocated != 0 {
+		t.Fatalf("after the last unmap: %d chunks, %d frames", s.PT.NumChunks(), s.Phys.Stats(0).Allocated)
+	}
+	// An unmap over empty space releases nothing.
+	unmap(bufs[0], 1<<40, 0, 0)
+	// A 3 MiB buffer over two chunks: unmapping its head frees the first
+	// chunk only once nothing of the VMA reaches into it.
+	a, _ := s.Map(768*model.PageSize, ProtRW, DefaultPolicy(), 0, "big")
+	populate(a, 768)
+	chunks := s.PT.NumChunks()
+	unmap(a, 8*model.PageSize, 0, 0)
+	if s.PT.NumChunks() != chunks {
+		t.Fatal("unmap of the head released a chunk the VMA's rest still overlaps")
+	}
+	unmap(a+8*model.PageSize, 760*model.PageSize, ChunkIndex(PageOf(a)), ChunkIndex(PageOf(a+767*model.PageSize))+1)
+	if s.PT.NumChunks() != 0 {
+		t.Fatalf("chunks = %d after unmapping everything", s.PT.NumChunks())
+	}
+}
+
 func TestPageTableExtentsOrdered(t *testing.T) {
 	pt := NewPageTable()
 	for _, v := range []VPN{5, 600, 3, 1024} {
@@ -157,7 +263,7 @@ func TestMapFindUnmap(t *testing.T) {
 	if s.Find(a+10*model.PageSize) == v {
 		t.Fatal("Find beyond end returned vma")
 	}
-	if err := s.Unmap(a, 10*model.PageSize); err != nil {
+	if _, _, err := s.Unmap(a, 10*model.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if s.Find(a) != nil {
@@ -223,7 +329,7 @@ func TestUnmapPartial(t *testing.T) {
 		}
 		s.PT.Install(PageOf(a)+VPN(i), PTE{Frame: f, Flags: PTEPresent | ProtRW.Flags()})
 	}
-	if err := s.Unmap(a+2*model.PageSize, 3*model.PageSize); err != nil {
+	if _, _, err := s.Unmap(a+2*model.PageSize, 3*model.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumVMAs() != 2 {

@@ -49,7 +49,7 @@ func HugePageMigration(mb int) (float64, float64, error) {
 				panic(err)
 			}
 			start := t.P.Now()
-			if _, err := t.MoveHugeRange(a, bytes, 1); err != nil {
+			if _, _, err := t.MoveHugeRange(a, bytes, 1); err != nil {
 				panic(err)
 			}
 			d = t.P.Now() - start
