@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"sort"
 
 	"numamig/internal/migrate"
 	"numamig/internal/model"
@@ -54,21 +55,25 @@ func hugeChunks(addr vm.Addr, length int64) (first, last uint64, err error) {
 // default), falling back along the zonelist under pressure. When no node
 // can host a whole contiguous unit, the fault is served with 512 base
 // pages instead — like a failed THP allocation — in a normal PTE page
-// (MoveHugeRange reports such 2 MiB -ENOENT).
+// (MoveHugeRange reports such 2 MiB -ENOENT). Every 2 MiB of the range
+// must lie in a huge mapping, checked before anything faults, and each
+// unit is placed by the policy of the mapping it lies in.
 // Returns the number of huge pages faulted (base-page fallbacks count).
 func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 	k := t.Proc.K
 	sp := t.Proc.Space
-	v := sp.Find(addr)
-	if v == nil || v.Flags&vm.VMAHuge == 0 {
-		return 0, fmt.Errorf("kern: TouchHuge outside a huge mapping at %#x", addr)
-	}
 	first, last, err := hugeChunks(addr, length)
 	if err != nil {
 		return 0, err
 	}
 	t.Proc.MmapSem.RLock(t.P)
 	defer t.Proc.MmapSem.RUnlock()
+	// A unit faulted where no mapping lies is one no munmap would free.
+	for ci := first; ci <= last; ci++ {
+		if hugeVMA(sp, ci) == nil {
+			return 0, fmt.Errorf("kern: TouchHuge outside a huge mapping at %#x", vm.VPN(ci*model.PTEChunkPages).Base())
+		}
+	}
 	// populated reports whether the 2 MiB at base is already served, as
 	// a huge unit or by an exhaustion fallback's PTE page, which holds
 	// whatever base pages an unmap left of it. Checked once lock-free
@@ -93,6 +98,7 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 			// base VPN: chunk bases are multiples of 512, so a VPN key
 			// would collapse every interleave onto the node set's first
 			// entry.
+			v := hugeVMA(sp, ci)
 			target := t.placeTarget(v, vm.VPN(ci))
 			if hf := k.Placer.AllocHugePage(target); hf != nil {
 				sp.PT.SetHuge(base, vm.PTE{Frame: hf, Flags: vm.PTEPresent | vm.PTEAccessed})
@@ -106,6 +112,21 @@ func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
 		cl.Release()
 	}
 	return n, nil
+}
+
+// hugeVMA returns the huge mapping that 2 MiB unit ci lies in: the
+// first mapping that overlaps it, if that one is huge; else nil. An
+// unmap can leave a huge mapping covering part of a unit, and unmapping
+// that part later frees the unit, as Space.Unmap frees every unit its
+// mappings overlap.
+func hugeVMA(sp *vm.Space, ci uint64) *vm.VMA {
+	lo := vm.VPN(ci * model.PTEChunkPages).Base()
+	vs := sp.VMAs()
+	i := sort.Search(len(vs), func(i int) bool { return vs[i].End > lo })
+	if i == len(vs) || vs[i].Start >= lo+model.HugePageSize || vs[i].Flags&vm.VMAHuge == 0 {
+		return nil
+	}
+	return vs[i]
 }
 
 // hugeFallback serves one huge fault with 512 base pages when no node

@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -233,6 +234,45 @@ func TestTouchHugeKeepsFallbackSurvivors(t *testing.T) {
 		}
 		if got := h.k.Phys.TotalAllocated(); got != 0 {
 			t.Fatalf("%d frames stay allocated after unmapping everything, want 0", got)
+		}
+	})
+}
+
+// TestTouchHugeRefusesHoles: TouchHuge over a huge mapping whose middle
+// 2 MiB was unmapped fails, naming the hole's address, before it faults
+// anything, so no unit lands where no mapping lies (one did, and its
+// 512 frames outlived both munmaps). Each surviving half still touches
+// on its own, and unmapping both leaves no frame allocated.
+func TestTouchHugeRefusesHoles(t *testing.T) {
+	h := newHarness(false)
+	h.run(t, 0, func(tk *Task) {
+		const unit = model.HugePageSize
+		a, err := tk.MmapHuge(3*unit, vm.DefaultPolicy(), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Munmap(a+unit, unit); err != nil {
+			t.Fatal(err)
+		}
+		n, err := tk.TouchHuge(a, 3*unit)
+		if want := fmt.Sprintf("kern: TouchHuge outside a huge mapping at %#x", a+unit); err == nil || err.Error() != want {
+			t.Fatalf("TouchHuge across the hole: error %v, want %q", err, want)
+		}
+		if got := h.k.Phys.TotalAllocated(); n != 0 || got != 0 {
+			t.Fatalf("TouchHuge across the hole faulted %d units, %d frames allocated; want 0 and 0", n, got)
+		}
+		for _, half := range []vm.Addr{a, a + 2*unit} {
+			if n, err := tk.TouchHuge(half, unit); n != 1 || err != nil || tk.HugeNode(half) < 0 {
+				t.Fatalf("TouchHuge(%#x, 2 MiB) = %d, %v (unit node %d), want 1 unit", half, n, err, tk.HugeNode(half))
+			}
+		}
+		for _, half := range []vm.Addr{a, a + 2*unit} {
+			if err := tk.Munmap(half, unit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := h.k.Phys.TotalAllocated(); got != 0 {
+			t.Fatalf("%d frames stay allocated after unmapping both halves, want 0", got)
 		}
 	})
 }

@@ -197,23 +197,20 @@ func (t *Task) Mbind(addr vm.Addr, length int64, pol vm.Policy, flags ...MbindFl
 		return err
 	}
 	// MPOL_MF_MOVE: collect misplaced pages, then migrate them.
-	var addrs []vm.Addr
-	var nodes []topology.NodeID
+	ops := t.scratch.moveOps[:0]
 	first, last := vm.PageOf(addr), vm.PageOf(addr+vm.Addr(length)-1)+1
 	t.Proc.Space.PT.Extents(first, last, false, func(e vm.Ext) bool {
 		for p := e.Start; p < e.Start+vm.VPN(e.N); p++ {
 			if want := k.Placer.Target(pol, p, t.Node()); e.Node != want {
-				addrs = append(addrs, p.Base())
-				nodes = append(nodes, want)
+				ops = append(ops, migrate.Op{VPN: p, Dst: want})
 			}
 		}
 		return true
 	})
-	if len(addrs) == 0 {
-		return nil
+	if len(ops) > 0 {
+		t.movePages(ops, true)
 	}
-	_, err = t.MovePages(addrs, nodes, true)
-	return err
+	return nil
 }
 
 // QueryPages is move_pages' query mode (nodes == NULL in Linux): it
@@ -301,17 +298,40 @@ func (t *Task) GetNodes(addr vm.Addr, length int64) []int {
 // checking, syscall entry cost, and mmap_sem; the batched per-node
 // pipeline lives in internal/migrate.
 func (t *Task) MovePages(addrs []vm.Addr, nodes []topology.NodeID, patched bool) ([]int, error) {
-	k := t.Proc.K
 	if len(addrs) != len(nodes) {
 		return nil, fmt.Errorf("kern: move_pages: %d addrs vs %d nodes", len(addrs), len(nodes))
 	}
+	ops := t.scratch.moveOps[:0]
+	for i, a := range addrs {
+		ops = append(ops, migrate.Op{VPN: vm.PageOf(a), Dst: nodes[i]})
+	}
+	return t.movePages(ops, patched), nil
+}
+
+// MovePagesTo migrates every page of [addr, addr+length) to one node:
+// the common pattern of the user-space next-touch handler. A negative
+// length is an error.
+func (t *Task) MovePagesTo(addr vm.Addr, length int64, node topology.NodeID, patched bool) ([]int, error) {
+	if err := checkLength("move_pages", addr, length); err != nil {
+		return nil, err
+	}
+	ops := t.scratch.moveOps[:0]
+	base := vm.PageOf(addr)
+	for i := range vm.PagesIn(addr, length) {
+		ops = append(ops, migrate.Op{VPN: base + vm.VPN(i), Dst: node})
+	}
+	return t.movePages(ops, patched), nil
+}
+
+// movePages is move_pages' body once its arguments are ops, built in
+// t.scratch.moveOps: it keeps their array for the next call and
+// returns a fresh status slice, the one allocation per call.
+func (t *Task) movePages(ops []migrate.Op, patched bool) []int {
+	t.scratch.moveOps = ops
+	k := t.Proc.K
 	k.Stats.Syscalls++
 	k.Stats.MovePagesCalls++
-	ops := make([]migrate.Op, len(addrs))
-	for i := range addrs {
-		ops[i] = migrate.Op{VPN: vm.PageOf(addrs[i]), Dst: nodes[i]}
-	}
-	status := make([]int, len(addrs))
+	status := make([]int, len(ops))
 
 	defer t.P.PushCat(CatMovePagesCtl)()
 	t.P.Sleep(k.P.SyscallBase)
@@ -326,25 +346,7 @@ func (t *Task) MovePages(addrs []vm.Addr, nodes []topology.NodeID, patched bool)
 		CopyCat: CatMovePagesCopy, Priority: t.Proc.MigPrio,
 	})
 	k.Stats.MovePagesPages += uint64(res.Moved)
-	return status, nil
-}
-
-// MovePagesTo migrates every page of [addr, addr+length) to one node:
-// the common pattern of the user-space next-touch handler. A negative
-// length is an error.
-func (t *Task) MovePagesTo(addr vm.Addr, length int64, node topology.NodeID, patched bool) ([]int, error) {
-	if err := checkLength("move_pages", addr, length); err != nil {
-		return nil, err
-	}
-	n := vm.PagesIn(addr, length)
-	addrs := make([]vm.Addr, n)
-	nodes := make([]topology.NodeID, n)
-	base := vm.PageOf(addr)
-	for i := 0; i < n; i++ {
-		addrs[i] = (base + vm.VPN(i)).Base()
-		nodes[i] = node
-	}
-	return t.MovePages(addrs, nodes, patched)
+	return status
 }
 
 // MigratePages is the migrate_pages(2) system call: move every page of

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"numamig/internal/mem"
+	"numamig/internal/migrate"
 	"numamig/internal/sim"
 	"numamig/internal/tenancy"
 	"numamig/internal/topology"
@@ -127,11 +128,14 @@ type Task struct {
 // taskScratch holds the per-task reusable buffers of the bulk fault and
 // access paths, so a grid run's millions of fault rounds stop allocating
 // span lists, classification slices and per-node accumulators.
+// moveOps is move_pages' own: a SIGSEGV handler may call MovePagesTo
+// between the rounds of a fault that holds spans.
 type taskScratch struct {
 	spans     []vm.Span
 	faults    vm.FaultClasses
 	nodeOrder []topology.NodeID
 	nodeCount []int
+	moveOps   []migrate.Op
 }
 
 // counts returns the per-node page counter, sized to the machine and

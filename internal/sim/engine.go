@@ -148,6 +148,20 @@ func (e *Engine) next() (event, bool) {
 
 func (e *Engine) pending() bool { return e.head < len(e.fifo) || len(e.heap) > 0 }
 
+// NextEventTime returns the time of the earliest pending event: now
+// while the current instant still holds events to drain, else the
+// heap's minimum. ok is false when no event is pending. It reads the
+// queues and changes nothing.
+func (e *Engine) NextEventTime() (t Time, ok bool) {
+	if e.head < len(e.fifo) {
+		return e.now, true
+	}
+	if len(e.heap) > 0 {
+		return e.heap[0].t, true
+	}
+	return 0, false
+}
+
 // dispatch outcomes: who got the execution token.
 const (
 	dispatchSelf    = iota // the yielding proc's own wake was next: it continues
