@@ -22,22 +22,21 @@
 //   - The placement policy promotes pages toward their accessor once
 //     the task's decayed fault count on the page's home node passes a
 //     threshold (filtering one-off touches, like the kernel's
-//     two-stage migration filter), and can optionally migrate the
-//     *thread* toward its memory instead when most of its faults hit
-//     one remote node. Two further gates damp harmful promotion: the
-//     last-toucher filter requires two consecutive faults from the
-//     same task before a page moves (damping shared-page ping-pong,
-//     like the kernel's last-CPU/PID check), and the placement
-//     layer's pressure gate withholds promotion into nodes at their
-//     low watermark. All page movement is issued through the shared
-//     migration engine (internal/migrate, PathNumaHint), so pinned
-//     pages, busy retry and batching behave identically to the manual
-//     migration paths. Every promoted page is stamped with the current
-//     kswapd scan-period generation (PTE.PromoGen): the demotion scan's
-//     hysteresis then refuses to demote it for
-//     Params.PromotionHysteresisPeriods periods, closing the
-//     promote/demote ping-pong loop from the other side (the tiering
-//     scenario family measures the effect as promote_demote_flips).
+//     two-stage migration filter). Two further gates damp harmful
+//     promotion: the last-toucher filter requires two consecutive
+//     faults from the same task before a page moves (damping
+//     shared-page ping-pong, like the kernel's last-CPU/PID check),
+//     and the placement layer's pressure gate withholds promotion
+//     into nodes at their low watermark. All page movement is issued
+//     through the shared migration engine (internal/migrate,
+//     PathNumaHint), so pinned pages, busy retry and batching behave
+//     identically to the manual migration paths. Every promoted page
+//     is stamped with the current kswapd scan-period generation
+//     (PTE.PromoGen): the demotion scan's hysteresis then refuses to
+//     demote it for Params.PromotionHysteresisPeriods periods, closing
+//     the promote/demote ping-pong loop from the other side (the
+//     tiering scenario family measures the effect as
+//     promote_demote_flips).
 //
 // Unlike the paper's policies, no application or runtime hint is ever
 // required: locality is discovered from the faults alone. The autonuma
@@ -60,11 +59,6 @@ import (
 // fault knobs come from the kernel's model.Params (NumaScan*,
 // NumaFault*).
 type Config struct {
-	// FollowThreshold, when positive, enables thread-follows-memory: if
-	// a task's decayed fault share on one remote node exceeds the
-	// threshold (0..1], the thread migrates to that node instead of
-	// pulling the memory over. Off by default.
-	FollowThreshold float64
 	// NoLastToucher disables the last-toucher filter. By default the
 	// balancer records the last task that took a hinting fault on each
 	// page and promotes only after two consecutive faults from the same
@@ -81,17 +75,9 @@ type Stats struct {
 	LocalFaults   uint64 // hinting faults on already-local pages
 	RemoteFaults  uint64 // hinting faults on remote pages
 	PagesPromoted uint64 // migration orders issued (engine may EBUSY some)
-	ThreadMoves   uint64 // thread-follows-memory migrations
 	Backoffs      uint64 // ticks that doubled the scan period
 	PingPongSkips uint64 // promotions withheld by the last-toucher filter
 	PressureSkips uint64 // promotions withheld because the target is pressured
-}
-
-// taskStats is one task's decayed locality history: hinting-fault
-// counts indexed by the node the faulted page resided on.
-type taskStats struct {
-	memFaults []float64
-	total     float64
 }
 
 // lastTouch is a page's recent toucher history: the task that took the
@@ -108,9 +94,11 @@ type Balancer struct {
 	Proc *kern.Process
 	Cfg  Config
 
-	period  sim.Time
-	cursor  vm.VPN
-	tasks   map[int]*taskStats
+	period sim.Time
+	cursor vm.VPN
+	// tasks holds each task's decayed locality history: hinting-fault
+	// counts indexed by the node the faulted page resided on.
+	tasks   map[int][]float64
 	last    map[vm.VPN]lastTouch // last-toucher filter state
 	remote  uint64               // remote faults since the last tick
 	stopped bool
@@ -131,7 +119,7 @@ func Enable(proc *kern.Process, cfg Config) *Balancer {
 		// Params can come from outside, so clamp the initial period
 		// into the adaptive bounds.
 		period: min(max(p.NumaScanPeriod, p.NumaScanPeriodMin), p.NumaScanPeriodMax),
-		tasks:  map[int]*taskStats{},
+		tasks:  map[int][]float64{},
 		last:   map[vm.VPN]lastTouch{},
 	}
 	proc.SetNumaBalancer(b)
@@ -202,11 +190,9 @@ func (b *Balancer) Run(p *sim.Proc) {
 // decay ages every task's fault history by one tick.
 func (b *Balancer) decay() {
 	factor := b.Proc.K.P.NumaFaultDecay
-	for _, ts := range b.tasks {
-		ts.total = 0
-		for i := range ts.memFaults {
-			ts.memFaults[i] *= factor
-			ts.total += ts.memFaults[i]
+	for _, faults := range b.tasks {
+		for i := range faults {
+			faults[i] *= factor
 		}
 	}
 }
@@ -221,10 +207,10 @@ func (b *Balancer) decay() {
 // at or below their low watermark (pulling pages into a pressured node
 // would only force kswapd to demote something right back out).
 func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeID) []migrate.Op {
-	ts := b.tasks[t.TID]
-	if ts == nil {
-		ts = &taskStats{memFaults: make([]float64, b.Proc.K.M.NumNodes())}
-		b.tasks[t.TID] = ts
+	faults := b.tasks[t.TID]
+	if faults == nil {
+		faults = make([]float64, b.Proc.K.M.NumNodes())
+		b.tasks[t.TID] = faults
 	}
 	dst := t.Node()
 	allowDst := b.Proc.K.Placer.AllowPromotion(dst)
@@ -242,15 +228,14 @@ func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeI
 			lt = lastTouch{tid: t.TID, streak: 1}
 		}
 		b.last[pg] = lt
-		ts.memFaults[src[i]]++
-		ts.total++
+		faults[src[i]]++
 		if src[i] == dst {
 			b.Stats.LocalFaults++
 			continue
 		}
 		b.Stats.RemoteFaults++
 		b.remote++
-		if ts.memFaults[src[i]] < threshold {
+		if faults[src[i]] < threshold {
 			continue
 		}
 		if !b.Cfg.NoLastToucher && lt.streak < 2 {
@@ -263,32 +248,6 @@ func (b *Balancer) HintFaults(t *kern.Task, pages []vm.VPN, src []topology.NodeI
 		}
 		ops = append(ops, migrate.Op{VPN: pg, Dst: dst})
 	}
-	if node, ok := b.shouldFollow(ts, dst); ok {
-		// Most of this task's recent faults hit memory on one remote
-		// node: move the thread to its memory instead of the reverse.
-		b.Stats.ThreadMoves++
-		t.MigrateTo(b.Proc.K.M.Nodes[node].Cores[0])
-		return nil
-	}
 	b.Stats.PagesPromoted += uint64(len(ops))
 	return ops
-}
-
-// shouldFollow reports the remote node holding the largest share of the
-// task's fault history, when thread-follows-memory is enabled and that
-// share clears the threshold.
-func (b *Balancer) shouldFollow(ts *taskStats, here topology.NodeID) (topology.NodeID, bool) {
-	if b.Cfg.FollowThreshold <= 0 || ts.total < b.Proc.K.P.NumaFaultThreshold {
-		return 0, false
-	}
-	best, bestF := topology.NodeID(0), 0.0
-	for n, f := range ts.memFaults {
-		if topology.NodeID(n) != here && f > bestF {
-			best, bestF = topology.NodeID(n), f
-		}
-	}
-	if bestF/ts.total > b.Cfg.FollowThreshold {
-		return best, true
-	}
-	return 0, false
 }

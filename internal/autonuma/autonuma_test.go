@@ -134,35 +134,6 @@ func TestScanPeriodBackoff(t *testing.T) {
 	}
 }
 
-// TestThreadFollowsMemory: with FollowThreshold set, a task whose
-// faults overwhelmingly hit one remote node moves there instead of
-// pulling the memory over.
-func TestThreadFollowsMemory(t *testing.T) {
-	sys := numamig.New(numamig.Config{})
-	bal := sys.EnableAutoNUMA(autonuma.Config{FollowThreshold: 0.5})
-	var endNode numamig.NodeID
-	err := sys.Run(func(tk *numamig.Task) {
-		buf := numamig.MustAlloc(tk, 256*pg, numamig.Bind(2))
-		if err := buf.Prefault(tk); err != nil { // memory lives on node 2
-			t.Fatal(err)
-		}
-		deadline := tk.P.Now() + 16*sys.Kernel.P.NumaScanPeriodMax
-		for tk.P.Now() < deadline && tk.Node() != 2 {
-			sweep(t, tk, buf)
-		}
-		endNode = tk.Node()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if endNode != 2 {
-		t.Fatalf("thread on node %d, want followed to 2 (stats %+v)", endNode, bal.Stats)
-	}
-	if bal.Stats.ThreadMoves == 0 {
-		t.Fatal("no thread move recorded")
-	}
-}
-
 // TestDaemonRetires: the scanner exits after the last thread and the
 // engine drains (Run returns without deadlock); Stop unregisters the
 // hook immediately.

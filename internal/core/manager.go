@@ -105,9 +105,3 @@ func (m *Manager) MoveThread(t *kern.Task, core topology.CoreID) error {
 	}
 	return nil
 }
-
-// UserNT exposes the user-space library when Mode == LazyUser.
-func (m *Manager) UserNT() *UserNT { return m.userNT }
-
-// KernelNT exposes the kernel driver when Mode == LazyKernel.
-func (m *Manager) KernelNT() *KernelNT { return m.kernelNT }

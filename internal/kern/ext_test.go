@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,6 +143,55 @@ func TestHugeRangeValidation(t *testing.T) {
 		}
 		if _, _, err := tk.MoveHugeRange(a, 4*pg, 1); err == nil {
 			t.Fatal("MoveHugeRange on small mapping accepted")
+		}
+	})
+}
+
+// TestHugeRangeLengths: a zero-length TouchHuge or MoveHugeRange
+// returns 0 and changes nothing, like every other range call, and
+// MoveHugeRange's status is empty; a negative length is an error naming
+// the call and the length. Both used to fail with "empty huge range".
+func TestHugeRangeLengths(t *testing.T) {
+	h := newHarness(false)
+	h.run(t, 0, func(tk *Task) {
+		a, err := tk.MmapHuge(2*model.HugePageSize, vm.Bind(0), "huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.TouchHuge(a, model.HugePageSize); err != nil {
+			t.Fatal(err)
+		}
+		untouched := a + model.HugePageSize
+		frames := h.k.Phys.TotalAllocated()
+		for _, length := range []int64{0, -model.HugePageSize} {
+			n, err := tk.TouchHuge(untouched, length)
+			moved, st, merr := tk.MoveHugeRange(a, length, 1)
+			if length == 0 {
+				if n != 0 || err != nil {
+					t.Errorf("TouchHuge of zero length returned %d, %v; want 0, nil", n, err)
+				}
+				if moved != 0 || len(st) != 0 || merr != nil {
+					t.Errorf("MoveHugeRange of zero length returned %d, %v, %v; want 0, an empty status, nil", moved, st, merr)
+				}
+			} else {
+				for _, c := range []struct {
+					call string
+					err  error
+				}{{"TouchHuge", err}, {"MoveHugeRange", merr}} {
+					if want := fmt.Sprintf("%s of negative length %d ", c.call, length); c.err == nil || !strings.Contains(c.err.Error(), want) {
+						t.Errorf("%s of length %d returned %v; want an error naming %q", c.call, length, c.err, want)
+					}
+				}
+				if n != 0 || moved != 0 || st != nil {
+					t.Errorf("negative length: TouchHuge returned %d, MoveHugeRange %d, %v; want 0, 0, nil", n, moved, st)
+				}
+			}
+			if got := h.k.Phys.TotalAllocated(); got != frames {
+				t.Errorf("length %d: %d frames allocated, want %d", length, got, frames)
+			}
+			if tk.HugeNode(a) != 0 || tk.HugeNode(untouched) != -1 {
+				t.Errorf("length %d: huge units on nodes %d and %d, want 0 and none", length, tk.HugeNode(a), tk.HugeNode(untouched))
+			}
 		}
 	})
 }

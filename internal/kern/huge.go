@@ -37,13 +37,11 @@ func (t *Task) MmapHuge(length int64, pol vm.Policy, label string) (vm.Addr, err
 	return t.Proc.Space.Map(length, vm.ProtRW, pol, vm.VMAHuge, label)
 }
 
-// hugeChunks returns the chunk indices covering a huge range.
+// hugeChunks returns the chunk indices covering a huge range of
+// positive length.
 func hugeChunks(addr vm.Addr, length int64) (first, last uint64, err error) {
 	if addr%model.HugePageSize != 0 {
 		return 0, 0, fmt.Errorf("kern: huge range must be 2MB aligned, got %#x", addr)
-	}
-	if length <= 0 {
-		return 0, 0, fmt.Errorf("kern: empty huge range")
 	}
 	first = vm.ChunkIndex(vm.PageOf(addr))
 	last = vm.ChunkIndex(vm.PageOf(addr + vm.Addr(length) - 1))
@@ -59,7 +57,11 @@ func hugeChunks(addr vm.Addr, length int64) (first, last uint64, err error) {
 // must lie in a huge mapping, checked before anything faults, and each
 // unit is placed by the policy of the mapping it lies in.
 // Returns the number of huge pages faulted (base-page fallbacks count).
+// A zero length faults nothing; a negative one is an error.
 func (t *Task) TouchHuge(addr vm.Addr, length int64) (int, error) {
+	if err := checkLength("TouchHuge", addr, length); err != nil || length == 0 {
+		return 0, err
+	}
 	k := t.Proc.K
 	sp := t.Proc.Space
 	first, last, err := hugeChunks(addr, length)
@@ -152,8 +154,16 @@ func (t *Task) hugeFallback(v *vm.VMA, base vm.VPN) {
 // (left in place) exactly like pinned 4 KiB pages. Returns the number
 // of huge pages migrated and the per-unit status (resulting node,
 // StatusNoEnt, or StatusBusy for units that stayed pinned through every
-// retry pass), parallel to the 2 MiB units of the range.
+// retry pass), parallel to the 2 MiB units of the range. A zero length
+// moves nothing and returns an empty status; a negative one is an
+// error.
 func (t *Task) MoveHugeRange(addr vm.Addr, length int64, node topology.NodeID) (int, []int, error) {
+	if err := checkLength("MoveHugeRange", addr, length); err != nil {
+		return 0, nil, err
+	}
+	if length == 0 {
+		return 0, []int{}, nil
+	}
 	k := t.Proc.K
 	sp := t.Proc.Space
 	v := sp.Find(addr)

@@ -176,7 +176,6 @@ func New(eng *sim.Engine, m *topology.Machine, p model.Params, backed bool) *Ker
 	k.Ten = tenancy.NewLedger(k.bus, k.Phys.TierOf)
 	k.hub = NewDaemonHub(eng)
 	k.Placer = placement.New(m, k.Phys, &k.P)
-	k.Placer.SetBus(k.bus)
 	// placement.New installed the tier ids; freeze the per-node latency
 	// multipliers now (flat machines resolve to 1.0 everywhere).
 	k.tierLat = make([]float64, m.NumNodes())

@@ -77,9 +77,6 @@ func (k *Kernel) EnableDemotion() {
 		return
 	}
 	k.demotion = true
-	// The daemons are what decays a burst watermark boost, so boosting
-	// only arms together with them.
-	k.Placer.EnableBurstBoost()
 	for n := range k.M.Nodes {
 		// Memory-only nodes (CXL expanders) have no cores; their daemon's
 		// engine work is charged to the machine's first core, like a
@@ -106,19 +103,18 @@ func (d *kswapd) Name() string { return fmt.Sprintf("kswapd%d", d.node) }
 func (d *kswapd) Period() sim.Time { return d.k.P.KswapdPeriod }
 
 // Poll is the hub-driven tick decision: retire after the last
-// application thread, skip the period when the node needs neither boost
-// decay nor reclaim nor a proactive trickle (exactly the iterations the
-// old per-node loop spent waking up to do nothing), run otherwise.
+// application thread, skip the period when the node needs neither
+// reclaim nor a proactive trickle (exactly the iterations the old
+// per-node loop spent waking up to do nothing), run otherwise.
 func (d *kswapd) Poll() TickVerdict {
 	if d.k.live == 0 {
 		return TickRetire
 	}
-	// Idle iff the whole tick body would be a no-op: no boost to decay
-	// (DecayBoost at boost 0 does nothing), not under pressure, no
-	// trickle due (either fully reclaimed or trickling disabled), and no
-	// tenant sitting at its fast-tier cap with pages here.
-	if d.k.Phys.BoostOf(d.node) == 0 &&
-		!d.k.Phys.UnderPressure(d.node) &&
+	// Idle iff the whole tick body would be a no-op: not under
+	// pressure, no trickle due (either fully reclaimed or trickling
+	// disabled), and no tenant sitting at its fast-tier cap with pages
+	// here.
+	if !d.k.Phys.UnderPressure(d.node) &&
 		(d.k.Phys.Reclaimed(d.node) || d.k.P.KswapdProactiveBatch <= 0) &&
 		!d.capPressure() {
 		return TickIdle
@@ -133,17 +129,12 @@ func (d *kswapd) capPressure() bool {
 	return d.k.Phys.TierOf(d.node) == 0 && d.k.Ten.OverCapOn(d.node) != nil
 }
 
-// Run is one busy kswapd tick: decay the node's burst watermark boost,
-// reclaim when the node is under its (boosted) low watermark, trickle
-// proactively while it merely lacks headroom. On a machine with an
-// explicit slow tier, placement.DemotionTarget points each daemon at
-// the next tier down (DRAM -> CXL) and a bottom-tier daemon only at
-// its within-tier siblings.
+// Run is one busy kswapd tick: reclaim when the node is under its low
+// watermark, trickle proactively while it merely lacks headroom. On a
+// machine with an explicit slow tier, placement.DemotionTarget points
+// each daemon at the next tier down (DRAM -> CXL) and a bottom-tier
+// daemon only at its within-tier siblings.
 func (d *kswapd) Run(p *sim.Proc) {
-	// The reclaim/trickle decision below still sees part of this
-	// period's boost: the burst that armed it stays visible for
-	// log2(boost) periods.
-	d.k.Phys.DecayBoost(d.node)
 	switch {
 	case d.k.Phys.UnderPressure(d.node):
 		d.k.Stats.KswapdWakeups++

@@ -3,7 +3,6 @@ package kern
 import (
 	"fmt"
 
-	"numamig/internal/model"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -168,6 +167,3 @@ func (t *Task) NodesOfRect(r Rect) (map[topology.NodeID]int, int) {
 	}
 	return byNode, pages - resident
 }
-
-// PageSizeBytes re-exports the page size for drivers.
-const PageSizeBytes = model.PageSize

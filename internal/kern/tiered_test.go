@@ -9,9 +9,9 @@ import (
 	"numamig/internal/vm"
 )
 
-// Explicit slow-tier and burst-boost tests: the promotion token bucket
-// (Params.PromoteRateLimitMBps) and watermark boosting under
-// allocation bursts (Params.WatermarkBoostFactor).
+// Explicit slow-tier tests: the promotion token bucket
+// (Params.PromoteRateLimitMBps) and first-touch placement on a tiered
+// machine.
 
 // newParamHarness is newSmallHarness with caller-supplied Params.
 func newParamHarness(nodes, framesPerNode int, p model.Params) *harness {
@@ -19,74 +19,6 @@ func newParamHarness(nodes, framesPerNode int, p model.Params) *harness {
 	m := topology.Grid(nodes, 1, int64(framesPerNode)*pg, 1<<20)
 	k := New(eng, m, p, false)
 	return &harness{eng: eng, k: k, proc: k.NewProcess("test")}
-}
-
-// runBurst drives the watermark-boost scenario: both nodes filled to
-// just above their low watermark, then a burst that falls through the
-// allocation walk's first pass, then the burst freed again and virtual
-// time granted to the daemons. Returns the kswapd pressure wake-ups.
-func runBurst(t *testing.T, boost float64) (wakeups, demoted uint64, boostLeft int64) {
-	t.Helper()
-	p := model.Default()
-	p.WatermarkBoostFactor = boost
-	p.KswapdProactiveBatch = 0      // isolate the boost: no proactive trickle
-	h := newParamHarness(2, 256, p) // min 5, low 12, high 20
-	h.k.EnableDemotion()
-	h.run(t, 0, func(tk *Task) {
-		// Fill both nodes to 16 free frames: above low (12), so no
-		// pressure yet. Preferred, not Bind: the filler must stay
-		// demotable once the boosted daemon wakes.
-		for n := 0; n < 2; n++ {
-			fill, err := tk.Mmap(240*pg, vm.ProtRW, vm.Preferred(topology.NodeID(n)), 0, "fill")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tk.FaultIn(fill, 240*pg, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Burst: 12 more pages aimed at node 0. The first pass of the
-		// walk runs dry machine-wide, so the allocations fall through
-		// to the min pass and (with the factor armed) boost node 0.
-		burst, err := tk.Mmap(12*pg, vm.ProtRW, vm.Bind(0), 0, "burst")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.FaultIn(burst, 12*pg, true); err != nil {
-			t.Fatal(err)
-		}
-		if boost > 0 && h.k.Phys.BoostOf(0) == 0 {
-			t.Error("burst fell through the low pass but no boost was armed")
-		}
-		// The burst drains; free frames recover above the plain low
-		// watermark on both nodes. Only a boosted node still reads as
-		// pressured now.
-		if err := tk.Munmap(burst, 12*pg); err != nil {
-			t.Fatal(err)
-		}
-		tk.P.Sleep(40 * h.k.P.KswapdPeriod)
-	})
-	return h.k.Stats.KswapdWakeups, h.k.Stats.PagesDemoted, h.k.Phys.BoostOf(0)
-}
-
-// TestWatermarkBoostWakesKswapdEarly is the burst-boost satellite's
-// unit test: after a burst that fell through to the min pass, the
-// boosted node's kswapd wakes (and demotes) while free frames still
-// sit above the unboosted low watermark; without the factor the same
-// burst leaves the daemons asleep. The boost must also have decayed
-// away by the end of the run.
-func TestWatermarkBoostWakesKswapdEarly(t *testing.T) {
-	offWake, offDemoted, _ := runBurst(t, 0)
-	onWake, onDemoted, left := runBurst(t, 2)
-	if onWake <= offWake {
-		t.Fatalf("boost did not wake kswapd earlier: wakeups %d (boost) vs %d (off)", onWake, offWake)
-	}
-	if onDemoted <= offDemoted {
-		t.Fatalf("boost did not demote ahead of the next burst: %d (boost) vs %d (off)", onDemoted, offDemoted)
-	}
-	if left != 0 {
-		t.Fatalf("boost never decayed: %d frames left after 40 periods", left)
-	}
 }
 
 // TestPromoteRateLimitTokenBucket pins the bucket arithmetic: a

@@ -9,10 +9,10 @@
 // one System, whose simulated code runs under the engine's single
 // execution token, like the page tables, the tenancy ledger and the
 // telemetry bus. Every gauge the placement layer's zonelist walks read
-// (free frames, watermark boost, slow-tier residency) is O(1). Frames
-// are carved from per-node slabs in blocks rather than allocated
-// individually, so a grid run's millions of frame allocations become a
-// few thousand slab allocations.
+// (free frames, slow-tier residency) is O(1). Frames are carved from
+// per-node slabs in blocks rather than allocated individually, so a
+// grid run's millions of frame allocations become a few thousand slab
+// allocations.
 package mem
 
 import (
@@ -64,7 +64,6 @@ const slabFrames = 256
 type shard struct {
 	stats NodeStats
 	wm    Watermarks
-	boost int64 // temporary watermark boost in frames (burst response)
 	tier  int
 	free  []*Frame // recycled frames
 	slab  []Frame  // current carve block
@@ -159,62 +158,24 @@ func (p *Phys) FreeFrames(node topology.NodeID) int64 {
 	return p.shards[node].stats.Free()
 }
 
-// BoostWatermark temporarily raises a node's watermarks by amount
-// frames (kept at the maximum of outstanding boosts, like the kernel's
-// clamped watermark_boost), capped so the boosted high watermark stays
-// below the node's total. The node then reads as pressured while still
-// holding free frames — its kswapd wakes and demotes ahead of the next
-// allocation burst — until DecayBoost drains the boost.
-func (p *Phys) BoostWatermark(node topology.NodeID, amount int64) {
-	if amount <= 0 {
-		return
-	}
-	s := &p.shards[node]
-	if max := s.stats.Total - s.wm.High - 1; amount > max {
-		amount = max
-	}
-	if amount > s.boost {
-		s.boost = amount
-	}
-}
-
-// DecayBoost halves a node's watermark boost (called once per kswapd
-// period by the node's daemon), dropping the remainder at 1 frame.
-func (p *Phys) DecayBoost(node topology.NodeID) {
-	p.shards[node].boost /= 2
-}
-
-// BoostOf returns a node's current watermark boost in frames.
-func (p *Phys) BoostOf(node topology.NodeID) int64 { return p.shards[node].boost }
-
-// EffectiveLow returns the node's boosted low watermark: the pressure
-// threshold allocation fallback and the kswapd wake check compare
-// against.
-func (p *Phys) EffectiveLow(node topology.NodeID) int64 {
-	s := &p.shards[node]
-	return s.wm.Low + s.boost
-}
-
 // UnderPressure reports whether the node's free frames have sunk to or
-// below its (boosted) low watermark (the kswapd wake condition).
+// below its low watermark (the kswapd wake condition).
 func (p *Phys) UnderPressure(node topology.NodeID) bool {
-	return p.FreeFrames(node) <= p.EffectiveLow(node)
+	return p.FreeFrames(node) <= p.shards[node].wm.Low
 }
 
 // Reclaimed reports whether the node's free frames have recovered above
-// its (boosted) high watermark (the kswapd stop condition).
+// its high watermark (the kswapd stop condition).
 func (p *Phys) Reclaimed(node topology.NodeID) bool {
-	s := &p.shards[node]
-	return p.FreeFrames(node) > s.wm.High+s.boost
+	return p.FreeFrames(node) > p.shards[node].wm.High
 }
 
 // Headroom returns how many frames the node can accept while staying
-// strictly above its (boosted) low watermark — the budget the demotion
-// daemons use to size a batch toward a tier without pushing it into
-// pressure itself. Non-positive when the node is at or below the
-// watermark.
+// strictly above its low watermark — the budget the demotion daemons
+// use to size a batch toward a tier without pushing it into pressure
+// itself. Non-positive when the node is at or below the watermark.
 func (p *Phys) Headroom(node topology.NodeID) int64 {
-	return p.FreeFrames(node) - p.EffectiveLow(node) - 1
+	return p.FreeFrames(node) - p.shards[node].wm.Low - 1
 }
 
 // ErrNoMemory is returned when a node's frame pool is exhausted.

@@ -176,6 +176,9 @@ func TestAllocFreeAccountingProperty(t *testing.T) {
 			if p.Reclaimed(node) != (free > wm.High) {
 				return false
 			}
+			if p.Headroom(node) != free-wm.Low-1 {
+				return false
+			}
 			if p.UnderPressure(node) && p.Reclaimed(node) {
 				return false // Low < High: the states are exclusive
 			}

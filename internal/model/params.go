@@ -250,18 +250,6 @@ type Params struct {
 	// room for allocation bursts before real pressure hits (Linux's
 	// proactive reclaim / kswapd-vs-direct-reclaim split). 0 disables.
 	KswapdProactiveBatch int
-	// WatermarkBoostFactor arms watermark boosting under allocation
-	// bursts (Linux's watermark_boost_factor): when an AllocPage
-	// multi-pass falls through to the min pass (no node in the target's
-	// zonelist could serve the page above its low watermark), the
-	// target node's watermarks are temporarily raised by
-	// (high - low) * factor frames. The boosted node reads as
-	// pressured while still holding free frames, so its kswapd wakes
-	// and demotes ahead of the next burst; the boost halves on every
-	// kswapd period until it reaches zero. 0 disables boosting, and
-	// the factor only takes effect with the demotion daemons running
-	// (kern.EnableDemotion) — they are what decays a boost again.
-	WatermarkBoostFactor float64
 
 	// ---- Memory tiers (explicit CXL/slow memory) ----
 	//
@@ -382,10 +370,6 @@ func Default() Params {
 		PromotionHysteresisPeriods: 4,
 		FlipWindowPeriods:          4,
 		KswapdProactiveBatch:       16,
-		// Watermark boosting ships disabled: the pressure/tiering
-		// families calibrate their envelopes without burst boosting;
-		// scenarios that study bursts turn it on explicitly.
-		WatermarkBoostFactor: 0,
 
 		MigrateRetries:    4,
 		MigrateRetryDelay: sim.Micros(25),

@@ -22,13 +22,10 @@
 //     Allocation proceeds in passes, mirroring get_page_from_freelist:
 //     the first pass only takes nodes comfortably above their low
 //     watermark; if none qualifies the walk retries down to the min
-//     watermark, then takes any node with a free frame. A walk that
-//     falls through the first pass boosts the target node's watermarks
-//     (Params.WatermarkBoostFactor, Linux's watermark_boost_factor)
-//     so the burst is visible to kswapd before the node truly sinks.
-//     The kswapd daemons (internal/kern) poll mem.Phys.UnderPressure
-//     on their wake period to notice nodes this walk has pushed to the
-//     (boosted) low watermark.
+//     watermark, then takes any node with a free frame. The kswapd
+//     daemons (internal/kern) poll mem.Phys.UnderPressure on their
+//     wake period to notice nodes this walk has pushed to the low
+//     watermark.
 //
 // Memory tiers (model.Params.NodeTier/TierClasses) are first-class:
 // slow-tier nodes (tier > 0, e.g. simulated CXL expanders) are
@@ -57,7 +54,6 @@ import (
 
 	"numamig/internal/mem"
 	"numamig/internal/model"
-	"numamig/internal/telemetry"
 	"numamig/internal/topology"
 	"numamig/internal/vm"
 )
@@ -67,9 +63,7 @@ type Placer struct {
 	M    *topology.Machine
 	Phys *mem.Phys
 
-	p          *model.Params
-	boostAlive bool // burst boosting armed (EnableBurstBoost)
-	anySlow    bool // any node on a slow tier (tier > 0)
+	anySlow bool // any node on a slow tier (tier > 0)
 	// zonelists rows are built lazily on first use (zonelist): a
 	// 1024-node machine only pays the O(n log n) sort for nodes that
 	// actually allocate, keeping New O(n). Tiers are static after New
@@ -80,27 +74,14 @@ type Placer struct {
 	// zonelist order — which is likewise static after New. Only the
 	// pressure/free-frame scan inside the chosen group runs per call.
 	demoGroups [][][]topology.NodeID
-	bus        *telemetry.Bus // optional: WatermarkBoost events
 }
-
-// SetBus attaches the machine's telemetry bus; the placer publishes
-// WatermarkBoost events on it. Optional — a nil bus (the placement
-// unit tests construct Placers bare) just disables the events.
-func (pl *Placer) SetBus(b *telemetry.Bus) { pl.bus = b }
-
-// EnableBurstBoost arms watermark boosting under allocation bursts
-// (Params.WatermarkBoostFactor). The kernel calls it when it starts
-// the kswapd daemons — they are what decays a boost again, so arming
-// it without them would leave a boosted node reading as pressured
-// forever after one burst.
-func (pl *Placer) EnableBurstBoost() { pl.boostAlive = true }
 
 // New builds the placer for a machine: it installs each node's memory
 // tier (from p.NodeTier) and watermarks (from the Watermark*Frac
 // fractions of p) on phys, and computes the per-node (tier, distance)
 // zonelists.
 func New(m *topology.Machine, phys *mem.Phys, p *model.Params) *Placer {
-	pl := &Placer{M: m, Phys: phys, p: p}
+	pl := &Placer{M: m, Phys: phys}
 	n := m.NumNodes()
 	for i := 0; i < n; i++ {
 		phys.SetTier(topology.NodeID(i), p.TierOf(i))
@@ -266,23 +247,22 @@ func (pl *Placer) Place(vmaPol, procPol vm.Policy, v vm.VPN, local topology.Node
 	return pl.Target(pl.Resolve(vmaPol, procPol), v, local)
 }
 
-// pick walks the target's zonelist in watermark passes — (boosted)
-// low, then min, then bare availability — and returns the first node
-// that can take need frames while staying at or above the pass's
-// floor, plus the pass that succeeded. need is 1 for a base page, 512
-// for a huge unit.
+// pick walks the target's zonelist in watermark passes — low, then
+// min, then bare availability — and returns the first node that can
+// take need frames while staying at or above the pass's floor. need is
+// 1 for a base page, 512 for a huge unit.
 //
 // The walk never lands on a tier slower than the target's: slow-tier
 // nodes are demotion-only, so a DRAM allocation under pressure spills
 // across the DRAM tier (near nodes first) and then fails toward the
 // min pass rather than silently leaking onto CXL.
-func (pl *Placer) pick(target topology.NodeID, need int64) (topology.NodeID, int, bool) {
+func (pl *Placer) pick(target topology.NodeID, need int64) (topology.NodeID, bool) {
 	// Fast path: the target itself clears its low watermark. The full
 	// walk's first probe is exactly this check (a zonelist starts with
 	// its own node, whose tier never exceeds itself), so bailing here is
 	// behavior-identical and skips the walk setup on the common path.
-	if pl.Phys.FreeFrames(target)-need >= pl.Phys.EffectiveLow(target) {
-		return target, 0, true
+	if pl.Phys.FreeFrames(target)-need >= pl.Phys.WatermarksOf(target).Low {
+		return target, true
 	}
 	zl := pl.zonelist(target)
 	maxTier := pl.Phys.TierOf(target)
@@ -295,39 +275,16 @@ func (pl *Placer) pick(target topology.NodeID, need int64) (topology.NodeID, int
 			var floor int64
 			switch pass {
 			case 0:
-				floor = pl.Phys.EffectiveLow(n)
+				floor = pl.Phys.WatermarksOf(n).Low
 			case 1:
 				floor = pl.Phys.WatermarksOf(n).Min
 			}
 			if free-need >= floor {
-				return n, pass, true
+				return n, true
 			}
 		}
 	}
-	return 0, 0, false
-}
-
-// boostAfterBurst raises the target node's watermarks after an
-// allocation walk fell through its first (low-watermark) pass — the
-// signal that a burst is outrunning background demotion. The boost
-// makes the node read as pressured while it still holds free frames,
-// waking its kswapd early; the daemon decays the boost every period.
-// No-op until EnableBurstBoost: without the daemons there is nothing
-// to decay the boost, so arming it would pin the node as pressured.
-func (pl *Placer) boostAfterBurst(target topology.NodeID) {
-	if !pl.boostAlive || pl.p.WatermarkBoostFactor <= 0 {
-		return
-	}
-	wm := pl.Phys.WatermarksOf(target)
-	boost := int64(float64(wm.High-wm.Low) * pl.p.WatermarkBoostFactor)
-	pl.Phys.BoostWatermark(target, boost)
-	if pl.bus != nil {
-		pl.bus.Publish(telemetry.Event{
-			Topic: telemetry.TopicWatermarkBoost,
-			Node:  target, Dst: telemetry.NoNode,
-			Value: float64(boost),
-		})
-	}
+	return 0, false
 }
 
 // AllocPage allocates one frame as near target as the watermarks and
@@ -336,12 +293,9 @@ func (pl *Placer) boostAfterBurst(target topology.NodeID) {
 // onto a slower tier than the target's. Returns nil only when no
 // allowed node has a free frame.
 func (pl *Placer) AllocPage(target topology.NodeID) *mem.Frame {
-	n, pass, ok := pl.pick(target, 1)
+	n, ok := pl.pick(target, 1)
 	if !ok {
 		return nil
-	}
-	if pass > 0 {
-		pl.boostAfterBurst(target)
 	}
 	f, err := pl.Phys.Alloc(n)
 	if err != nil {
@@ -356,12 +310,9 @@ func (pl *Placer) AllocPage(target topology.NodeID) *mem.Frame {
 // unit — the caller falls back to base pages, like a failed THP
 // allocation.
 func (pl *Placer) AllocHugePage(target topology.NodeID) *mem.Frame {
-	n, pass, ok := pl.pick(target, model.PTEChunkPages)
+	n, ok := pl.pick(target, model.PTEChunkPages)
 	if !ok {
 		return nil
-	}
-	if pass > 0 {
-		pl.boostAfterBurst(target)
 	}
 	if err := pl.Phys.AllocFootprint(n, model.PTEChunkPages-1); err != nil {
 		return nil

@@ -11,9 +11,8 @@ import (
 )
 
 // Tier tests: slow-memory (CXL) nodes are demotion-only allocation
-// targets, zonelists order by (tier, distance), DemotionTarget prefers
-// the next tier down, and allocation bursts boost the target's
-// watermarks.
+// targets, zonelists order by (tier, distance), and DemotionTarget
+// prefers the next tier down.
 
 // newTieredPlacer builds a placer over fast DRAM nodes plus slow CXL
 // nodes (appended ids), framesPerNode frames each.
@@ -163,77 +162,6 @@ func TestDemotionTargetNextTierDown(t *testing.T) {
 	}
 	if n, ok := pl.DemotionTarget(2, true); ok {
 		t.Fatalf("DemotionTarget(2) = %d with the whole slow tier pressured; want none", n)
-	}
-}
-
-func TestWatermarkBoostOnBurstFallthrough(t *testing.T) {
-	m := topology.Grid(2, 1, 256*model.PageSize, 1<<20)
-	phys := mem.NewPhys(m, false)
-	p := model.Default()
-	p.WatermarkBoostFactor = 2
-	pl := New(m, phys, &p) // min 5, low 12, high 20
-	pl.EnableBurstBoost()  // normally armed by kern.EnableDemotion
-	// Fill both nodes to their low watermark so the first pass runs
-	// dry machine-wide.
-	for n := topology.NodeID(0); n < 2; n++ {
-		for phys.FreeFrames(n) > phys.WatermarksOf(n).Low {
-			if _, err := phys.Alloc(n); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if f := pl.AllocPage(0); f == nil {
-		t.Fatal("min pass should still serve the burst")
-	}
-	boost := phys.BoostOf(0)
-	if want := (phys.WatermarksOf(0).High - phys.WatermarksOf(0).Low) * 2; boost != want {
-		t.Fatalf("boost = %d, want (high-low)*factor = %d", boost, want)
-	}
-	if phys.BoostOf(1) != 0 {
-		t.Fatal("boost leaked onto a non-target node")
-	}
-	// The boosted node reads as pressured even after freeing well past
-	// the plain low watermark (12) — up to free = 25, inside the
-	// boosted threshold of 28 — until the boost decays away.
-	free := 25 - int(phys.FreeFrames(0))
-	for i := 0; i < free; i++ {
-		phys.Free(&mem.Frame{Node: 0}) // frames are interchangeable here
-	}
-	if !phys.UnderPressure(0) {
-		t.Fatalf("boosted node not pressured: free=%d effLow=%d", phys.FreeFrames(0), phys.EffectiveLow(0))
-	}
-	for i := 0; i < 10; i++ {
-		phys.DecayBoost(0)
-	}
-	if phys.BoostOf(0) != 0 {
-		t.Fatalf("boost did not decay: %d", phys.BoostOf(0))
-	}
-	if phys.UnderPressure(0) {
-		t.Fatal("node still pressured after the boost decayed")
-	}
-}
-
-// TestBoostNeedsDaemons: without EnableBurstBoost (armed by
-// kern.EnableDemotion) a fall-through burst must not boost — nothing
-// would ever decay it, pinning the node as pressured forever.
-func TestBoostNeedsDaemons(t *testing.T) {
-	m := topology.Grid(2, 1, 256*model.PageSize, 1<<20)
-	phys := mem.NewPhys(m, false)
-	p := model.Default()
-	p.WatermarkBoostFactor = 2
-	pl := New(m, phys, &p)
-	for n := topology.NodeID(0); n < 2; n++ {
-		for phys.FreeFrames(n) > phys.WatermarksOf(n).Low {
-			if _, err := phys.Alloc(n); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if f := pl.AllocPage(0); f == nil {
-		t.Fatal("min pass should still serve the burst")
-	}
-	if phys.BoostOf(0) != 0 {
-		t.Fatalf("boost armed without the demotion daemons: %d", phys.BoostOf(0))
 	}
 }
 

@@ -81,9 +81,6 @@ func (p *Proc) Spawn(name string, fn func(*Proc)) *Proc {
 // are charged to the top category of the category stack.
 func (p *Proc) SetAcct(a *Acct) { p.acct = a }
 
-// Acct returns the attached cost account (may be nil).
-func (p *Proc) Acct() *Acct { return p.acct }
-
 // PushCat pushes an accounting category; the returned func pops it.
 // Typical use: defer p.PushCat("copy")(). Pushing the empty string masks
 // outer categories: time spent is not charged anywhere.

@@ -10,7 +10,6 @@ type Resource struct {
 	inUse int
 	queue []resWaiter
 	// Stats.
-	Acquires  uint64
 	Contended uint64
 	WaitTime  Time
 }
@@ -29,9 +28,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: e, name: name, cap: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire obtains one unit, blocking in FIFO order if none is free.
 func (r *Resource) Acquire(p *Proc) { r.AcquirePri(p, 0) }
 
@@ -43,7 +39,6 @@ func (r *Resource) Acquire(p *Proc) { r.AcquirePri(p, 0) }
 // resource. The holder is never preempted — priority only reorders the
 // wait queue.
 func (r *Resource) AcquirePri(p *Proc, pri int) {
-	r.Acquires++
 	if r.inUse < r.cap && len(r.queue) == 0 {
 		r.inUse++
 		return
@@ -64,7 +59,6 @@ func (r *Resource) AcquirePri(p *Proc, pri int) {
 // TryAcquire obtains a unit without blocking; reports whether it succeeded.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.cap && len(r.queue) == 0 {
-		r.Acquires++
 		r.inUse++
 		return true
 	}
@@ -104,10 +98,6 @@ type RWLock struct {
 	readers int
 	writer  bool
 	queue   []rwWaiter
-	// Stats.
-	Acquires  uint64
-	Contended uint64
-	WaitTime  Time
 }
 
 type rwWaiter struct {
@@ -123,12 +113,10 @@ func NewRWLock(e *Engine, name string) *RWLock {
 
 // RLock acquires the lock shared.
 func (l *RWLock) RLock(p *Proc) {
-	l.Acquires++
 	if !l.writer && len(l.queue) == 0 {
 		l.readers++
 		return
 	}
-	l.Contended++
 	l.queue = append(l.queue, rwWaiter{p: p, write: false, enq: l.eng.now})
 	p.park()
 }
@@ -144,12 +132,10 @@ func (l *RWLock) RUnlock() {
 
 // Lock acquires the lock exclusive.
 func (l *RWLock) Lock(p *Proc) {
-	l.Acquires++
 	if !l.writer && l.readers == 0 && len(l.queue) == 0 {
 		l.writer = true
 		return
 	}
-	l.Contended++
 	l.queue = append(l.queue, rwWaiter{p: p, write: true, enq: l.eng.now})
 	p.park()
 }
@@ -185,9 +171,7 @@ func (l *RWLock) dispatch() {
 }
 
 func (l *RWLock) grant(w rwWaiter) {
-	wait := l.eng.now - w.enq
-	l.WaitTime += wait
-	w.p.charge(wait)
+	w.p.charge(l.eng.now - w.enq)
 	w.p.wake()
 }
 

@@ -62,9 +62,6 @@ const (
 	// TopicRateLimitDrop is one promotion order dropped by Node's
 	// slow-tier token bucket (mirrors kern.Stats.PromoteRateLimited).
 	TopicRateLimitDrop
-	// TopicWatermarkBoost is one burst watermark boost of Node; Value
-	// is the boost in frames.
-	TopicWatermarkBoost
 	// TopicKswapdWake is one pressure wake-up of Node's demotion
 	// daemon; Dur spans the reclaim pass ending at Time (mirrors
 	// kern.Stats.KswapdWakeups).
@@ -108,9 +105,8 @@ const (
 
 var topicNames = [NumTopics]string{
 	"PageFault", "NumaHintFault", "Promote", "Demote", "RateLimitDrop",
-	"WatermarkBoost", "KswapdWake", "MigrateBatch", "TierTraffic",
-	"TenantAdmit", "TenantExit", "CapViolation", "ClassLatency",
-	"TenantResident",
+	"KswapdWake", "MigrateBatch", "TierTraffic", "TenantAdmit",
+	"TenantExit", "CapViolation", "ClassLatency", "TenantResident",
 }
 
 // String returns the topic's registered name.
@@ -145,9 +141,9 @@ type Event struct {
 	Seq  uint32
 
 	Topic Topic
-	// Node is the primary node (fault node, demotion/traffic source,
-	// boosted node); Dst the destination where one applies. NoNode
-	// where not meaningful.
+	// Node is the primary node (fault node, demotion/traffic source);
+	// Dst the destination where one applies. NoNode where not
+	// meaningful.
 	Node, Dst topology.NodeID
 	// Task is the emitting sim proc's ID (application task or kernel
 	// daemon); 0 when emitted outside proc context.

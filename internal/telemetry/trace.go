@@ -14,7 +14,7 @@ import (
 // renders the log in the chrome-trace (chrome://tracing / Perfetto)
 // JSON format: per-task fault storms and migration batches, per-node
 // kswapd reclaim slices and demotions, and control-plane instants
-// (rate-limit drops, watermark boosts, tier traffic).
+// (promotions, rate-limit drops, tier traffic).
 type Recorder struct {
 	Events []Event
 }
@@ -161,12 +161,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 				Name: "RateLimitDrop", Ph: "i", S: "t",
 				Ts: usec(int64(ev.Time)), Pid: tracePidControl, Tid: int(ev.Node),
 				Args: &traceEventArgs{Pages: ev.Pages, Node: int(ev.Node)},
-			})
-		case TopicWatermarkBoost:
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: "WatermarkBoost", Ph: "i", S: "t",
-				Ts: usec(int64(ev.Time)), Pid: tracePidControl, Tid: int(ev.Node),
-				Args: &traceEventArgs{Node: int(ev.Node), Value: ev.Value},
 			})
 		case TopicTierTraffic:
 			tf.TraceEvents = append(tf.TraceEvents, traceEvent{

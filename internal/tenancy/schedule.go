@@ -37,7 +37,3 @@ func (s *Schedule) Gap() sim.Time {
 	}
 	return g
 }
-
-// Intn draws a uniform int in [0, n) from the schedule's generator —
-// the tenant-mix choices ride the same seeded stream as the gaps.
-func (s *Schedule) Intn(n int) int { return s.rng.Intn(n) }

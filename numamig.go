@@ -119,10 +119,7 @@
 //   - AutoNUMA promotion out of a slow node is rate-limited by a
 //     per-node token bucket (Params.PromoteRateLimitMBps, Linux's
 //     numa_balancing_promote_rate_limit_MBps;
-//     Stats.PromoteRateLimited counts dropped orders);
-//   - allocation bursts that fall through the low-watermark pass
-//     boost the target's watermarks (Params.WatermarkBoostFactor) so
-//     kswapd wakes and demotes ahead of the next burst.
+//     Stats.PromoteRateLimited counts dropped orders).
 //
 // The tiered scenario family grids DRAM:CXL capacity ratios against
 // the rate limit and hysteresis; System.SlowTierResident reads the
@@ -140,9 +137,8 @@
 // paths — which restores access and feeds per-task x per-node fault
 // statistics with exponential decay. Once a task's decayed fault count
 // on a remote node passes a threshold, its pages there are promoted to
-// the toucher's node; optionally the thread migrates toward its memory
-// instead. All promotion runs through the shared migration engine
-// (PathNumaHint, lazy channel), so pinned pages, busy retry and
+// the toucher's node. All promotion runs through the shared migration
+// engine (PathNumaHint, lazy channel), so pinned pages, busy retry and
 // batching behave identically to the manual paths. The scan period
 // adapts: remote faults shrink it, all-local windows back it off.
 //
@@ -479,16 +475,16 @@ func (s *System) NewUserNT(patched bool) *UserNT {
 // NewKernelNT creates the kernel next-touch driver.
 func (s *System) NewKernelNT() *KernelNT { return core.NewKernelNT(s.Proc) }
 
-// AutoNUMAConfig selects EnableAutoNUMA's two optional behaviours; the
+// AutoNUMAConfig selects EnableAutoNUMA's one optional behaviour; the
 // scan and fault knobs come from the system's Params
 // (NumaScan*/NumaFault*).
 type AutoNUMAConfig = autonuma.Config
 
 // EnableAutoNUMA turns on automatic NUMA balancing for the app process:
 // it registers the balancer's hinting-fault hook and starts the scanner
-// daemon. No application hints are needed afterwards; pages (and, with
-// cfg.FollowThreshold set, threads) follow the observed access pattern.
-// The returned balancer exposes its Stats and scan period.
+// daemon. No application hints are needed afterwards; pages follow the
+// observed access pattern. The returned balancer exposes its Stats and
+// scan period.
 func (s *System) EnableAutoNUMA(cfg AutoNUMAConfig) *autonuma.Balancer {
 	return autonuma.Enable(s.Proc, cfg)
 }

@@ -17,13 +17,13 @@
 //     hierarchy generator and the daemon batching contract, and
 //     "## Tenancy & SLOs", which documents the multi-tenant ledger,
 //     cap enforcement and class-priority contracts);
-//   - every backticked dotted Go name in ARCHITECTURE.md — `pkg.Name`,
-//     `pkg.Type.Member` or `Type.Member` — whose first segment is a
-//     module package or a declared type must resolve to a declaration,
-//     struct field or method, so a rename or deletion cannot leave the
-//     document naming code that is gone (file names such as `rect.go`
-//     and snake_case metric names such as `kern.hub_idle_period_us`
-//     are not Go names);
+//   - every backticked dotted Go name in ARCHITECTURE.md or README.md —
+//     `pkg.Name`, `pkg.Type.Member` or `Type.Member` — whose first
+//     segment is a module package or a declared type must resolve to a
+//     declaration, struct field or method, so a rename or deletion
+//     cannot leave either document naming code that is gone (file names
+//     such as `rect.go` and snake_case metric names such as
+//     `kern.hub_idle_period_us` are not Go names);
 //   - README.md must name every registered exp scenario family in
 //     backticks, as its family table does, and must link
 //     ARCHITECTURE.md;
@@ -127,6 +127,7 @@ func main() {
 	failed = report("ARCHITECTURE.md does not mention these telemetry topics", absent(doc, telemetry.Topics())) || failed
 	failed = report("ARCHITECTURE.md is missing these required sections", absent(doc, requiredSections)) || failed
 	failed = report("ARCHITECTURE.md names Go identifiers that do not resolve", ix.stale(doc)) || failed
+	failed = report("README.md names Go identifiers that do not resolve", ix.stale(readme)) || failed
 	failed = report("ARCHITECTURE.md names tests that no _test.go file declares", undeclaredTests(doc, tests)) || failed
 	failed = report("README.md names tests that no _test.go file declares", undeclaredTests(readme, tests)) || failed
 	failed = report("README.md does not name these exp families in backticks", absent(readme, familyNames)) || failed
